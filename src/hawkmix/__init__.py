@@ -16,15 +16,11 @@ from .eval import (
 )
 from .intensity import (
     EdgeContext,
-    aspect_distribution,
-    aspect_intensity,
-    attention,
     build_context,
     candidate_scores,
-    context,
-    kernel,
+    forward,
     mixed_intensity,
-    similarity,
+    pad_histories,
 )
 from .params import (
     HyperParams,

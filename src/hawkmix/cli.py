@@ -2,7 +2,9 @@
 
 Every subcommand writes a ``config.json`` echo of its resolved settings into
 the output directory, so any run can be replayed byte-identically with
-``--config config.json``. All randomness derives from ``--seed``.
+``--config config.json``. All randomness derives from ``--seed``. Times on the
+command line and in output files are in the edge list's own units; the
+network's normalized [0, 1] scale stays internal.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .eval import aspect_probe, precision_recall_at_k, probe_report, recommend
-from .intensity import aspect_intensity, build_context
+from .intensity import forward, pad_histories
 from .params import (
     HyperParams,
     ModelFileError,
@@ -27,21 +30,26 @@ from .params import (
 from .synth import PlantedSpec, generate
 from .temporal_graph import (
     EdgeListParseError,
-    NeighborEvent,
     load_edge_list,
     mask_static_edges,
     write_pairs,
 )
 from .training import ablation_config, train
 
+# CLI flag -> HyperParams field; the flags' defaults are the dataclass's.
+_HYPER_FLAGS = {
+    "aspects": "n_aspects",
+    "dim_per": "dim",
+    "history": "history_len",
+    "negatives": "n_negatives",
+    "epochs": "epochs",
+    "lr": "lr",
+    "seed": "seed",
+}
+_HYPER_DEFAULTS = {f.name: f.default for f in fields(HyperParams)}
+
 _DEFAULTS = {
-    "aspects": 4,
-    "dim_per": 20,
-    "history": 5,
-    "negatives": 5,
-    "epochs": 20,
-    "lr": 0.003,
-    "seed": 0,
+    **{flag: _HYPER_DEFAULTS[name] for flag, name in _HYPER_FLAGS.items()},
     "directed": False,
     "no_attention": False,
     "no_gumbel": False,
@@ -115,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directed", action="store_const", const=True, default=None)
     p.add_argument("--node", default=None, help="node label as it appears in the edge list")
     p.add_argument("--time", type=float, default=None,
-                   help="query time (default: just after the last event)")
+                   help="query time in the edge list's units (default: just after the last event)")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--truth", default=None,
                    help="optional file of true future neighbors, one label per line")
@@ -197,14 +205,8 @@ def _hyper_from(cfg, node_count: int) -> HyperParams:
         batch = 200 if node_count < 10_000 else 1000
         cfg["batch"] = batch
     return HyperParams(
-        n_aspects=cfg["aspects"],
-        history_len=cfg["history"],
-        dim=cfg["dim_per"],
-        n_negatives=cfg["negatives"],
+        **{name: cfg[flag] for flag, name in _HYPER_FLAGS.items()},
         batch_size=batch,
-        epochs=cfg["epochs"],
-        lr=cfg["lr"],
-        seed=cfg["seed"],
         use_attention=not cfg["no_attention"],
         use_gumbel=not cfg["no_gumbel"],
     )
@@ -277,7 +279,7 @@ def _cmd_recommend(cfg) -> int:
     if node not in net.label_to_id:
         raise ValueError(f"node {node!r} does not appear in the edge list")
     u = net.label_to_id[node]
-    t = cfg["time"] if cfg["time"] is not None else float(net.times.max()) + 1e-9
+    t = float(net.times.max()) + 1e-9 if cfg["time"] is None else net.normalized_time(cfg["time"])
     ranked = recommend(params, net, u, t, cfg["k"])
     with open(out / "recommendations.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -333,16 +335,16 @@ def _cmd_intensity(cfg) -> int:
         raise ValueError(f"node {node!r} does not appear in the edge list")
     u = net.label_to_id[node]
     h = params.hyper.history_len
+    ts = net.ev_times[u]
+    hist = pad_histories(ts, [net.recent(u, t, h) for t in ts.tolist()])
+    fwd = forward(params, np.full(len(ts), u), hist, net.ev_nbrs[u][:, None])
+    rates = np.exp(fwd.lam_k[:, 0, :])                               # (events, K)
     with open(out / "intensity.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "aspect", "lambda"])
-        for v, t in zip(net.ev_nbrs[u], net.ev_times[u]):
-            nbrs, tms = net.recent(u, float(t), h)
-            hist = [NeighborEvent(int(n), float(tt)) for n, tt in zip(nbrs, tms)]
-            ctx = build_context(params, u, int(v), float(t), hist)
-            for k in range(params.hyper.n_aspects):
-                rate = float(np.exp(aspect_intensity(params, ctx, k)))
-                writer.writerow([format(float(t), ".17g"), k, format(rate, ".17g")])
+        for t, row in zip(net.raw_time(ts).tolist(), rates.tolist()):
+            for k, rate in enumerate(row):
+                writer.writerow([format(t, ".17g"), k, format(rate, ".17g")])
     return 0
 
 

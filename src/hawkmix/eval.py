@@ -4,7 +4,9 @@ Link prediction follows the mask-edges / train / probe recipe: pair features
 are element-wise absolute differences of node embeddings, a from-scratch
 logistic regression is fit on half of the balanced pair set, and macro-F1
 plus rank-based AUC are reported on the rest. Temporal recommendation ranks
-candidate targets by the deterministic mixed intensity at the query time.
+candidate targets by the deterministic mixed intensity at the query time, and
+aspect read-out averages each node's deterministic aspect weights over its
+events; both go through ``intensity.forward``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .intensity import build_context, candidate_scores
+from .intensity import build_context, candidate_scores, forward, pad_histories
 from .params import ModelParams, all_embeddings
-from .temporal_graph import NeighborEvent, TemporalNetwork, mask_static_edges
+from .temporal_graph import TemporalNetwork, history, mask_static_edges
 
 
 @dataclass
@@ -228,9 +230,7 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
     )
     if len(candidates) == 0:
         return []
-    nbrs, times = net.recent(u, t, params.hyper.history_len)
-    hist = [NeighborEvent(int(n), float(tt)) for n, tt in zip(nbrs, times)]
-    ctx = build_context(params, u, u, t, hist)
+    ctx = build_context(params, u, u, t, history(net, u, t, params.hyper.history_len))
     scores = candidate_scores(params, ctx, candidates)
     order = np.lexsort((candidates, -scores))[:k]
     return [(int(candidates[i]), float(scores[i])) for i in order]
@@ -249,21 +249,24 @@ def precision_recall_at_k(ranked, ground_truth, k: int):
 
 
 def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray:
-    """Dominant aspect per node: argmax of its time-averaged deterministic
-    aspect weights over its own events (empty-history weights at t=1 for
-    nodes that never acted as a source)."""
-    h = params.hyper.history_len
-    labels = np.empty(net.node_count, dtype=np.int64)
-    for u in range(net.node_count):
-        ts = net.ev_times[u]
-        if len(ts) == 0:
-            ctx = build_context(params, u, u, 1.0, [])
-            labels[u] = int(np.argmax(ctx.pis[u]))
-            continue
-        acc = np.zeros(params.hyper.n_aspects)
-        for t in ts:
-            nbrs, tms = net.recent(u, float(t), h)
-            hist = [NeighborEvent(int(n), float(tt)) for n, tt in zip(nbrs, tms)]
-            acc += build_context(params, u, u, float(t), hist).pis[u]
-        labels[u] = int(np.argmax(acc))
-    return labels
+    """Dominant aspect per node: argmax of its summed deterministic aspect
+    weights over its own events (empty-history weights at t=1 for nodes that
+    never acted as a source).
+
+    Every (node, event time) query runs through the forward pass in chunks of
+    ``batch_size`` queries, with no candidate targets.
+    """
+    hyper = params.hyper
+    counts = np.array([len(ts) for ts in net.ev_times], dtype=np.int64)
+    nodes = np.repeat(np.arange(net.node_count), np.maximum(counts, 1))
+    times = np.concatenate([ts if len(ts) else [1.0] for ts in net.ev_times])
+    acc = np.zeros((net.node_count, hyper.n_aspects))
+    for start in range(0, len(nodes), hyper.batch_size):
+        u = nodes[start : start + hyper.batch_size]
+        t = times[start : start + hyper.batch_size]
+        hist = pad_histories(
+            t, [net.recent(a, b, hyper.history_len) for a, b in zip(u.tolist(), t.tolist())]
+        )
+        fwd = forward(params, u, hist, np.empty((len(u), 0), dtype=np.int64))
+        np.add.at(acc, u, fwd.pi_u)
+    return np.argmax(acc, axis=1)

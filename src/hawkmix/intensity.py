@@ -1,13 +1,17 @@
-"""Closed-form pieces of the connection-rate model.
+"""The connection-rate model: one batched forward pass.
 
 The raw rate of a source node u linking to a target v mixes per-aspect
 intensities: each aspect combines a base term (identity similarity scaled by
 aspect-embedding spread) with excitation from u's recent neighbors, weighted
 by graph attention, their own aspect activeness, and an exponential time
 decay. Aspect weights come from a temperature-scaled softmax over context
-similarities, optionally perturbed with Gumbel noise during training.
+similarities, optionally perturbed with fixed Gumbel noise during training.
 
-All functions here are pure in (params, inputs, explicit RNG).
+``forward`` evaluates the model for a batch of queries (source, padded
+history, candidate targets) and is the only implementation of it: training,
+the loss, recommendation, aspect read-out and the CLI all call it.
+``build_context``, ``mixed_intensity`` and ``candidate_scores`` are thin
+single-query wrappers around it. Everything here is pure in (params, inputs).
 """
 
 from __future__ import annotations
@@ -17,74 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, softplus
 
 LEAKY_SLOPE = 0.2
-
-
-def similarity(x, y) -> float:
-    """Negative squared Euclidean distance; 0 iff x == y, otherwise < 0."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    return float(-np.dot(d, d))
-
-
-def kernel(delta: float, dt: float) -> float:
-    """Time-decay weight exp(-delta * dt) for an event ``dt`` in the past."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0: history events precede the query time")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    return float(np.exp(-delta * dt))
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def attention(params: ModelParams, u: int, history) -> np.ndarray:
-    """Softmax weights over history events from the shared graph-attention score.
-
-    Scores are LeakyReLU(a . [W I_u ; W I_h]). With attention disabled
-    (ablation) every event gets weight 1 instead.
-    """
-    n_ev = len(history)
-    if n_ev == 0:
-        return np.zeros(0)
-    if not params.hyper.use_attention:
-        return np.ones(n_ev)
-    w_u = params.attn_w @ params.identity[u]
-    a1, a2 = params.attn_a[: params.hyper.dim], params.attn_a[params.hyper.dim :]
-    z = np.array(
-        [a1 @ w_u + a2 @ (params.attn_w @ params.identity[h]) for h, _ in history]
-    )
-    e = np.where(z >= 0, z, LEAKY_SLOPE * z)
-    return _softmax(e)
-
-
-def context(params: ModelParams, u: int, t: float, history, k: int) -> np.ndarray:
-    """Aspect-k context for u at time t: decayed mean of history aspect
-    embeddings averaged with u's own. Empty history degenerates to u's own
-    aspect embedding (the base rate must still drive a node's first edge)."""
-    return all_contexts(params, u, t, history)[k]
-
-
-def all_contexts(params: ModelParams, u: int, t: float, history) -> np.ndarray:
-    """All K context vectors at once, shape (K, m)."""
-    a_u = params.aspect[u]
-    if len(history) == 0:
-        return a_u.copy()
-    delta_u = float(params.decay[u])
-    ids = np.array([h for h, _ in history], dtype=np.int64)
-    dts = t - np.array([th for _, th in history])
-    kappa = np.exp(-delta_u * dts)
-    excite = np.tensordot(kappa, params.aspect[ids], axes=(0, 0)) / len(history)
-    return 0.5 * (excite + a_u)
 
 
 def gumbel_noise(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -92,55 +31,215 @@ def gumbel_noise(rng: np.random.Generator, k: int) -> np.ndarray:
     return -np.log(-np.log(rng.random(k)))
 
 
-def aspect_distribution(
-    params: ModelParams,
-    n: int,
-    contexts: np.ndarray,
-    rng: Optional[np.random.Generator] = None,
-    stochastic: bool = False,
-    noise: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Simplex of aspect weights for node n against the source's contexts.
+@dataclass
+class Histories:
+    """Padded history windows of B queries; L is the longest window."""
 
-    softmax over k of (similarity(I_n, C_k) + g_k) / tau_n, with g either
-    fresh Gumbel noise (stochastic training), a replayed draw (``noise``), or
-    zero (deterministic inference). The Gumbel ablation freezes tau at 1 and
-    forces g = 0.
+    ids: np.ndarray   # (B, L) neighbor ids, 0 in padded slots
+    dt: np.ndarray    # (B, L) query time minus event time, 0 in padded slots
+    mask: np.ndarray  # (B, L) 1.0 for real events
+
+
+def pad_histories(t, histories) -> Histories:
+    """Pad per-query ``(neighbor ids, event times)`` pairs into (B, L) arrays.
+
+    ``t`` holds the B query times. L is the longest history in the batch, not
+    the configured window, so a batch of short histories stays small.
     """
-    k = contexts.shape[0]
-    f = -np.sum((params.identity[n] - contexts) ** 2, axis=1)
-    if params.hyper.use_gumbel:
-        if noise is not None:
-            g = noise
-        elif stochastic:
-            if rng is None:
-                raise ValueError("stochastic aspect distribution needs an RNG")
-            g = gumbel_noise(rng, k)
-        else:
-            g = 0.0
-        logits = (f + g) / float(params.temperature[n])
+    t = np.asarray(t, dtype=np.float64)
+    lens = np.array([len(ids) for ids, _ in histories], dtype=np.int64)
+    lmax = int(lens.max(initial=0))
+    real = np.arange(lmax) < lens[:, None]
+    ids = np.zeros((len(lens), lmax), dtype=np.int64)
+    ev_t = np.repeat(t[:, None], lmax, axis=1)
+    if lmax:
+        ids[real] = np.concatenate([h for h, _ in histories])
+        ev_t[real] = np.concatenate([ts for _, ts in histories])
+    dt = t[:, None] - ev_t
+    if np.any(dt < 0):
+        raise ValueError("history events must not come after the query time")
+    return Histories(ids, dt, real.astype(np.float64))
+
+
+def noise_arrays(k: int, u, hist: Histories, noises):
+    """(g_u (B, K), g_h (B, L, K)) replaying per-query Gumbel draws.
+
+    ``noises[i]`` maps each node of query i (its source and history nodes) to
+    a (K,) draw; a None entry gives zero noise for that query.
+    """
+    b, lmax = hist.ids.shape
+    g_u = np.zeros((b, k))
+    g_h = np.zeros((b, lmax, k))
+    lens = hist.mask.sum(axis=1).astype(np.int64).tolist()
+    rows = zip(noises, np.asarray(u).tolist(), hist.ids.tolist(), lens)
+    for i, (noise, src, ids, n) in enumerate(rows):
+        if noise is None:
+            continue
+        g_u[i] = noise[src]
+        for j in range(n):
+            g_h[i, j] = noise[ids[j]]
+    return g_u, g_h
+
+
+@dataclass
+class Forward:
+    """Outputs of ``forward`` and the intermediates its backward reuses.
+
+    The outputs are ``pi`` (B, L+1, K) aspect weights of the source (row 0)
+    and of each history event, ``lam_k`` (B, C, K) raw per-aspect
+    intensities and ``lam`` (B, C) their pi-weighted mixture; apply exp() for
+    a positive rate per unit time. ``ctx`` (B, K, m) holds the contexts,
+    ``attn`` and ``kappa`` (B, L) the attention weights and kernel values,
+    ``mu`` (B, C) the identity similarity of source and candidate.
+    """
+
+    pi: np.ndarray
+    lam_k: np.ndarray
+    lam: np.ndarray
+    ctx: np.ndarray
+    attn: np.ndarray
+    kappa: np.ndarray
+    mu: np.ndarray
+    # saved for the backward pass
+    iu: np.ndarray
+    ic: np.ndarray
+    ih: np.ndarray
+    au: np.ndarray
+    ac: np.ndarray
+    ah: np.ndarray
+    z: Optional[np.ndarray]
+    wu: Optional[np.ndarray]
+    wh: Optional[np.ndarray]
+    lens_safe: np.ndarray
+    w_ex: np.ndarray
+    w_self: np.ndarray
+    diff_nc: np.ndarray
+    fg_n: Optional[np.ndarray]    # logits before the temperature: f + g
+    theta_n: Optional[np.ndarray]
+    tau_n: Optional[np.ndarray]
+    gam_u: np.ndarray
+    f_hc: Optional[np.ndarray]
+    gam_h: Optional[np.ndarray]
+    ak: Optional[np.ndarray]
+    s_lc: Optional[np.ndarray]
+
+    @property
+    def pi_u(self) -> np.ndarray:
+        return self.pi[:, 0, :]
+
+
+def forward(
+    params: ModelParams,
+    u,
+    hist: Histories,
+    cand,
+    g_u: Optional[np.ndarray] = None,
+    g_h: Optional[np.ndarray] = None,
+) -> Forward:
+    """The model for B queries: source ``u`` (B,), padded ``hist``, candidate
+    targets ``cand`` (B, C), and fixed Gumbel noise ``g_u`` (B, K) and ``g_h``
+    (B, L, K), or None for none (deterministic aspect weights).
+
+    Padded history slots carry kappa == 0, which zeroes their contribution to
+    the intensities and to every gradient path that reaches node arrays.
+    """
+    hyper = params.hyper
+    m, k = hyper.dim, hyper.n_aspects
+    ident, aspect = params.identity, params.aspect
+    u = np.asarray(u, dtype=np.int64)
+    cand = np.asarray(cand, dtype=np.int64)
+    ids, mask = hist.ids, hist.mask
+    b = len(u)
+    lmax = ids.shape[1]
+    lens = mask.sum(axis=1)
+    lens_safe = np.maximum(lens, 1.0)
+
+    iu = ident[u]                        # (B, m)
+    ic = ident[cand]                     # (B, C, m)
+    ih = ident[ids]                      # (B, L, m)
+    au = aspect[u]                       # (B, K, m)
+    ac = aspect[cand]                    # (B, C, K, m)
+    ah = aspect[ids]                     # (B, L, K, m)
+
+    delta_u = softplus(params.rho[u])
+    kappa = np.exp(-delta_u[:, None] * hist.dt) * mask               # (B, L)
+
+    # attention over history events
+    if hyper.use_attention and lmax > 0:
+        a1, a2 = params.attn_a[:m], params.attn_a[m:]
+        wu = iu @ params.attn_w.T                                # (B, m)
+        wh = ih @ params.attn_w.T                                # (B, L, m)
+        z = (wu @ a1)[:, None] + wh @ a2                         # (B, L)
+        e = np.where(z >= 0, z, LEAKY_SLOPE * z)
+        row_max = np.max(np.where(mask > 0, e, -np.inf), axis=1, keepdims=True)
+        row_max = np.where(np.isfinite(row_max), row_max, 0.0)   # rows w/o history
+        exp_e = np.exp(np.where(mask > 0, e - row_max, -np.inf))
+        denom = exp_e.sum(axis=1, keepdims=True)
+        attn = np.divide(exp_e, denom, out=np.zeros_like(exp_e), where=denom > 0)
     else:
-        logits = f
-    return _softmax(logits)
+        attn = mask.copy()
+        z = wu = wh = None
+
+    # contexts: decayed history mean blended with the source's own aspects
+    hsum = np.einsum("bl,blkm->bkm", kappa, ah) if lmax else np.zeros((b, k, m))
+    havg = hsum / lens_safe[:, None, None]
+    w_ex = np.where(lens > 0, 0.5, 0.0)
+    w_self = np.where(lens > 0, 0.5, 1.0)
+    ctx = w_ex[:, None, None] * havg + w_self[:, None, None] * au    # (B, K, m)
+
+    # aspect distributions for the source (row 0) and each history event
+    nodes_n = np.concatenate([u[:, None], ids], axis=1)              # (B, L+1)
+    i_n = ident[nodes_n]                                             # (B, L+1, m)
+    diff_nc = i_n[:, :, None, :] - ctx[:, None, :, :]                # (B, L+1, K, m)
+    f_n = -np.sum(diff_nc**2, axis=3)                                # (B, L+1, K)
+    if hyper.use_gumbel:
+        fg_n = f_n if g_u is None else f_n + np.concatenate([g_u[:, None, :], g_h], axis=1)
+        theta_n = params.theta[nodes_n]
+        tau_n = softplus(theta_n)
+        logits = fg_n / tau_n[:, :, None]
+    else:
+        fg_n = theta_n = tau_n = None
+        logits = f_n
+    logits = logits - logits.max(axis=2, keepdims=True)
+    exp_l = np.exp(logits)
+    pi = exp_l / exp_l.sum(axis=2, keepdims=True)                    # (B, L+1, K)
+    pi_u, pi_h = pi[:, 0, :], pi[:, 1:, :]
+
+    # per-aspect and mixed intensities for every candidate
+    mu = -np.sum((iu[:, None, :] - ic) ** 2, axis=2)                 # (B, C)
+    gam_u = np.sum((au[:, None] - ac) ** 2, axis=3)                  # (B, C, K)
+    lam_k = mu[:, :, None] * gam_u                                   # (B, C, K)
+    f_hc = gam_h = ak = s_lc = None
+    if lmax:
+        f_hc = -np.sum((ih[:, :, None, :] - ic[:, None]) ** 2, axis=3)      # (B, L, C)
+        gam_h = np.sum((ah[:, :, None] - ac[:, None]) ** 2, axis=4)         # (B, L, C, K)
+        ak = attn * kappa                                                   # (B, L)
+        s_lc = f_hc * ak[:, :, None]
+        lam_k = lam_k + np.einsum("blk,blck,blc->bck", pi_h, gam_h, s_lc)
+    lam = np.einsum("bck,bk->bc", lam_k, pi_u)                       # (B, C)
+
+    return Forward(
+        pi, lam_k, lam, ctx, attn, kappa, mu,
+        iu, ic, ih, au, ac, ah, z, wu, wh, lens_safe, w_ex, w_self, diff_nc,
+        fg_n, theta_n, tau_n, gam_u, f_hc, gam_h, ak, s_lc,
+    )
 
 
 @dataclass
 class EdgeContext:
-    """Everything shared by intensity evaluations of one (source, time) query.
+    """One (source, time) query's padded arrays, ready for ``forward``.
 
-    Attention weights, contexts, and aspect distributions depend only on the
-    source and its history, so one EdgeContext serves a positive target and
-    all its sampled negatives (swap ``target`` via ``with_target``).
+    The history and noise depend only on the source and the time, so one
+    EdgeContext serves a positive target and all its sampled negatives (swap
+    ``target`` via ``with_target``).
     """
 
     source: int
     target: int
     time: float
-    history: list
-    attn: np.ndarray
-    contexts: np.ndarray          # (K, m)
-    pis: dict                     # node id -> (K,) aspect weights
-    gumbel: Optional[dict] = None  # node id -> (K,) noise used, when stochastic
+    hist: Histories                # one row
+    g_u: Optional[np.ndarray] = None
+    g_h: Optional[np.ndarray] = None
 
     def with_target(self, v: int) -> "EdgeContext":
         return replace(self, target=v)
@@ -152,82 +251,27 @@ def build_context(
     v: int,
     t: float,
     history,
-    rng: Optional[np.random.Generator] = None,
-    stochastic: bool = False,
     noise: Optional[dict] = None,
 ) -> EdgeContext:
-    """Assemble the shared quantities for scoring targets of u at time t.
+    """Assemble the arrays for scoring targets of u at time t.
 
-    ``noise`` replays previously drawn per-node Gumbel vectors; otherwise
-    fresh draws are taken (stochastic) or zeros used (deterministic). Aspect
-    distributions are computed for u and each distinct history node, all
-    against u's contexts.
+    ``history`` is a sequence of (neighbor, time) events before t. ``noise``
+    replays per-node Gumbel vectors for u and each history node; without it
+    the aspect weights are deterministic.
     """
-    ctxs = all_contexts(params, u, t, history)
-    attn = attention(params, u, history)
-    nodes = [u]
-    for h, _ in history:
-        if h not in nodes:
-            nodes.append(h)
-    draw = stochastic and params.hyper.use_gumbel and noise is None
-    used = dict(noise) if noise is not None else ({} if draw else None)
-    pis = {}
-    for n in nodes:
-        g = None
-        if noise is not None:
-            g = noise.get(n)
-        elif draw:
-            g = gumbel_noise(rng, params.hyper.n_aspects)
-            used[n] = g
-        pis[n] = aspect_distribution(params, n, ctxs, noise=g)
-    return EdgeContext(u, v, t, list(history), attn, ctxs, pis, used)
+    hist = pad_histories([t], [([h for h, _ in history], [th for _, th in history])])
+    g_u = g_h = None
+    if noise is not None:
+        g_u, g_h = noise_arrays(params.hyper.n_aspects, [u], hist, [noise])
+    return EdgeContext(u, v, t, hist, g_u, g_h)
 
 
-def aspect_intensity(params: ModelParams, ctx: EdgeContext, k: int) -> float:
-    """Raw (unexponentiated) aspect-k rate of the context's source-target pair."""
-    u, v, t = ctx.source, ctx.target, ctx.time
-    mu = similarity(params.identity[u], params.identity[v])
-    gamma_u = -similarity(params.aspect[u, k], params.aspect[v, k])
-    total = mu * gamma_u
-    delta_u = float(params.decay[u])
-    for j, (h, th) in enumerate(ctx.history):
-        alpha = float(ctx.attn[j]) * similarity(params.identity[h], params.identity[v])
-        gamma_h = -similarity(params.aspect[h, k], params.aspect[v, k])
-        total += float(ctx.pis[h][k]) * alpha * gamma_h * kernel(delta_u, t - th)
-    return float(total)
+def candidate_scores(params: ModelParams, ctx: EdgeContext, targets) -> np.ndarray:
+    """Raw mixed intensities of the context's source toward every target."""
+    cand = np.asarray(targets, dtype=np.int64)[None, :]
+    return forward(params, [ctx.source], ctx.hist, cand, ctx.g_u, ctx.g_h).lam[0]
 
 
 def mixed_intensity(params: ModelParams, ctx: EdgeContext) -> float:
     """Aspect mixture of raw rates; apply exp() for a positive rate per unit time."""
-    pi_u = ctx.pis[ctx.source]
-    return float(
-        sum(pi_u[k] * aspect_intensity(params, ctx, k) for k in range(len(pi_u)))
-    )
-
-
-def candidate_scores(params: ModelParams, ctx: EdgeContext, targets) -> np.ndarray:
-    """Vectorized ``mixed_intensity`` over many candidate targets."""
-    targets = np.asarray(targets, dtype=np.int64)
-    u, t = ctx.source, ctx.time
-    i_t = params.identity[targets]                      # (C, m)
-    a_t = params.aspect[targets]                        # (C, K, m)
-    mu = -np.sum((params.identity[u] - i_t) ** 2, axis=1)
-    gamma_u = np.sum((params.aspect[u][None] - a_t) ** 2, axis=2)   # (C, K)
-    lam_k = mu[:, None] * gamma_u
-    if ctx.history:
-        delta_u = float(params.decay[u])
-        ids = np.array([h for h, _ in ctx.history], dtype=np.int64)
-        dts = t - np.array([th for _, th in ctx.history])
-        kappa = np.exp(-delta_u * dts)
-        f_ht = -np.sum(
-            (params.identity[ids][:, None, :] - i_t[None]) ** 2, axis=2
-        )                                               # (L, C)
-        alpha = ctx.attn[:, None] * f_ht
-        gamma_h = np.sum(
-            (params.aspect[ids][:, None, :, :] - a_t[None]) ** 2, axis=3
-        )                                               # (L, C, K)
-        pis_h = np.stack([ctx.pis[h] for h, _ in ctx.history])      # (L, K)
-        lam_k = lam_k + np.einsum(
-            "lk,lc,lck,l->ck", pis_h, alpha, gamma_h, kappa
-        )
-    return lam_k @ ctx.pis[u]
+    return float(candidate_scores(params, ctx, [ctx.target])[0])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -154,21 +154,7 @@ _ARRAY_FIELDS = ("identity", "aspect", "rho", "theta", "attn_w", "attn_a")
 
 def save_params(params: ModelParams, path) -> None:
     """Binary dump: magic, JSON header, then raw little-endian float64 arrays."""
-    header = {
-        "node_count": params.node_count,
-        "hyper": {
-            "n_aspects": params.hyper.n_aspects,
-            "history_len": params.hyper.history_len,
-            "dim": params.hyper.dim,
-            "n_negatives": params.hyper.n_negatives,
-            "batch_size": params.hyper.batch_size,
-            "epochs": params.hyper.epochs,
-            "lr": params.hyper.lr,
-            "seed": params.hyper.seed,
-            "use_attention": params.hyper.use_attention,
-            "use_gumbel": params.hyper.use_gumbel,
-        },
-    }
+    header = {"node_count": params.node_count, "hyper": asdict(params.hyper)}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)

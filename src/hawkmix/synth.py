@@ -11,9 +11,9 @@ can be scored against truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .temporal_graph import TemporalNetwork, network_from_edges
 
@@ -139,17 +139,15 @@ def generate(spec: PlantedSpec, rng) -> tuple[TemporalNetwork, PlantedTruth]:
 def recovery_score(predicted, truth: PlantedTruth) -> float:
     """Best mean label agreement over all aspect relabelings, in [0, 1].
 
-    Exhaustive over the K! permutations; refuses K > 6 (use a Hungarian
-    assignment at that scale, which is out of scope here).
+    The best one-to-one matching of predicted to planted labels is a linear
+    assignment on their confusion matrix (Hungarian method), so any K works.
     """
     predicted = np.asarray(predicted, dtype=np.int64)
     if predicted.shape != truth.labels.shape:
         raise ValueError("predicted labels must cover the same node set as the truth")
-    k = int(truth.labels.max()) + 1 if len(truth.labels) else 0
-    if k > 6:
-        raise ValueError("K > 6: exhaustive permutation matching not supported")
-    best = 0.0
-    for perm in permutations(range(k)):
-        mapped = np.asarray(perm)[predicted]
-        best = max(best, float(np.mean(mapped == truth.labels)))
-    return best
+    if len(predicted) == 0:
+        raise ValueError("recovery_score needs at least one node")
+    k = int(max(predicted.max(), truth.labels.max())) + 1
+    confusion = np.bincount(predicted * k + truth.labels, minlength=k * k).reshape(k, k)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    return float(confusion[rows, cols].sum() / len(predicted))

@@ -3,7 +3,8 @@
 A network is a chronologically sorted list of timestamped directed
 interactions plus, per node, the time-ordered sequence of neighbors it
 connected to. Timestamps are min-max normalized to [0, 1] at load so decay
-parameters are comparable across datasets.
+parameters are comparable across datasets; the network keeps the raw range
+so that times can be converted back to the input's units.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class TemporalNetwork:
     neighbor_sets: list = field(repr=False)  # per node: distinct static neighbors
     degrees: np.ndarray = field(repr=False)
     static_pairs: set = field(repr=False)    # unordered (a, b) with a < b
+    tmin: float = 0.0   # raw time that normalizes to 0
+    tmax: float = 1.0   # raw time that normalizes to 1 (tmin when all are equal)
 
     @property
     def n_edges(self) -> int:
@@ -62,6 +65,14 @@ class TemporalNetwork:
             for s, t, tt in zip(self.sources, self.targets, self.times)
         ]
 
+    def normalized_time(self, raw: float) -> float:
+        """A time in the input's units on the network's normalized scale."""
+        return (raw - self.tmin) / ((self.tmax - self.tmin) or 1.0)
+
+    def raw_time(self, t):
+        """Normalized time(s) back in the input's units."""
+        return self.tmin + np.asarray(t, dtype=np.float64) * ((self.tmax - self.tmin) or 1.0)
+
     def recent(self, u: int, t: float, limit: int):
         """Neighbor ids and times of u's last ``limit`` events strictly before t."""
         times_u = self.ev_times[u]
@@ -70,13 +81,17 @@ class TemporalNetwork:
         return self.ev_nbrs[u][lo:idx], times_u[lo:idx]
 
 
-def _build_network(labels, label_to_id, sources, targets, times, directed, normalize):
+def _build_network(labels, label_to_id, sources, targets, times, directed, normalize,
+                   t_range=(0.0, 1.0)):
+    """``t_range`` is the raw (tmin, tmax) of already normalized ``times``;
+    with ``normalize`` it is measured from ``times`` instead."""
     node_count = len(labels)
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     times = np.asarray(times, dtype=np.float64)
+    tmin, tmax = t_range
     if normalize and len(times):
-        tmin, tmax = times.min(), times.max()
+        tmin, tmax = float(times.min()), float(times.max())
         times = (times - tmin) / (tmax - tmin) if tmax > tmin else np.zeros_like(times)
     # Stable sort keeps input order as the tie-break for equal timestamps.
     order = np.argsort(times, kind="stable")
@@ -116,6 +131,8 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, norma
         neighbor_sets=nbr_sets,
         degrees=degrees,
         static_pairs=static_pairs,
+        tmin=tmin,
+        tmax=tmax,
     )
 
 
@@ -236,15 +253,16 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
     Returns (train_network, positive_pairs, negative_pairs): positives are the
     masked pairs, negatives an equal-sized uniform sample of non-edges. Node
     ids and timestamps are preserved; the training network is rebuilt from the
-    surviving edges without re-normalizing time.
+    surviving edges without re-normalizing time, and keeps the raw time range.
     """
     pairs = sorted(net.static_pairs)
     if count > len(pairs):
         raise ValueError(f"cannot mask {count} edges; only {len(pairs)} static edges exist")
+    t_range = (net.tmin, net.tmax)
     if count == 0:
         train = _build_network(
             net.labels, net.label_to_id, net.sources, net.targets, net.times,
-            net.directed, normalize=False,
+            net.directed, normalize=False, t_range=t_range,
         )
         return train, [], []
     chosen = rng.choice(len(pairs), size=count, replace=False)
@@ -262,7 +280,7 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
     )
     train = _build_network(
         net.labels, net.label_to_id, net.sources[keep], net.targets[keep],
-        net.times[keep], net.directed, normalize=False,
+        net.times[keep], net.directed, normalize=False, t_range=t_range,
     )
 
     n = net.node_count

@@ -7,9 +7,9 @@ and flow through the aspect softmax (with Gumbel noise held fixed), the
 attention softmax, contexts, kernels, and the softplus reparameterizations of
 the per-node decay and temperature.
 
-``sample_loss`` evaluates the objective through the scalar intensity ops;
-``gradients`` and the trainer share a vectorized batch engine. The two routes
-are tested against each other, and the engine against finite differences.
+Samples are padded into one batch whose forward pass is ``intensity.forward``;
+the backward pass here reuses the values that forward saved. The gradients
+are tested against finite differences, the loss against the loop-only oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +21,17 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .intensity import LEAKY_SLOPE, build_context, gumbel_noise, mixed_intensity
-from .params import HyperParams, ModelParams, init_params, save_params, softplus
-from .temporal_graph import NeighborEvent, NegativeSampler, TemporalEdge, sample_negatives
+from .intensity import (
+    LEAKY_SLOPE,
+    Forward,
+    Histories,
+    forward,
+    gumbel_noise,
+    noise_arrays,
+    pad_histories,
+)
+from .params import HyperParams, ModelParams, init_params, save_params
+from .temporal_graph import NegativeSampler, TemporalEdge, history, sample_negatives
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -32,7 +40,7 @@ CLIP_NORM = 5.0
 
 
 class TrainingDiverged(RuntimeError):
-    """Mean epoch loss became non-finite; parameters blew up."""
+    """A batch's intensities or losses became non-finite; parameters blew up."""
 
 
 @dataclass
@@ -64,8 +72,7 @@ class GradientSet:
 def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> LossSample:
     """Assemble the loss sample for one edge: recent history, negatives, noise."""
     u, v, t = edge
-    nbrs, times = net.recent(u, t, hyper.history_len)
-    hist = [NeighborEvent(int(n), float(tt)) for n, tt in zip(nbrs, times)]
+    hist = history(net, u, t, hyper.history_len)
     negs = sample_negatives(sampler, net, u, v, hyper.n_negatives, rng)
     noise = None
     if hyper.use_gumbel:
@@ -78,32 +85,24 @@ def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> Lo
 
 def sample_loss(params: ModelParams, sample: LossSample) -> float:
     """Objective value for one sample, replaying its stored Gumbel draws."""
-    u, v, t = sample.edge
-    ctx = build_context(params, u, v, t, sample.history, noise=sample.gumbel)
-    lam_pos = mixed_intensity(params, ctx)
-    lam_negs = [mixed_intensity(params, ctx.with_target(int(w))) for w in sample.negatives]
-    lams = np.array([lam_pos] + lam_negs)
-    if not np.all(np.isfinite(lams)):
-        raise ValueError("non-finite intensity in loss: parameters have blown up")
-    return float(np.logaddexp(0.0, -lam_pos) + np.logaddexp(0.0, np.array(lam_negs)).sum())
+    return float(batch_loss(params, [sample])[0])
 
 
 def gradients(params: ModelParams, sample: LossSample) -> GradientSet:
     """Exact gradient of ``sample_loss`` for every touched parameter."""
-    batch = _assemble(params.hyper, [sample])
-    _, compact = _engine(params, batch, want_grads=True)
-    return _compact_to_set(compact)
+    return batch_gradients(params, [sample])[1]
 
 
 def batch_loss(params: ModelParams, samples) -> np.ndarray:
-    """Per-sample losses through the vectorized engine."""
-    losses, _ = _engine(params, _assemble(params.hyper, samples), want_grads=False)
-    return losses
+    """Per-sample losses through the batched forward."""
+    return _checked_forward(params, _assemble(params.hyper, samples))[1]
 
 
 def batch_gradients(params: ModelParams, samples):
     """(mean loss, mean GradientSet) over a list of samples."""
-    losses, compact = _engine(params, _assemble(params.hyper, samples), want_grads=True)
+    batch = _assemble(params.hyper, samples)
+    fwd, losses = _checked_forward(params, batch)
+    compact = _backward(params, batch, fwd)
     compact.scale(1.0 / len(samples))
     return float(losses.mean()), _compact_to_set(compact)
 
@@ -125,49 +124,50 @@ def ablation_config(base: HyperParams, variant: str) -> HyperParams:
 
 
 # ---------------------------------------------------------------------------
-# Batched engine. Samples are padded to the longest history in the batch;
-# padded slots carry kappa == 0, which zeroes their forward contribution and
-# every gradient path that reaches node arrays.
+# Batched engine: samples padded into one batch, the shared forward, the
+# loss, and the hand-derived backward over the forward's saved values.
 
 
 @dataclass
 class _Batch:
     u: np.ndarray          # (B,)
     cand: np.ndarray       # (B, C) column 0 is the positive target
-    t: np.ndarray          # (B,)
-    hist_ids: np.ndarray   # (B, L) padded with 0
-    hist_dt: np.ndarray    # (B, L) query time minus event time
-    hist_mask: np.ndarray  # (B, L) 1.0 for real events
+    hist: Histories        # (B, L) padded histories
     g_u: np.ndarray        # (B, K) Gumbel noise for the source
     g_h: np.ndarray        # (B, L, K) noise per history event (node-shared)
 
 
 def _assemble(hyper: HyperParams, samples) -> _Batch:
-    b = len(samples)
-    k = hyper.n_aspects
-    n_neg = hyper.n_negatives
-    lmax = max((len(s.history) for s in samples), default=0)
-    u = np.empty(b, dtype=np.int64)
-    t = np.empty(b)
-    cand = np.empty((b, 1 + n_neg), dtype=np.int64)
-    hist_ids = np.zeros((b, lmax), dtype=np.int64)
-    hist_dt = np.zeros((b, lmax))
-    hist_mask = np.zeros((b, lmax))
-    g_u = np.zeros((b, k))
-    g_h = np.zeros((b, lmax, k))
-    for i, s in enumerate(samples):
-        u[i], v, t[i] = s.edge.source, s.edge.target, s.edge.time
-        cand[i, 0] = v
-        cand[i, 1:] = s.negatives
-        for j, (h, th) in enumerate(s.history):
-            hist_ids[i, j] = h
-            hist_dt[i, j] = t[i] - th
-            hist_mask[i, j] = 1.0
-            if s.gumbel is not None:
-                g_h[i, j] = s.gumbel[h]
-        if s.gumbel is not None:
-            g_u[i] = s.gumbel[s.edge.source]
-    return _Batch(u, cand, t, hist_ids, hist_dt, hist_mask, g_u, g_h)
+    u = np.array([s.edge.source for s in samples], dtype=np.int64)
+    t = np.array([s.edge.time for s in samples])
+    cand = np.empty((len(samples), 1 + hyper.n_negatives), dtype=np.int64)
+    cand[:, 0] = [s.edge.target for s in samples]
+    cand[:, 1:] = [s.negatives for s in samples]
+    hist = pad_histories(
+        t, [([h for h, _ in s.history], [th for _, th in s.history]) for s in samples]
+    )
+    g_u, g_h = noise_arrays(hyper.n_aspects, u, hist, [s.gumbel for s in samples])
+    return _Batch(u, cand, hist, g_u, g_h)
+
+
+def _forward_loss(params: ModelParams, batch: _Batch):
+    """(Forward, per-sample losses) of a batch; no finiteness check."""
+    fwd = forward(params, batch.u, batch.hist, batch.cand, batch.g_u, batch.g_h)
+    lam = fwd.lam
+    losses = np.logaddexp(0.0, -lam[:, 0]) + np.logaddexp(0.0, lam[:, 1:]).sum(axis=1)
+    return fwd, losses
+
+
+def _blown_up(fwd: Forward, losses: np.ndarray) -> np.ndarray:
+    """(B,) mask of samples whose intensities or loss are not finite."""
+    return ~(np.isfinite(fwd.lam).all(axis=1) & np.isfinite(losses))
+
+
+def _checked_forward(params: ModelParams, batch: _Batch):
+    fwd, losses = _forward_loss(params, batch)
+    if _blown_up(fwd, losses).any():
+        raise ValueError("non-finite intensity in batch: parameters have blown up")
+    return fwd, losses
 
 
 @dataclass
@@ -213,93 +213,26 @@ def _compact_to_set(c: _CompactGrads) -> GradientSet:
     return gs
 
 
-def _engine(params: ModelParams, batch: _Batch, want_grads: bool):
-    """Forward (and optionally backward) pass over a padded batch.
+def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> _CompactGrads:
+    """Gradients of the summed batch loss, from the values ``fwd`` saved.
 
-    Returns (per-sample losses, _CompactGrads or None). Gradients are sums
-    over the batch; the trainer rescales to a mean.
+    Gradients are sums over the batch; the trainer rescales to a mean.
     """
     hyper = params.hyper
     m, k = hyper.dim, hyper.n_aspects
-    ident, aspect = params.identity, params.aspect
-    u, cand, hist = batch.u, batch.cand, batch.hist_ids
+    u, cand, hist = batch.u, batch.cand, batch.hist.ids
+    mask, hist_dt = batch.hist.mask, batch.hist.dt
     b, c = cand.shape
     lmax = hist.shape[1]
-    mask = batch.hist_mask
-    lens = mask.sum(axis=1)
-    lens_safe = np.maximum(lens, 1.0)
+    lam, lam_k, mu, gam_u = fwd.lam, fwd.lam_k, fwd.mu, fwd.gam_u
+    pi, pi_u, pi_h = fwd.pi, fwd.pi[:, 0, :], fwd.pi[:, 1:, :]
+    attn, kappa, ak, s_lc = fwd.attn, fwd.kappa, fwd.ak, fwd.s_lc
+    f_hc, gam_h, diff_nc = fwd.f_hc, fwd.gam_h, fwd.diff_nc
+    iu, ic, ih, au, ac, ah = fwd.iu, fwd.ic, fwd.ih, fwd.au, fwd.ac, fwd.ah
+    w_ex, w_self, lens_safe = fwd.w_ex, fwd.w_self, fwd.lens_safe
+    tau_n, theta_n = fwd.tau_n, fwd.theta_n
+    z, wu, wh = fwd.z, fwd.wu, fwd.wh
 
-    iu = ident[u]                        # (B, m)
-    ic = ident[cand]                     # (B, C, m)
-    ih = ident[hist]                     # (B, L, m)
-    au = aspect[u]                       # (B, K, m)
-    ac = aspect[cand]                    # (B, C, K, m)
-    ah = aspect[hist]                    # (B, L, K, m)
-
-    rho_u = params.rho[u]
-    delta_u = softplus(rho_u)
-    kappa = np.exp(-delta_u[:, None] * batch.hist_dt) * mask    # (B, L)
-
-    # attention over history events
-    if hyper.use_attention and lmax > 0:
-        a1, a2 = params.attn_a[:m], params.attn_a[m:]
-        wu = iu @ params.attn_w.T                                # (B, m)
-        wh = ih @ params.attn_w.T                                # (B, L, m)
-        z = (wu @ a1)[:, None] + wh @ a2                         # (B, L)
-        e = np.where(z >= 0, z, LEAKY_SLOPE * z)
-        row_max = np.max(np.where(mask > 0, e, -np.inf), axis=1, keepdims=True)
-        row_max = np.where(np.isfinite(row_max), row_max, 0.0)   # rows w/o history
-        exp_e = np.exp(np.where(mask > 0, e - row_max, -np.inf))
-        denom = exp_e.sum(axis=1, keepdims=True)
-        attn = np.divide(exp_e, denom, out=np.zeros_like(exp_e), where=denom > 0)
-    else:
-        attn = mask.copy()
-        z = wu = wh = None
-
-    # contexts: decayed history mean blended with the source's own aspects
-    hsum = np.einsum("bl,blkm->bkm", kappa, ah) if lmax else np.zeros((b, k, m))
-    havg = hsum / lens_safe[:, None, None]
-    w_ex = np.where(lens > 0, 0.5, 0.0)
-    w_self = np.where(lens > 0, 0.5, 1.0)
-    ctx = w_ex[:, None, None] * havg + w_self[:, None, None] * au    # (B, K, m)
-
-    # aspect distributions for the source (row 0) and each history event
-    nodes_n = np.concatenate([u[:, None], hist], axis=1)             # (B, L+1)
-    i_n = ident[nodes_n]                                             # (B, L+1, m)
-    diff_nc = i_n[:, :, None, :] - ctx[:, None, :, :]                # (B, L+1, K, m)
-    f_n = -np.sum(diff_nc**2, axis=3)                                # (B, L+1, K)
-    g_n = np.concatenate([batch.g_u[:, None, :], batch.g_h], axis=1)
-    if hyper.use_gumbel:
-        theta_n = params.theta[nodes_n]
-        tau_n = softplus(theta_n)
-        logits = (f_n + g_n) / tau_n[:, :, None]
-    else:
-        tau_n = None
-        logits = f_n
-    logits = logits - logits.max(axis=2, keepdims=True)
-    exp_l = np.exp(logits)
-    pi = exp_l / exp_l.sum(axis=2, keepdims=True)                    # (B, L+1, K)
-    pi_u, pi_h = pi[:, 0, :], pi[:, 1:, :]
-
-    # per-aspect and mixed intensities for every candidate
-    mu = -np.sum((iu[:, None, :] - ic) ** 2, axis=2)                 # (B, C)
-    gam_u = np.sum((au[:, None] - ac) ** 2, axis=3)                  # (B, C, K)
-    lam_k = mu[:, :, None] * gam_u                                   # (B, C, K)
-    if lmax:
-        f_hc = -np.sum((ih[:, :, None, :] - ic[:, None]) ** 2, axis=3)      # (B, L, C)
-        gam_h = np.sum((ah[:, :, None] - ac[:, None]) ** 2, axis=4)         # (B, L, C, K)
-        ak = attn * kappa                                                   # (B, L)
-        s_lc = f_hc * ak[:, :, None]
-        lam_k = lam_k + np.einsum("blk,blck,blc->bck", pi_h, gam_h, s_lc)
-    lam = np.einsum("bck,bk->bc", lam_k, pi_u)                       # (B, C)
-
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("non-finite intensity in batch: parameters have blown up")
-    losses = np.logaddexp(0.0, -lam[:, 0]) + np.logaddexp(0.0, lam[:, 1:]).sum(axis=1)
-    if not want_grads:
-        return losses, None
-
-    # ----- backward -----
     wc = expit(lam)
     wc[:, 0] -= 1.0                                                  # dL/dlam
 
@@ -327,7 +260,7 @@ def _engine(params: ModelParams, batch: _Batch, want_grads: bool):
     dlogits = pi * (dpi - np.sum(dpi * pi, axis=2, keepdims=True))
     if hyper.use_gumbel:
         df_n = dlogits / tau_n[:, :, None]
-        dtau_n = -np.sum(dlogits * (f_n + g_n), axis=2) / tau_n**2
+        dtau_n = -np.sum(dlogits * fwd.fg_n, axis=2) / tau_n**2
         dtheta_n = dtau_n * expit(theta_n)
     else:
         df_n = dlogits
@@ -345,8 +278,8 @@ def _engine(params: ModelParams, batch: _Batch, want_grads: bool):
         dah = np.zeros((b, 0, k, m))
 
     # kernel / decay backward
-    ddelta = -np.sum(dkappa * batch.hist_dt * kappa, axis=1)
-    drho_u = ddelta * expit(rho_u)
+    ddelta = -np.sum(dkappa * hist_dt * kappa, axis=1)
+    drho_u = ddelta * expit(params.rho[u])
 
     # attention backward
     d_attn_w = np.zeros((m, m))
@@ -409,8 +342,20 @@ def _engine(params: ModelParams, batch: _Batch, want_grads: bool):
         np.add.at(d_aspect, inv_h, dah.reshape(-1, k, m)[valid])
         np.add.at(d_theta, inv_h, dtheta_n[:, 1:].reshape(-1)[valid])
 
-    compact = _CompactGrads(nodes, d_identity, d_aspect, d_rho, d_theta, d_attn_w, d_attn_a)
-    return losses, compact
+    return _CompactGrads(nodes, d_identity, d_aspect, d_rho, d_theta, d_attn_w, d_attn_a)
+
+
+def _train_grads(params: ModelParams, batch: _Batch, epoch: int, n_batch: int):
+    """(per-sample losses, summed gradients) of one training batch; raises
+    TrainingDiverged, before the backward pass, on a non-finite forward."""
+    fwd, losses = _forward_loss(params, batch)
+    bad = _blown_up(fwd, losses)
+    if bad.any():
+        raise TrainingDiverged(
+            f"epoch {epoch}, batch {n_batch}: non-finite intensity or loss for "
+            f"source nodes {np.unique(batch.u[bad]).tolist()}; try a lower learning rate"
+        )
+    return losses, _backward(params, batch, fwd)
 
 
 class _LazyAdam:
@@ -472,7 +417,8 @@ def train(
     keyed by (seed, epoch, edge index), so they do not depend on the batch
     schedule. With the default rng the run is a pure function of
     (net, hyper, seed). ``on_epoch(epoch, mean_loss, wall_seconds)`` is
-    called after every pass.
+    called after every pass. A batch with a non-finite intensity or loss
+    raises TrainingDiverged naming the epoch, the batch and its source nodes.
     """
     if net.n_edges == 0:
         raise ValueError("cannot train on an empty network")
@@ -489,7 +435,7 @@ def train(
         t0 = time.perf_counter()
         order = master.permutation(n_edges)
         loss_sum = 0.0
-        for start in range(0, n_edges, hyper.batch_size):
+        for n_batch, start in enumerate(range(0, n_edges, hyper.batch_size)):
             idxs = order[start : start + hyper.batch_size]
             samples = []
             for i in idxs:
@@ -498,7 +444,7 @@ def train(
                 srng = np.random.default_rng([hyper.seed, epoch, i])
                 samples.append(make_sample(net, sampler, edge, hyper, srng))
             batch = _assemble(hyper, samples)
-            losses, compact = _engine(params, batch, want_grads=True)
+            losses, compact = _train_grads(params, batch, epoch, n_batch)
             loss_sum += float(losses.sum())
             compact.scale(1.0 / len(samples))
             norm = compact.global_norm()
@@ -507,10 +453,6 @@ def train(
             adam.step(params, compact, update_attention)
         mean_loss = loss_sum / n_edges
         wall = time.perf_counter() - t0
-        if not np.isfinite(mean_loss):
-            raise TrainingDiverged(
-                f"epoch {epoch}: mean loss is {mean_loss}; try a lower learning rate"
-            )
         if on_epoch is not None:
             on_epoch(epoch, mean_loss, wall)
         if (

@@ -1,0 +1,76 @@
+import numpy as np
+
+from hawkmix import (
+    build_context,
+    candidate_scores,
+    history,
+    infer_aspect_labels,
+    network_from_edges,
+    recommend,
+)
+
+from oracle import ref_all
+from util import random_params
+
+
+def small_net():
+    """Directed, raw times in [0, 1]: node 0's partners before t=0.5 are 1
+    (outgoing) and 2 (incoming); 3 only links to it later; 7 and 8 never act
+    as sources."""
+    edges = [
+        (0, 1, 0.1), (2, 0, 0.2), (4, 5, 0.25), (0, 4, 0.3), (5, 6, 0.35),
+        (6, 7, 0.4), (1, 8, 0.45), (0, 3, 0.8), (3, 5, 0.9),
+    ]
+    s, t, tt = zip(*edges)
+    return network_from_edges(list(range(9)), s, t, tt, directed=True, normalize=False)
+
+
+def test_recommend_excludes_self_and_earlier_partners():
+    net = small_net()
+    p = random_params(np.random.default_rng(0))
+    ranked = recommend(p, net, 0, 0.5, k=10)
+    assert {v for v, _ in ranked} == {3, 5, 6, 7, 8}
+    assert {v for v, _ in recommend(p, net, 0, 0.05, k=10)} == set(range(1, 9))
+
+
+def test_recommend_sorted_by_score_matching_the_oracle():
+    net = small_net()
+    p = random_params(np.random.default_rng(1))
+    ranked = recommend(p, net, 0, 0.5, k=10)
+    scores = [s for _, s in ranked]
+    assert scores == sorted(scores, reverse=True)
+    h = history(net, 0, 0.5, p.hyper.history_len)
+    for v, s in ranked:
+        assert abs(s - ref_all(p, 0, v, 0.5, h, None)[4]) <= 1e-12
+    assert recommend(p, net, 0, 0.5, k=2) == ranked[:2]
+
+
+def test_recommend_breaks_ties_by_id():
+    net = small_net()
+    p = random_params(np.random.default_rng(2))
+    for v in (6, 7, 8):  # identical candidates score identically
+        p.identity[v] = p.identity[5]
+        p.aspect[v] = p.aspect[5]
+    ranked = recommend(p, net, 0, 0.5, k=10)
+    tied = [v for v, s in ranked if s == dict(ranked)[5]]
+    assert tied == [5, 6, 7, 8]
+    ctx = build_context(p, 0, 0, 0.5, history(net, 0, 0.5, p.hyper.history_len))
+    assert len(set(candidate_scores(p, ctx, [5, 6, 7, 8]).tolist())) == 1
+
+
+def test_infer_aspect_labels_matches_oracle():
+    """Argmax of the summed oracle pi_u over each node's events (one t=1 query
+    with an empty history for a node without events), across several chunks."""
+    net = small_net()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        p = random_params(rng, history_len=2)
+        expect = []
+        for u in range(net.node_count):
+            times = net.ev_times[u].tolist() or [1.0]
+            acc = np.zeros(p.hyper.n_aspects)
+            for t in times:
+                _, _, pis, _, _ = ref_all(p, u, u, t, history(net, u, t, 2), None)
+                acc += pis[u]
+            expect.append(int(np.argmax(acc)))
+        assert infer_aspect_labels(p, net).tolist() == expect

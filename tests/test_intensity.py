@@ -7,43 +7,64 @@ from hypothesis import strategies as st
 
 from hawkmix import (
     NeighborEvent,
-    aspect_distribution,
-    aspect_intensity,
-    attention,
     build_context,
     candidate_scores,
-    context,
-    kernel,
+    forward,
     mixed_intensity,
-    similarity,
+    pad_histories,
 )
-from hawkmix.intensity import all_contexts
+from hawkmix.intensity import gumbel_noise
 from hawkmix.params import softplus_inv
 
 from oracle import ref_all, softmax as ref_softmax
 from util import random_params
 
 
+def hist(*pairs):
+    return [NeighborEvent(h, t) for h, t in pairs]
+
+
+def run(p, history, targets=(1,), u=0, t=0.9, noise=None):
+    """The forward pass for one query, assembled by build_context."""
+    ctx = build_context(p, u, targets[0], t, history, noise=noise)
+    return forward(p, [u], ctx.hist, np.asarray([targets]), ctx.g_u, ctx.g_h)
+
+
+def sq_dist(x, y):
+    return float(np.sum((np.asarray(x) - np.asarray(y)) ** 2))
+
+
 def test_similarity_values():
-    assert similarity([0, 0], [3, 4]) == -25.0
-    assert similarity([1.0, -2.0, 0.5], [1.0, -2.0, 0.5]) == 0.0
-    assert similarity([1], [-1]) == -4.0
-
-
-def test_similarity_shape_mismatch():
-    with pytest.raises(ValueError):
-        similarity([1, 2], [1, 2, 3])
+    """The identity similarity mu is the negative squared distance."""
+    rng = np.random.default_rng(0)
+    p = random_params(rng, m=2)
+    p.identity[0] = [0, 0]
+    p.identity[1] = [3, 4]
+    p.identity[2] = [0, 0]
+    assert run(p, [], targets=(1, 2)).mu[0].tolist() == [-25.0, 0.0]
+    p3 = random_params(rng, m=3)
+    p3.identity[1] = p3.identity[0]
+    assert run(p3, []).mu[0].tolist() == [0.0]
+    p1 = random_params(rng, m=1)
+    p1.identity[0] = [1]
+    p1.identity[1] = [-1]
+    assert run(p1, []).mu[0].tolist() == [-4.0]
 
 
 def test_kernel_values():
-    assert kernel(1.0, 0.0) == 1.0
-    assert kernel(1.0, math.log(2)) == pytest.approx(0.5, abs=1e-15)
-    assert kernel(2.0, 0.5) == pytest.approx(math.exp(-1), abs=1e-15)
+    p = random_params(np.random.default_rng(0))
+    p.rho[0] = softplus_inv(1.0)
+    kappa = run(p, hist((2, 0.9), (3, 0.9 - math.log(2)))).kappa[0]
+    assert kappa[0] == 1.0
+    assert kappa[1] == pytest.approx(0.5, abs=1e-15)
+    p.rho[0] = softplus_inv(2.0)
+    assert run(p, hist((2, 0.4))).kappa[0, 0] == pytest.approx(math.exp(-1), abs=1e-15)
 
 
 def test_kernel_rejects_negative_dt():
-    with pytest.raises(ValueError):
-        kernel(1.0, -0.1)
+    p = random_params(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="after the query time"):
+        build_context(p, 0, 1, 0.5, hist((2, 0.6)))
 
 
 @given(
@@ -54,24 +75,22 @@ def test_kernel_rejects_negative_dt():
 @settings(max_examples=50, deadline=None)
 def test_kernel_monotone_decreasing(delta, dt1, dt2):
     lo, hi = sorted([dt1, dt2])
-    assert kernel(delta, hi) <= kernel(delta, lo)
-    assert 0 < kernel(delta, hi) <= 1
-
-
-def hist(*pairs):
-    return [NeighborEvent(h, t) for h, t in pairs]
+    p = random_params(np.random.default_rng(0))
+    p.rho[0] = softplus_inv(delta)
+    k_lo, k_hi = run(p, hist((2, 5.0 - lo), (3, 5.0 - hi)), t=5.0).kappa[0]
+    assert k_hi <= k_lo
+    assert 0 < k_hi <= 1
 
 
 def test_attention_singleton():
     p = random_params(np.random.default_rng(0))
-    w = attention(p, 0, hist((2, 0.1)))
-    assert w.tolist() == [1.0]
+    assert run(p, hist((2, 0.1))).attn[0].tolist() == [1.0]
 
 
 def test_attention_identical_history_uniform():
     p = random_params(np.random.default_rng(1))
     p.identity[3] = p.identity[4] = p.identity[5]
-    w = attention(p, 0, hist((3, 0.1), (4, 0.2), (5, 0.3)))
+    w = run(p, hist((3, 0.1), (4, 0.2), (5, 0.3))).attn[0]
     assert np.allclose(w, 1 / 3, atol=1e-12)
 
 
@@ -80,7 +99,7 @@ def test_attention_matches_reference():
     for _ in range(10):
         p = random_params(rng)
         h = hist((2, 0.1), (5, 0.4), (7, 0.6))
-        got = attention(p, 0, h)
+        got = run(p, h).attn[0]
         ref, _, _, _, _ = ref_all(p, 0, 1, 0.9, h, None)
         assert np.allclose(got, ref, atol=1e-12)
         assert got.sum() == pytest.approx(1.0, abs=1e-9)
@@ -88,48 +107,44 @@ def test_attention_matches_reference():
 
 def test_attention_disabled_gives_ones():
     p = random_params(np.random.default_rng(3), use_attention=False)
-    w = attention(p, 0, hist((2, 0.1), (3, 0.2)))
-    assert w.tolist() == [1.0, 1.0]
+    assert run(p, hist((2, 0.1), (3, 0.2))).attn[0].tolist() == [1.0, 1.0]
 
 
 def test_context_empty_history_is_own_embedding():
     p = random_params(np.random.default_rng(4))
-    for k in range(p.hyper.n_aspects):
-        assert np.array_equal(context(p, 0, 0.5, [], k), p.aspect[0, k])
+    assert np.array_equal(run(p, [], t=0.5).ctx[0], p.aspect[0])
 
 
 def test_context_zero_dt_averages():
     p = random_params(np.random.default_rng(5))
-    got = context(p, 0, 0.5, hist((2, 0.5)), 1)
+    got = run(p, hist((2, 0.5)), t=0.5).ctx[0, 1]
     assert np.allclose(got, 0.5 * (p.aspect[2, 1] + p.aspect[0, 1]), atol=1e-15)
 
 
 def test_context_matches_reference():
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        p = random_params(rng)
-        h = hist((2, 0.05), (4, 0.3), (8, 0.7))
+    fixtures = [(random_params(rng), hist((2, 0.05), (4, 0.3), (8, 0.7))) for _ in range(10)]
+    fixtures.append((random_params(np.random.default_rng(23)), hist((2, 0.2), (4, 0.7))))
+    for p, h in fixtures:
         _, ref_ctx, _, _, _ = ref_all(p, 0, 1, 0.9, h, None)
-        for k in range(p.hyper.n_aspects):
-            assert np.allclose(context(p, 0, 0.9, h, k), ref_ctx[k], atol=1e-12)
+        assert np.allclose(run(p, h).ctx[0], ref_ctx, atol=1e-12)
 
 
 def test_aspect_distribution_uniform_when_similarities_equal():
     p = random_params(np.random.default_rng(7), k=3)
-    ctxs = np.tile(p.identity[0], (3, 1))  # same distance (zero) to every context
-    pi = aspect_distribution(p, 0, ctxs)
-    assert np.allclose(pi, 1 / 3, atol=1e-12)
+    p.aspect[0] = p.identity[0]  # every context at distance zero
+    assert np.allclose(run(p, []).pi_u[0], 1 / 3, atol=1e-12)
 
 
 def test_aspect_distribution_low_temperature_one_hot():
     p = random_params(np.random.default_rng(8), k=3)
     p.theta[0] = softplus_inv(1e-3)
-    ctxs = np.stack([
+    p.aspect[0] = np.stack([
         p.identity[0],                          # distance 0
         p.identity[0] + 0.4,                    # clearly farther
         p.identity[0] - 0.5,
     ])
-    pi = aspect_distribution(p, 0, ctxs)
+    pi = run(p, []).pi_u[0]
     assert np.argmax(pi) == 0
     assert pi[0] > 0.99
 
@@ -138,9 +153,9 @@ def test_aspect_distribution_sums_to_one_and_positive():
     rng = np.random.default_rng(9)
     for _ in range(20):
         p = random_params(rng)
-        ctxs = rng.normal(0, 1, (p.hyper.n_aspects, p.hyper.dim))
-        pi = aspect_distribution(p, 0, ctxs)
-        assert pi.sum() == pytest.approx(1.0, abs=1e-9)
+        nodes = rng.integers(2, p.node_count, size=3)
+        pi = run(p, hist(*zip(nodes.tolist(), [0.1, 0.4, 0.8]))).pi[0]
+        assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(pi > 0)
 
 
@@ -150,52 +165,51 @@ def test_aspect_distribution_gumbel_argmax_frequencies():
     p = random_params(rng, k=4, m=3)
     p.theta[0] = softplus_inv(1.0)
     offsets = np.array([0.0, 0.5, 0.8, 1.2])
-    ctxs = p.identity[0][None, :] + offsets[:, None] / np.sqrt(3)
-    f = [-np.sum((p.identity[0] - c) ** 2) for c in ctxs]
+    p.aspect[0] = p.identity[0][None, :] + offsets[:, None] / np.sqrt(3)
+    f = [-sq_dist(p.identity[0], c) for c in p.aspect[0]]
     expected = np.asarray(ref_softmax(f))
     draws = 100_000
-    counts = np.zeros(4)
-    for _ in range(draws):
-        pi = aspect_distribution(p, 0, ctxs, rng=rng, stochastic=True)
-        counts[np.argmax(pi)] += 1
+    u = np.zeros(draws, dtype=np.int64)
+    empty = pad_histories(np.full(draws, 0.5), [((), ())] * draws)
+    g_u = gumbel_noise(rng, 4 * draws).reshape(draws, 4)
+    fwd = forward(p, u, empty, np.empty((draws, 0)), g_u, np.zeros((draws, 0, 4)))
+    counts = np.bincount(np.argmax(fwd.pi_u, axis=1), minlength=4)
     assert np.abs(counts / draws - expected).sum() <= 0.02
 
 
 def test_aspect_distribution_deterministic_vs_replayed_noise():
     rng = np.random.default_rng(11)
     p = random_params(rng)
-    ctxs = rng.normal(0, 1, (p.hyper.n_aspects, p.hyper.dim))
-    noise = np.array([0.3, -0.2, 1.0])
-    a = aspect_distribution(p, 0, ctxs, noise=noise)
-    b = aspect_distribution(p, 0, ctxs, noise=noise)
+    h = hist((2, 0.2), (5, 0.6))
+    noise = {n: np.array([0.3, -0.2, 1.0]) for n in (0, 2, 5)}
+    a = run(p, h, noise=noise).pi
+    b = run(p, h, noise=noise).pi
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, run(p, h).pi)
 
 
 def test_aspect_distribution_no_gumbel_ignores_temperature():
     rng = np.random.default_rng(12)
     p = random_params(rng, use_gumbel=False)
     p.theta[0] = softplus_inv(1e-3)  # would sharpen if it were used
-    ctxs = rng.normal(0, 0.1, (p.hyper.n_aspects, p.hyper.dim))
-    pi = aspect_distribution(p, 0, ctxs)
-    f = np.array([-np.sum((p.identity[0] - c) ** 2) for c in ctxs])
-    assert np.allclose(pi, np.asarray(ref_softmax(f.tolist())), atol=1e-12)
+    p.aspect[0] = p.identity[0] + rng.normal(0, 0.1, (p.hyper.n_aspects, p.hyper.dim))
+    f = [-sq_dist(p.identity[0], c) for c in p.aspect[0]]
+    assert np.allclose(run(p, []).pi_u[0], np.asarray(ref_softmax(f)), atol=1e-12)
 
 
 def test_aspect_intensity_empty_history_is_base_term():
     p = random_params(np.random.default_rng(13))
-    ctx = build_context(p, 0, 1, 0.9, [])
+    lam_k = run(p, []).lam_k[0, 0]
     for k in range(p.hyper.n_aspects):
-        mu = similarity(p.identity[0], p.identity[1])
-        gam = -similarity(p.aspect[0, k], p.aspect[1, k])
-        assert aspect_intensity(p, ctx, k) == pytest.approx(mu * gam, abs=1e-12)
+        mu = -sq_dist(p.identity[0], p.identity[1])
+        gam = sq_dist(p.aspect[0, k], p.aspect[1, k])
+        assert lam_k[k] == pytest.approx(mu * gam, abs=1e-12)
 
 
 def test_aspect_intensity_zero_aspects_zero():
     p = random_params(np.random.default_rng(14))
     p.aspect[:] = 0.0
-    ctx = build_context(p, 0, 1, 0.9, hist((2, 0.2), (3, 0.5)))
-    for k in range(p.hyper.n_aspects):
-        assert aspect_intensity(p, ctx, k) == 0.0
+    assert np.all(run(p, hist((2, 0.2), (3, 0.5))).lam_k == 0.0)
 
 
 def test_aspect_intensity_matches_reference():
@@ -203,38 +217,35 @@ def test_aspect_intensity_matches_reference():
     for _ in range(10):
         p = random_params(rng)
         h = hist((2, 0.1), (6, 0.55))
-        ctx = build_context(p, 0, 1, 0.9, h)
         _, _, _, ref_lam_k, _ = ref_all(p, 0, 1, 0.9, h, None)
-        for k in range(p.hyper.n_aspects):
-            assert aspect_intensity(p, ctx, k) == pytest.approx(ref_lam_k[k], abs=1e-12)
+        assert np.allclose(run(p, h).lam_k[0, 0], ref_lam_k, atol=1e-12, rtol=0)
 
 
 def test_mixed_intensity_k1_degenerate():
     p = random_params(np.random.default_rng(16), k=1)
     h = hist((2, 0.3))
-    ctx = build_context(p, 0, 1, 0.9, h)
-    assert ctx.pis[0].tolist() == [1.0]
-    assert mixed_intensity(p, ctx) == pytest.approx(aspect_intensity(p, ctx, 0), abs=1e-15)
+    fwd = run(p, h)
+    assert fwd.pi_u[0].tolist() == [1.0]
+    lam = mixed_intensity(p, build_context(p, 0, 1, 0.9, h))
+    assert lam == pytest.approx(fwd.lam_k[0, 0, 0], abs=1e-15)
 
 
 def test_mixed_intensity_convexity_under_equal_components():
     p = random_params(np.random.default_rng(17))
     p.aspect[:] = p.aspect[0, 0]  # every aspect identical -> equal lambdas
-    ctx = build_context(p, 0, 1, 0.9, hist((2, 0.3), (4, 0.6)))
-    lams = [aspect_intensity(p, ctx, k) for k in range(p.hyper.n_aspects)]
+    fwd = run(p, hist((2, 0.3), (4, 0.6)))
+    lams = fwd.lam_k[0, 0]
     assert np.allclose(lams, lams[0], atol=1e-12)
-    assert mixed_intensity(p, ctx) == pytest.approx(lams[0], abs=1e-9)
+    assert fwd.lam[0, 0] == pytest.approx(lams[0], abs=1e-9)
 
 
 def test_mixed_intensity_between_min_and_max_aspect():
     rng = np.random.default_rng(18)
     for _ in range(20):
         p = random_params(rng)
-        h = hist((2, 0.1), (3, 0.4), (7, 0.8))
-        ctx = build_context(p, 0, 1, 0.9, h)
-        lams = [aspect_intensity(p, ctx, k) for k in range(p.hyper.n_aspects)]
-        lam = mixed_intensity(p, ctx)
-        assert min(lams) - 1e-12 <= lam <= max(lams) + 1e-12
+        fwd = run(p, hist((2, 0.1), (3, 0.4), (7, 0.8)))
+        lams, lam = fwd.lam_k[0, 0], fwd.lam[0, 0]
+        assert lams.min() - 1e-12 <= lam <= lams.max() + 1e-12
         assert np.exp(lam) > 0
 
 
@@ -256,27 +267,14 @@ def test_no_attention_k1_reduces_to_plain_multivariate_form():
     h = hist((2, 0.2), (5, 0.6))
     ctx = build_context(p, 0, 1, 0.9, h)
     delta = float(p.decay[0])
-    expect = similarity(p.identity[0], p.identity[1]) * (
-        -similarity(p.aspect[0, 0], p.aspect[1, 0])
-    )
+    expect = -sq_dist(p.identity[0], p.identity[1]) * sq_dist(p.aspect[0, 0], p.aspect[1, 0])
     for node, th in h:
         expect += (
-            similarity(p.identity[node], p.identity[1])
-            * (-similarity(p.aspect[node, 0], p.aspect[1, 0]))
+            -sq_dist(p.identity[node], p.identity[1])
+            * sq_dist(p.aspect[node, 0], p.aspect[1, 0])
             * math.exp(-delta * (0.9 - th))
         )
     assert mixed_intensity(p, ctx) == pytest.approx(expect, abs=1e-12)
-
-
-def test_candidate_scores_match_mixed_intensity():
-    rng = np.random.default_rng(21)
-    p = random_params(rng, n_nodes=12)
-    h = hist((2, 0.1), (3, 0.5))
-    ctx = build_context(p, 0, 1, 0.9, h)
-    targets = np.arange(1, 12)
-    scores = candidate_scores(p, ctx, targets)
-    for v, s in zip(targets, scores):
-        assert s == pytest.approx(mixed_intensity(p, ctx.with_target(int(v))), abs=1e-12)
 
 
 def test_oracle_equivalence_50_fixtures():
@@ -297,17 +295,20 @@ def test_oracle_equivalence_50_fixtures():
             noise = {}
             for node in [0] + [x for x, _ in h]:
                 noise.setdefault(node, rng.gumbel(size=p.hyper.n_aspects))
-        ctx = build_context(p, 0, 1, 0.9, h, noise=noise)
-        ref_attn, ref_ctx, ref_pis, ref_lam_k, ref_lam = ref_all(p, 0, 1, 0.9, h, noise)
+        fwd = run(p, h, noise=noise)
+        _, _, ref_pis, ref_lam_k, ref_lam = ref_all(p, 0, 1, 0.9, h, noise)
         for k in range(p.hyper.n_aspects):
-            assert aspect_intensity(p, ctx, k) == pytest.approx(ref_lam_k[k], abs=1e-12)
+            assert fwd.lam_k[0, 0, k] == pytest.approx(ref_lam_k[k], abs=1e-12)
+        assert fwd.lam[0, 0] == pytest.approx(ref_lam, abs=1e-12)
+        assert np.allclose(fwd.pi_u[0], ref_pis[0], atol=1e-12, rtol=0)
+        ctx = build_context(p, 0, 1, 0.9, h, noise=noise)
         assert mixed_intensity(p, ctx) == pytest.approx(ref_lam, abs=1e-12)
 
-
-def test_all_contexts_matches_context_op():
-    rng = np.random.default_rng(23)
-    p = random_params(rng)
-    h = hist((2, 0.2), (4, 0.7))
-    stacked = all_contexts(p, 0, 0.9, h)
-    for k in range(p.hyper.n_aspects):
-        assert np.array_equal(stacked[k], context(p, 0, 0.9, h, k))
+    # candidate_scores over many targets of one query
+    rng = np.random.default_rng(21)
+    p = random_params(rng, n_nodes=12)
+    h = hist((2, 0.1), (3, 0.5))
+    targets = np.arange(1, 12)
+    scores = candidate_scores(p, build_context(p, 0, 1, 0.9, h), targets)
+    for v, s in zip(targets, scores):
+        assert s == pytest.approx(ref_all(p, 0, int(v), 0.9, h, None)[4], abs=1e-12)

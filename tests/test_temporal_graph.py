@@ -91,6 +91,20 @@ def test_constant_time_normalizes_to_zero(tmp_path):
     assert net.times.tolist() == [0.0, 0.0]
 
 
+def test_raw_time_range_kept_through_masking(tmp_path):
+    text = "a b 1000\na c 2000\nb c 3000\nc d 1500\n"
+    net = load_edge_list(write(tmp_path, text), directed=True)
+    assert (net.tmin, net.tmax) == (1000.0, 3000.0)
+    assert net.normalized_time(2500.0) == 0.75
+    assert net.raw_time(net.times).tolist() == [1000.0, 1500.0, 2000.0, 3000.0]
+    for count in (0, 1):
+        train, _, _ = mask_static_edges(net, count, np.random.default_rng(0))
+        assert (train.tmin, train.tmax) == (1000.0, 3000.0)
+    const = load_edge_list(write(tmp_path, "a b 5\nb c 5\n", "c.txt"), directed=True)
+    assert const.raw_time(const.times).tolist() == [5.0, 5.0]
+    assert const.normalized_time(5.0) == 0.0
+
+
 def test_tie_break_preserves_input_order(tmp_path):
     net = load_edge_list(write(tmp_path, "a b 1\na c 1\na d 2\n"), directed=True)
     a = net.label_to_id["a"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,13 +102,16 @@ def test_loss_matches_reference_oracle():
         s = random_sample(rng, p, n_hist=trial % 4)
         assert sample_loss(p, s) == pytest.approx(ref_sample_loss(p, s), abs=1e-12)
 
-
-def test_scalar_and_batched_loss_agree():
+    # batch_loss on the same fixtures, one sample at a time and all at once
     rng = np.random.default_rng(4)
     for trial in range(20):
         p = random_params(rng, use_attention=trial % 2 == 0, use_gumbel=trial % 2 == 1)
         s = random_sample(rng, p, n_hist=trial % 4)
-        assert batch_loss(p, [s])[0] == pytest.approx(sample_loss(p, s), abs=1e-12)
+        assert batch_loss(p, [s])[0] == pytest.approx(ref_sample_loss(p, s), abs=1e-12)
+    p = random_params(rng, n_nodes=12, n_negatives=3)
+    samples = [random_sample(rng, p, n_hist=n) for n in (0, 1, 3, 3, 2)]
+    ref = [ref_sample_loss(p, s) for s in samples]
+    assert np.allclose(batch_loss(p, samples), ref, atol=1e-12, rtol=0)
 
 
 def test_gradients_match_finite_differences():
@@ -259,9 +263,9 @@ def test_train_updates_touch_only_batch_nodes():
     edge = TemporalEdge(int(net.sources[0]), int(net.targets[0]), float(net.times[0]))
     sample = make_sample(net, sampler, edge, hyper, np.random.default_rng(1))
     before = params.identity.copy()
-    _, compact = training_mod._engine(
-        params, training_mod._assemble(hyper, [sample]), want_grads=True
-    )
+    batch = training_mod._assemble(hyper, [sample])
+    fwd, _ = training_mod._forward_loss(params, batch)
+    compact = training_mod._backward(params, batch, fwd)
     adam = training_mod._LazyAdam(params, hyper.lr)
     adam.step(params, compact, update_attention=True)
     touched = set(int(x) for x in compact.nodes)
@@ -274,14 +278,27 @@ def test_training_diverged_detector(monkeypatch):
     net = tiny_net()
     hyper = HyperParams(n_aspects=2, dim=4, epochs=1, batch_size=8, seed=5)
 
-    def bad_engine(params, batch, want_grads):
-        losses, compact = training_mod._engine_orig(params, batch, want_grads)
-        return losses * np.inf, compact
+    forward_loss = training_mod._forward_loss
 
-    monkeypatch.setattr(training_mod, "_engine_orig", training_mod._engine, raising=False)
-    monkeypatch.setattr(training_mod, "_engine", bad_engine)
-    with pytest.raises(TrainingDiverged):
+    def bad_forward_loss(params, batch):
+        fwd, losses = forward_loss(params, batch)
+        return fwd, losses * np.inf
+
+    monkeypatch.setattr(training_mod, "_forward_loss", bad_forward_loss)
+    with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"):
         train(net, hyper)
+
+
+def test_training_diverges_at_huge_learning_rate():
+    """A blow-up ends in TrainingDiverged naming epoch, batch and source nodes."""
+    net = tiny_net()
+    hyper = HyperParams(n_aspects=2, dim=4, epochs=5, batch_size=8, seed=5, lr=100)
+    with pytest.raises(TrainingDiverged) as info:
+        train(net, hyper)
+    msg = str(info.value)
+    assert re.search(r"epoch \d+, batch \d+: non-finite", msg)
+    nodes = [int(x) for x in re.search(r"source nodes \[([\d, ]+)\]", msg).group(1).split(",")]
+    assert nodes and all(0 <= x < net.node_count for x in nodes)
 
 
 def test_ablation_config():
