@@ -123,11 +123,34 @@ def test_context_zero_dt_averages():
 
 def test_context_matches_reference():
     rng = np.random.default_rng(6)
-    fixtures = [(random_params(rng), hist((2, 0.05), (4, 0.3), (8, 0.7))) for _ in range(10)]
-    fixtures.append((random_params(np.random.default_rng(23)), hist((2, 0.2), (4, 0.7))))
-    for p, h in fixtures:
+    for _ in range(10):
+        p = random_params(rng)
+        h = hist((2, 0.05), (4, 0.3), (8, 0.7))
         _, ref_ctx, _, _, _ = ref_all(p, 0, 1, 0.9, h, None)
         assert np.allclose(run(p, h).ctx[0], ref_ctx, atol=1e-12)
+
+
+def test_all_contexts_matches_context_op():
+    """A padded batch stacks, per query, the K contexts a lone query gets."""
+    rng = np.random.default_rng(23)
+    p = random_params(rng)
+    queries = [
+        (0, hist((2, 0.2), (4, 0.7))),
+        (1, []),
+        (3, hist((5, 0.1), (2, 0.4), (6, 0.6), (7, 0.8))),
+        (2, hist((4, 0.9))),
+    ]
+    srcs = [u for u, _ in queries]
+    padded = pad_histories(
+        [0.9] * len(queries), [([n for n, _ in h], [t for _, t in h]) for _, h in queries]
+    )
+    stacked = forward(p, srcs, padded, np.ones((len(queries), 1), dtype=np.int64)).ctx
+    assert stacked.shape == (len(queries), p.hyper.n_aspects, p.aspect.shape[2])
+    for i, (u, h) in enumerate(queries):
+        assert np.array_equal(stacked[i], run(p, h, u=u).ctx[0])
+        _, ref_ctx, _, _, _ = ref_all(p, u, 1, 0.9, h, None)
+        for k in range(p.hyper.n_aspects):
+            assert np.allclose(stacked[i, k], ref_ctx[k], atol=1e-12)
 
 
 def test_aspect_distribution_uniform_when_similarities_equal():
@@ -277,6 +300,19 @@ def test_no_attention_k1_reduces_to_plain_multivariate_form():
     assert mixed_intensity(p, ctx) == pytest.approx(expect, abs=1e-12)
 
 
+def test_candidate_scores_match_mixed_intensity():
+    """Scoring 11 targets at once equals scoring each alone and the reference."""
+    rng = np.random.default_rng(21)
+    p = random_params(rng, n_nodes=12)
+    h = hist((2, 0.1), (3, 0.5))
+    ctx = build_context(p, 0, 1, 0.9, h)
+    targets = np.arange(1, 12)
+    scores = candidate_scores(p, ctx, targets)
+    for v, s in zip(targets, scores):
+        assert s == pytest.approx(mixed_intensity(p, ctx.with_target(int(v))), abs=1e-12)
+        assert s == pytest.approx(ref_all(p, 0, int(v), 0.9, h, None)[4], abs=1e-12)
+
+
 def test_oracle_equivalence_50_fixtures():
     """Whole-pipeline agreement with the straight-line reference, 1e-12."""
     rng = np.random.default_rng(22)
@@ -303,12 +339,3 @@ def test_oracle_equivalence_50_fixtures():
         assert np.allclose(fwd.pi_u[0], ref_pis[0], atol=1e-12, rtol=0)
         ctx = build_context(p, 0, 1, 0.9, h, noise=noise)
         assert mixed_intensity(p, ctx) == pytest.approx(ref_lam, abs=1e-12)
-
-    # candidate_scores over many targets of one query
-    rng = np.random.default_rng(21)
-    p = random_params(rng, n_nodes=12)
-    h = hist((2, 0.1), (3, 0.5))
-    targets = np.arange(1, 12)
-    scores = candidate_scores(p, build_context(p, 0, 1, 0.9, h), targets)
-    for v, s in zip(targets, scores):
-        assert s == pytest.approx(ref_all(p, 0, int(v), 0.9, h, None)[4], abs=1e-12)

@@ -102,7 +102,9 @@ def test_loss_matches_reference_oracle():
         s = random_sample(rng, p, n_hist=trial % 4)
         assert sample_loss(p, s) == pytest.approx(ref_sample_loss(p, s), abs=1e-12)
 
-    # batch_loss on the same fixtures, one sample at a time and all at once
+
+def test_scalar_and_batched_loss_agree():
+    """A sample's loss is the same alone and padded into a mixed-length batch."""
     rng = np.random.default_rng(4)
     for trial in range(20):
         p = random_params(rng, use_attention=trial % 2 == 0, use_gumbel=trial % 2 == 1)
@@ -111,7 +113,9 @@ def test_loss_matches_reference_oracle():
     p = random_params(rng, n_nodes=12, n_negatives=3)
     samples = [random_sample(rng, p, n_hist=n) for n in (0, 1, 3, 3, 2)]
     ref = [ref_sample_loss(p, s) for s in samples]
+    alone = [sample_loss(p, s) for s in samples]
     assert np.allclose(batch_loss(p, samples), ref, atol=1e-12, rtol=0)
+    assert np.allclose(batch_loss(p, samples), alone, atol=1e-12, rtol=0)
 
 
 def test_gradients_match_finite_differences():
