@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .eval import aspect_probe, precision_recall_at_k, probe_report, recommend
-from .intensity import forward, pad_histories
+from .intensity import forward, window_histories
 from .params import (
     HyperParams,
     ModelFileError,
@@ -30,6 +30,7 @@ from .params import (
 from .synth import PlantedSpec, generate
 from .temporal_graph import (
     EdgeListParseError,
+    history_windows,
     load_edge_list,
     mask_static_edges,
     write_pairs,
@@ -334,10 +335,11 @@ def _cmd_intensity(cfg) -> int:
     if node not in net.label_to_id:
         raise ValueError(f"node {node!r} does not appear in the edge list")
     u = net.label_to_id[node]
-    h = params.hyper.history_len
-    ts = net.ev_times[u]
-    hist = pad_histories(ts, [net.recent(u, t, h) for t in ts.tolist()])
-    fwd = forward(params, np.full(len(ts), u), hist, net.ev_nbrs[u][:, None])
+    pos = np.arange(net.indptr[u], net.indptr[u + 1])
+    ts = net.ev_time[pos]
+    start, stop = history_windows(net, pos, params.hyper.history_len)
+    hist = window_histories(ts, net.ev_nbr, net.ev_time, start, stop)
+    fwd = forward(params, np.full(len(ts), u), hist, net.ev_nbr[pos][:, None])
     rates = np.exp(fwd.lam_k[:, 0, :])                               # (events, K)
     with open(out / "intensity.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

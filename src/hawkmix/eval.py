@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .intensity import build_context, candidate_scores, forward, pad_histories
+from .intensity import build_context, candidate_scores, forward, window_histories
 from .params import ModelParams, all_embeddings
-from .temporal_graph import TemporalNetwork, history, mask_static_edges
+from .temporal_graph import TemporalNetwork, history, history_windows, mask_static_edges
 
 
 @dataclass
@@ -222,12 +222,11 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
     if not 0 <= u < net.node_count:
         raise ValueError(f"node {u} out of range")
     before = net.times < t
-    partners = set(net.targets[before & (net.sources == u)])
-    partners |= set(net.sources[before & (net.targets == u)])
-    candidates = np.array(
-        [v for v in range(net.node_count) if v != u and v not in partners],
-        dtype=np.int64,
-    )
+    eligible = np.ones(net.node_count, dtype=bool)
+    eligible[u] = False
+    eligible[net.targets[before & (net.sources == u)]] = False
+    eligible[net.sources[before & (net.targets == u)]] = False
+    candidates = np.flatnonzero(eligible)
     if len(candidates) == 0:
         return []
     ctx = build_context(params, u, u, t, history(net, u, t, params.hyper.history_len))
@@ -254,19 +253,30 @@ def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray
     never acted as a source).
 
     Every (node, event time) query runs through the forward pass in chunks of
-    ``batch_size`` queries, with no candidate targets.
+    ``batch_size`` queries, with no candidate targets; the histories are
+    windows of the network's CSR events.
     """
     hyper = params.hyper
-    counts = np.array([len(ts) for ts in net.ev_times], dtype=np.int64)
-    nodes = np.repeat(np.arange(net.node_count), np.maximum(counts, 1))
-    times = np.concatenate([ts if len(ts) else [1.0] for ts in net.ev_times])
-    acc = np.zeros((net.node_count, hyper.n_aspects))
-    for start in range(0, len(nodes), hyper.batch_size):
-        u = nodes[start : start + hyper.batch_size]
-        t = times[start : start + hyper.batch_size]
-        hist = pad_histories(
-            t, [net.recent(a, b, hyper.history_len) for a, b in zip(u.tolist(), t.tolist())]
-        )
-        fwd = forward(params, u, hist, np.empty((len(u), 0), dtype=np.int64))
-        np.add.at(acc, u, fwd.pi_u)
-    return np.argmax(acc, axis=1)
+    n, k = net.node_count, hyper.n_aspects
+    counts = np.diff(net.indptr)
+    nodes = np.repeat(np.arange(n), np.maximum(counts, 1))
+    # one query per event, in CSR order; a node without events gets one
+    # empty-history query at t=1
+    is_event = np.repeat(counts > 0, np.maximum(counts, 1))
+    times = np.ones(len(nodes))
+    times[is_event] = net.ev_time
+    start = np.zeros(len(nodes), dtype=np.int64)
+    stop = np.zeros(len(nodes), dtype=np.int64)
+    start[is_event], stop[is_event] = history_windows(
+        net, np.arange(len(net.ev_time)), hyper.history_len
+    )
+    pi_u = np.empty((len(nodes), k))
+    for lo in range(0, len(nodes), hyper.batch_size):
+        sl = slice(lo, lo + hyper.batch_size)
+        hist = window_histories(times[sl], net.ev_nbr, net.ev_time, start[sl], stop[sl])
+        no_cand = np.empty((len(hist.ids), 0), dtype=np.int64)
+        pi_u[sl] = forward(params, nodes[sl], hist, no_cand).pi_u
+    acc = np.bincount(
+        (nodes[:, None] * k + np.arange(k)).ravel(), weights=pi_u.ravel(), minlength=n * k
+    )
+    return np.argmax(acc.reshape(n, k), axis=1)

@@ -31,6 +31,20 @@ def gumbel_noise(rng: np.random.Generator, k: int) -> np.ndarray:
     return -np.log(-np.log(rng.random(k)))
 
 
+def node_shared_gumbel(nodes, real, uniforms) -> np.ndarray:
+    """(B, S, K) Gumbel noise for B rows of S node slots from (B, S, K) uniforms.
+
+    Noise is per node within a row: a slot whose node already appeared
+    earlier in the row reuses that first slot's draw. Slots not ``real``
+    (padding, which comes after the real slots) get zero noise.
+    """
+    nodes = np.asarray(nodes)
+    first = np.argmax(nodes[:, :, None] == nodes[:, None, :], axis=2)   # (B, S)
+    g = -np.log(-np.log(uniforms))
+    g = np.take_along_axis(g, first[:, :, None], axis=1)
+    return g * np.asarray(real, dtype=np.float64)[:, :, None]
+
+
 @dataclass
 class Histories:
     """Padded history windows of B queries; L is the longest window."""
@@ -40,25 +54,36 @@ class Histories:
     mask: np.ndarray  # (B, L) 1.0 for real events
 
 
+def window_histories(t, nbr, ev_time, start, stop) -> Histories:
+    """Pad the windows ``start[i]:stop[i]`` of flat event arrays into (B, L).
+
+    ``nbr`` and ``ev_time`` hold the events' neighbor ids and times; ``t``
+    holds the B query times. L is the longest window in the batch, not the
+    configured history length, so a batch of short histories stays small.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    lens = np.asarray(stop) - np.asarray(start)
+    lmax = int(lens.max(initial=0))
+    real = np.arange(lmax) < lens[:, None]
+    pos = np.where(real, np.asarray(start)[:, None] + np.arange(lmax), 0)
+    ids = np.where(real, nbr[pos], 0)
+    dt = np.where(real, t[:, None] - ev_time[pos], 0.0)
+    return Histories(ids, dt, real.astype(np.float64))
+
+
 def pad_histories(t, histories) -> Histories:
     """Pad per-query ``(neighbor ids, event times)`` pairs into (B, L) arrays.
 
-    ``t`` holds the B query times. L is the longest history in the batch, not
-    the configured window, so a batch of short histories stays small.
+    ``t`` holds the B query times; see ``window_histories``.
     """
-    t = np.asarray(t, dtype=np.float64)
     lens = np.array([len(ids) for ids, _ in histories], dtype=np.int64)
-    lmax = int(lens.max(initial=0))
-    real = np.arange(lmax) < lens[:, None]
-    ids = np.zeros((len(lens), lmax), dtype=np.int64)
-    ev_t = np.repeat(t[:, None], lmax, axis=1)
-    if lmax:
-        ids[real] = np.concatenate([h for h, _ in histories])
-        ev_t[real] = np.concatenate([ts for _, ts in histories])
-    dt = t[:, None] - ev_t
-    if np.any(dt < 0):
+    stop = np.cumsum(lens)
+    nbr = np.concatenate([np.asarray(h, dtype=np.int64) for h, _ in histories])
+    ev_t = np.concatenate([np.asarray(ts, dtype=np.float64) for _, ts in histories])
+    hist = window_histories(t, nbr, ev_t, stop - lens, stop)
+    if np.any(hist.dt < 0):
         raise ValueError("history events must not come after the query time")
-    return Histories(ids, dt, real.astype(np.float64))
+    return hist
 
 
 def noise_arrays(k: int, u, hist: Histories, noises):

@@ -2,9 +2,11 @@
 
 A network is a chronologically sorted list of timestamped directed
 interactions plus, per node, the time-ordered sequence of neighbors it
-connected to. Timestamps are min-max normalized to [0, 1] at load so decay
-parameters are comparable across datasets; the network keeps the raw range
-so that times can be converted back to the input's units.
+connected to, stored as flat CSR arrays so that batches of histories,
+negative draws and adjacency tests are array operations. Timestamps are
+min-max normalized to [0, 1] at load so decay parameters are comparable
+across datasets; the network keeps the raw range so that times can be
+converted back to the input's units.
 """
 
 from __future__ import annotations
@@ -32,7 +34,21 @@ class EdgeListParseError(ValueError):
 
 @dataclass
 class TemporalNetwork:
-    """Immutable-after-construction view of a temporal interaction network."""
+    """Immutable-after-construction view of a temporal interaction network.
+
+    The edges are kept chronologically in ``sources``/``targets``/``times``.
+    Each node's events are stored in CSR form (compressed sparse rows): node
+    u's events are positions ``indptr[u]:indptr[u + 1]`` of the flat arrays
+    ``ev_nbr`` (the other endpoint) and ``ev_time``, in edge order, so times
+    ascend within a node and equal times keep the input order. A directed edge
+    is an event of its source; an undirected edge is an event of both
+    endpoints. ``edge_pos[i]`` is edge i's position in its source's events.
+
+    The static adjacency is a sorted array of ``a * node_count + b`` keys:
+    ``adj_keys`` holds both orientations of every linked pair (so a node's
+    static neighbors are one contiguous run), ``pair_keys`` the static edges
+    themselves: ordered pairs in directed networks, ``a < b`` otherwise.
+    """
 
     node_count: int
     labels: list
@@ -41,11 +57,13 @@ class TemporalNetwork:
     targets: np.ndarray
     times: np.ndarray
     directed: bool
-    ev_times: list = field(repr=False)      # per node: event times, ascending
-    ev_nbrs: list = field(repr=False)       # per node: neighbor ids, aligned
-    neighbor_sets: list = field(repr=False)  # per node: distinct static neighbors
+    indptr: np.ndarray = field(repr=False)     # (node_count + 1,) event offsets
+    ev_nbr: np.ndarray = field(repr=False)     # per event: neighbor id
+    ev_time: np.ndarray = field(repr=False)    # per event: time, ascending per node
+    edge_pos: np.ndarray = field(repr=False)   # per edge: its source-side event
+    adj_keys: np.ndarray = field(repr=False)   # sorted a*N+b, both orientations
+    pair_keys: np.ndarray = field(repr=False)  # sorted a*N+b, one per static edge
     degrees: np.ndarray = field(repr=False)
-    static_pairs: set = field(repr=False)    # unordered (a, b) with a < b
     tmin: float = 0.0   # raw time that normalizes to 0
     tmax: float = 1.0   # raw time that normalizes to 1 (tmin when all are equal)
 
@@ -55,15 +73,7 @@ class TemporalNetwork:
 
     @property
     def static_edge_count(self) -> int:
-        return len(self.static_pairs)
-
-    @property
-    def edges(self) -> list:
-        """Chronological list of TemporalEdge (materialized on demand)."""
-        return [
-            TemporalEdge(int(s), int(t), float(tt))
-            for s, t, tt in zip(self.sources, self.targets, self.times)
-        ]
+        return len(self.pair_keys)
 
     def normalized_time(self, raw: float) -> float:
         """A time in the input's units on the network's normalized scale."""
@@ -73,19 +83,56 @@ class TemporalNetwork:
         """Normalized time(s) back in the input's units."""
         return self.tmin + np.asarray(t, dtype=np.float64) * ((self.tmax - self.tmin) or 1.0)
 
+    def events(self, u: int):
+        """Neighbor ids and times of all of u's events (views, ascending time)."""
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        return self.ev_nbr[lo:hi], self.ev_time[lo:hi]
+
     def recent(self, u: int, t: float, limit: int):
         """Neighbor ids and times of u's last ``limit`` events strictly before t."""
-        times_u = self.ev_times[u]
+        nbrs, times_u = self.events(u)
         idx = int(np.searchsorted(times_u, t, side="left"))
         lo = max(0, idx - limit)
-        return self.ev_nbrs[u][lo:idx], times_u[lo:idx]
+        return nbrs[lo:idx], times_u[lo:idx]
+
+    def neighbors(self, u: int) -> np.ndarray:
+        """Distinct static neighbors of u in either direction, ascending."""
+        n = self.node_count
+        lo, hi = np.searchsorted(self.adj_keys, [u * n, (u + 1) * n])
+        return self.adj_keys[lo:hi] - u * n
+
+    def adjacent(self, a, b) -> np.ndarray:
+        """Elementwise: do a and b share a static edge (in either direction)?"""
+        keys = np.asarray(a, dtype=np.int64) * self.node_count + np.asarray(b, dtype=np.int64)
+        return _contains(self.adj_keys, keys)
+
+    def pairs(self) -> list:
+        """The static edges as (a, b) tuples, ascending."""
+        a, b = np.divmod(self.pair_keys, self.node_count)
+        return list(zip(a.tolist(), b.tolist()))
+
+
+def _pair_keys(sources, targets, n: int, directed: bool) -> np.ndarray:
+    """Static-edge key of each (source, target): ordered pairs when
+    ``directed``, unordered ``(min, max)`` pairs otherwise."""
+    if not directed:
+        sources, targets = np.minimum(sources, targets), np.maximum(sources, targets)
+    return sources * n + targets
+
+
+def _contains(sorted_keys: np.ndarray, keys) -> np.ndarray:
+    """Elementwise membership of ``keys`` in a sorted key array."""
+    keys = np.asarray(keys)
+    if not len(sorted_keys):
+        return np.zeros(keys.shape, dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
 
 
 def _build_network(labels, label_to_id, sources, targets, times, directed, normalize,
                    t_range=(0.0, 1.0)):
     """``t_range`` is the raw (tmin, tmax) of already normalized ``times``;
     with ``normalize`` it is measured from ``times`` instead."""
-    node_count = len(labels)
+    n = len(labels)
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     times = np.asarray(times, dtype=np.float64)
@@ -97,40 +144,36 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, norma
     order = np.argsort(times, kind="stable")
     sources, targets, times = sources[order], targets[order], times[order]
 
-    ev_t = [[] for _ in range(node_count)]
-    ev_n = [[] for _ in range(node_count)]
-    nbr_sets = [set() for _ in range(node_count)]
-    static_pairs = set()
-    for s, t, tt in zip(sources, targets, times):
-        ev_t[s].append(tt)
-        ev_n[s].append(t)
-        if not directed:
-            ev_t[t].append(tt)
-            ev_n[t].append(s)
-        nbr_sets[s].add(int(t))
-        nbr_sets[t].add(int(s))
-        # static edges are ordered pairs in directed networks, canonical
-        # unordered pairs otherwise
-        if directed or s < t:
-            static_pairs.add((int(s), int(t)))
-        else:
-            static_pairs.add((int(t), int(s)))
-    ev_times = [np.asarray(x, dtype=np.float64) for x in ev_t]
-    ev_nbrs = [np.asarray(x, dtype=np.int64) for x in ev_n]
-    degrees = np.array([len(s) for s in nbr_sets], dtype=np.int64)
+    # Events: one per edge for its source, plus one for its target when
+    # undirected; grouped by owner, in edge order within each owner.
+    e = len(times)
+    owner, other = sources, targets
+    if not directed:
+        owner, other = np.concatenate([sources, targets]), np.concatenate([targets, sources])
+    edge_of = np.arange(len(owner)) % max(e, 1)
+    perm = np.lexsort((edge_of, owner))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    edge_pos = np.empty(e, dtype=np.int64)
+    src_side = perm < e
+    edge_pos[perm[src_side]] = np.flatnonzero(src_side)
+
+    adj_keys = np.unique(np.concatenate([sources * n + targets, targets * n + sources]))
     return TemporalNetwork(
-        node_count=node_count,
+        node_count=n,
         labels=list(labels),
         label_to_id=dict(label_to_id),
         sources=sources,
         targets=targets,
         times=times,
         directed=directed,
-        ev_times=ev_times,
-        ev_nbrs=ev_nbrs,
-        neighbor_sets=nbr_sets,
-        degrees=degrees,
-        static_pairs=static_pairs,
+        indptr=indptr,
+        ev_nbr=other[perm],
+        ev_time=times[edge_of[perm]],
+        edge_pos=edge_pos,
+        adj_keys=adj_keys,
+        pair_keys=np.unique(_pair_keys(sources, targets, n, directed)),
+        degrees=np.bincount(adj_keys // max(n, 1), minlength=n),
         tmin=tmin,
         tmax=tmax,
     )
@@ -199,6 +242,23 @@ def history(net: TemporalNetwork, u: int, t: float, limit: int):
     return [NeighborEvent(int(n), float(tt)) for n, tt in zip(nbrs, times)]
 
 
+def history_windows(net: TemporalNetwork, pos, limit: int):
+    """CSR bounds (start, stop) of each event's history window.
+
+    For the event at CSR position ``pos[i]`` of owner u at time t, the window
+    holds u's at-most-``limit`` most recent events strictly before t: the
+    ``limit`` positions before the start of the run of u's events at time t.
+    """
+    counts = np.diff(net.indptr)
+    owner = np.repeat(np.arange(net.node_count), counts)
+    new_run = np.ones(len(owner), dtype=bool)
+    new_run[1:] = (owner[1:] != owner[:-1]) | (net.ev_time[1:] != net.ev_time[:-1])
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(owner)), 0))
+    pos = np.asarray(pos, dtype=np.int64)
+    stop = run_start[pos]
+    return np.maximum(net.indptr[owner[pos]], stop - limit), stop
+
+
 class NegativeSampler:
     """Draws nodes with probability proportional to static_degree^(3/4).
 
@@ -217,9 +277,51 @@ class NegativeSampler:
         self.cum[-1] = 1.0
         self._rng = np.random.default_rng(seed)
 
+    def nodes(self, uniforms) -> np.ndarray:
+        """The nodes that uniform [0, 1) variates select, elementwise."""
+        return np.searchsorted(self.cum, uniforms, side="right")
+
     def draw(self, size: int, rng=None) -> np.ndarray:
         rng = rng if rng is not None else self._rng
-        return np.searchsorted(self.cum, rng.random(size), side="right")
+        return self.nodes(rng.random(size))
+
+
+def fill_negatives(net: TemporalNetwork, u, v, count: int, draw) -> np.ndarray:
+    """(B, count) negatives for B (source, target) rows, by rejection.
+
+    Each row takes the first ``count`` candidates of its own stream that are
+    neither its u, its v nor a static neighbor of u. ``draw(rows, start,
+    size)`` returns the candidates at positions ``start, start + 1, ...`` of
+    the streams of ``rows``, at least ``size`` of them; rounds draw for the
+    rows still short until all are full, and give up after 1000 rounds
+    (pathologically dense toy graphs) with a hint to lower the negative
+    count. The result does not depend on how many candidates a round draws.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    out = np.empty((len(u), count), dtype=np.int64)
+    filled = np.zeros(len(u), dtype=np.int64)
+    rows = np.arange(len(u))
+    start = 0
+    for _ in range(1000):
+        size = int(count - filled[rows].min())
+        d = draw(rows, start, size)
+        start += d.shape[1]
+        ur, vr = u[rows, None], v[rows, None]
+        ok = (d != ur) & (d != vr) & ~net.adjacent(ur, d)
+        slot = filled[rows, None] + np.cumsum(ok, axis=1) - 1
+        r, j = np.nonzero(ok & (slot < count))
+        out[rows[r], slot[r, j]] = d[r, j]
+        filled[rows] = np.minimum(slot[:, -1] + 1, count)
+        rows = rows[filled[rows] < count]
+        if not len(rows):
+            return out
+    raise RuntimeError(
+        f"negative sampling for node {int(u[rows[0]])} exceeded 1000 attempts per slot; "
+        "the graph is too dense for this negative count, use a smaller one"
+    )
 
 
 def sample_negatives(sampler, net, u, v, count, rng=None):
@@ -228,23 +330,9 @@ def sample_negatives(sampler, net, u, v, count, rng=None):
     Rejected draws are resampled; gives up after 1000 rounds (pathologically
     dense toy graphs) with a hint to lower the negative count.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    blocked = net.neighbor_sets[u] | {u, v}
-    out = np.empty(count, dtype=np.int64)
-    missing = count
-    for _ in range(1000):
-        draws = sampler.draw(missing, rng)
-        ok = np.fromiter((d not in blocked for d in draws), dtype=bool, count=missing)
-        n_ok = int(ok.sum())
-        out[count - missing : count - missing + n_ok] = draws[ok]
-        missing -= n_ok
-        if missing == 0:
-            return out
-    raise RuntimeError(
-        f"negative sampling for node {u} exceeded 1000 attempts per slot; "
-        "the graph is too dense for this negative count, use a smaller one"
-    )
+    return fill_negatives(
+        net, [u], [v], count, lambda rows, start, size: sampler.draw(size, rng)[None, :]
+    )[0]
 
 
 def mask_static_edges(net: TemporalNetwork, count: int, rng):
@@ -255,9 +343,9 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
     ids and timestamps are preserved; the training network is rebuilt from the
     surviving edges without re-normalizing time, and keeps the raw time range.
     """
-    pairs = sorted(net.static_pairs)
-    if count > len(pairs):
-        raise ValueError(f"cannot mask {count} edges; only {len(pairs)} static edges exist")
+    n_pairs = net.static_edge_count
+    if count > n_pairs:
+        raise ValueError(f"cannot mask {count} edges; only {n_pairs} static edges exist")
     t_range = (net.tmin, net.tmax)
     if count == 0:
         train = _build_network(
@@ -265,25 +353,18 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
             net.directed, normalize=False, t_range=t_range,
         )
         return train, [], []
-    chosen = rng.choice(len(pairs), size=count, replace=False)
-    positives = [pairs[i] for i in sorted(chosen)]
-    removed = set(positives)
-
-    def canon(s, t):
-        s, t = int(s), int(t)
-        return (s, t) if (net.directed or s < t) else (t, s)
-
-    keep = np.fromiter(
-        (canon(s, t) not in removed for s, t in zip(net.sources, net.targets)),
-        dtype=bool,
-        count=net.n_edges,
-    )
+    chosen = np.sort(rng.choice(n_pairs, size=count, replace=False))
+    pairs = net.pairs()
+    positives = [pairs[i] for i in chosen]
+    edge_keys = _pair_keys(net.sources, net.targets, net.node_count, net.directed)
+    keep = ~_contains(net.pair_keys[chosen], edge_keys)
     train = _build_network(
         net.labels, net.label_to_id, net.sources[keep], net.targets[keep],
         net.times[keep], net.directed, normalize=False, t_range=t_range,
     )
 
     n = net.node_count
+    static = set(net.pair_keys.tolist())
     negatives = []
     seen = set()
     budget = 1000 * count + 10000
@@ -294,11 +375,13 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
         if a == b:
             continue
-        pair = canon(a, b)
-        if pair in net.static_pairs or pair in seen:
+        if not net.directed and a > b:
+            a, b = b, a
+        key = a * n + b
+        if key in static or key in seen:
             continue
-        seen.add(pair)
-        negatives.append(pair)
+        seen.add(key)
+        negatives.append((a, b))
     return train, positives, negatives
 
 

@@ -10,6 +10,8 @@ the per-node decay and temperature.
 Samples are padded into one batch whose forward pass is ``intensity.forward``;
 the backward pass here reuses the values that forward saved. The gradients
 are tested against finite differences, the loss against the loop-only oracle.
+The trainer draws its batches straight into the engine's arrays from the
+network's CSR events and counter-based random streams.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .intensity import (
@@ -26,12 +29,20 @@ from .intensity import (
     Forward,
     Histories,
     forward,
-    gumbel_noise,
+    node_shared_gumbel,
     noise_arrays,
     pad_histories,
+    window_histories,
 )
 from .params import HyperParams, ModelParams, init_params, save_params
-from .temporal_graph import NegativeSampler, TemporalEdge, history, sample_negatives
+from .temporal_graph import (
+    NegativeSampler,
+    TemporalEdge,
+    fill_negatives,
+    history,
+    history_windows,
+    sample_negatives,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -70,16 +81,19 @@ class GradientSet:
 
 
 def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> LossSample:
-    """Assemble the loss sample for one edge: recent history, negatives, noise."""
+    """Assemble the loss sample for one edge: recent history, negatives, noise.
+
+    The same draw rules as a training batch, for one row and with ``rng`` as
+    the source of randomness.
+    """
     u, v, t = edge
     hist = history(net, u, t, hyper.history_len)
     negs = sample_negatives(sampler, net, u, v, hyper.n_negatives, rng)
     noise = None
     if hyper.use_gumbel:
-        noise = {}
-        for n in [u] + [h for h, _ in hist]:
-            if n not in noise:
-                noise[n] = gumbel_noise(rng, hyper.n_aspects)
+        nodes = [u] + [h for h, _ in hist]
+        uni = rng.random((1, len(nodes), hyper.n_aspects))
+        noise = dict(zip(nodes, node_shared_gumbel([nodes], [[True] * len(nodes)], uni)[0]))
     return LossSample(edge, hist, negs, noise)
 
 
@@ -130,11 +144,11 @@ def ablation_config(base: HyperParams, variant: str) -> HyperParams:
 
 @dataclass
 class _Batch:
-    u: np.ndarray          # (B,)
-    cand: np.ndarray       # (B, C) column 0 is the positive target
-    hist: Histories        # (B, L) padded histories
-    g_u: np.ndarray        # (B, K) Gumbel noise for the source
-    g_h: np.ndarray        # (B, L, K) noise per history event (node-shared)
+    u: np.ndarray                 # (B,)
+    cand: np.ndarray              # (B, C) column 0 is the positive target
+    hist: Histories               # (B, L) padded histories
+    g_u: Optional[np.ndarray]     # (B, K) Gumbel noise for the source, or None
+    g_h: Optional[np.ndarray]     # (B, L, K) noise per history event (node-shared)
 
 
 def _assemble(hyper: HyperParams, samples) -> _Batch:
@@ -148,6 +162,102 @@ def _assemble(hyper: HyperParams, samples) -> _Batch:
     )
     g_u, g_h = noise_arrays(hyper.n_aspects, u, hist, [s.gumbel for s in samples])
     return _Batch(u, cand, hist, g_u, g_h)
+
+
+# ---------------------------------------------------------------------------
+# Training draws: counter-based streams and the batch sampler.
+
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (np.uint64(0x9E3779B9), np.uint64(0xBB67AE85))
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def philox4x32(counter, key):
+    """Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as
+    1, 2, 3", SC'11): one block of four 32-bit words per counter.
+
+    ``counter`` is four broadcastable arrays of 32-bit words and ``key`` two
+    32-bit words; returns the four output words as uint64 arrays.
+    """
+    c0, c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    k0, k1 = np.uint64(key[0]), np.uint64(key[1])
+    for _ in range(10):
+        p0, p1 = c0 * _PHILOX_M[0], c2 * _PHILOX_M[1]
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _LOW32, (p0 >> 32) ^ c3 ^ k1, p0 & _LOW32
+        k0, k1 = (k0 + _PHILOX_W[0]) & _LOW32, (k1 + _PHILOX_W[1]) & _LOW32
+    return c0, c1, c2, c3
+
+
+def _unit(hi, lo) -> np.ndarray:
+    """53-bit uniforms in the open interval (0, 1) from two 32-bit words."""
+    return (((hi >> 5) << 26) + (lo >> 6)).astype(np.float64) * 2.0**-53 + 2.0**-54
+
+
+class EdgeStreams:
+    """Uniform (0, 1) draws of one epoch, keyed by (seed, epoch, edge index).
+
+    Column j of edge i's stream is a pure function of (seed, epoch, i, j):
+    Philox keyed by the seed, at counter (j // 2, i, epoch, 0). So an edge's
+    draws do not depend on the batch it is drawn in, nor on its neighbors.
+    """
+
+    def __init__(self, seed: int, epoch: int):
+        self.key = (seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF)
+        self.epoch = epoch
+
+    def uniforms(self, edges, start: int, size: int) -> np.ndarray:
+        """(len(edges), size) draws at columns ``start:start + size``."""
+        b0 = start // 2
+        blocks = np.arange(b0, (start + size + 1) // 2)
+        edges = np.asarray(edges)[:, None]
+        w0, w1, w2, w3 = philox4x32((blocks, edges, self.epoch, 0), self.key)
+        both = np.stack([_unit(w0, w1), _unit(w2, w3)], axis=2).reshape(len(edges), -1)
+        return both[:, start - 2 * b0 : start - 2 * b0 + size]
+
+
+class _BatchSampler:
+    """Draws training batches of edge indices straight into engine arrays.
+
+    A row's history is a gather from the network's CSR events (each edge's
+    window is found once, here). Its Gumbel noise and negatives come from
+    the edge's stream in ``EdgeStreams``: the first (history_len + 1) * K
+    columns are the noise of the source and history slots, the rest feed
+    the negatives' rejection rounds.
+    """
+
+    def __init__(self, net, hyper: HyperParams):
+        self.net, self.hyper = net, hyper
+        self.negatives = NegativeSampler(net)
+        self.start, self.stop = history_windows(net, net.edge_pos, hyper.history_len)
+        self.n_noise = (hyper.history_len + 1) * hyper.n_aspects
+
+    def batch(self, epoch: int, idx) -> _Batch:
+        net, hyper = self.net, self.hyper
+        idx = np.asarray(idx, dtype=np.int64)
+        stream = EdgeStreams(hyper.seed, epoch)
+        u, v = net.sources[idx], net.targets[idx]
+        hist = window_histories(
+            net.times[idx], net.ev_nbr, net.ev_time, self.start[idx], self.stop[idx]
+        )
+        # A later round draws as many candidates as all earlier ones together
+        # (up to 1024), so a row with a low acceptance rate needs few rounds.
+        negs = fill_negatives(
+            net, u, v, hyper.n_negatives,
+            lambda rows, start, size: self.negatives.nodes(
+                stream.uniforms(idx[rows], self.n_noise + start, max(size, min(start, 1024)))
+            ),
+        )
+        g_u = g_h = None
+        if hyper.use_gumbel:
+            slots = hist.ids.shape[1] + 1
+            uni = stream.uniforms(idx, 0, slots * hyper.n_aspects)
+            g = node_shared_gumbel(
+                np.column_stack([u, hist.ids]),
+                np.column_stack([np.ones(len(idx)), hist.mask]),
+                uni.reshape(len(idx), slots, hyper.n_aspects),
+            )
+            g_u, g_h = g[:, 0], g[:, 1:]
+        return _Batch(u, np.column_stack([v, negs]), hist, g_u, g_h)
 
 
 def _forward_loss(params: ModelParams, batch: _Batch):
@@ -316,38 +426,46 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> _CompactGrads
     diu += di_n[:, 0, :]
     dih += di_n[:, 1:, :]
 
-    # scatter per-role contributions onto unique touched nodes; padded history
-    # slots are excluded so they neither appear as touched nor receive zeros
+    # scatter per-role rows onto the unique touched nodes with one sorted
+    # segment sum, a product with a 0/1 selector matrix (it adds each node's
+    # rows in batch order, as np.add.at did); padded history slots are
+    # excluded so they neither appear as touched nor receive zeros. Row
+    # layout: identity, aspect, rho, theta.
     valid = mask.reshape(-1) > 0
-    hist_flat = hist.reshape(-1)[valid]
-    ids_all = np.concatenate([u, cand.reshape(-1), hist_flat])
-    nodes, inv = np.unique(ids_all, return_inverse=True)
-    inv_u = inv[:b]
-    inv_c = inv[b : b + b * c]
-    inv_h = inv[b + b * c :]
-
-    n_u = len(nodes)
-    d_identity = np.zeros((n_u, m))
-    np.add.at(d_identity, inv_u, diu)
-    np.add.at(d_identity, inv_c, dic.reshape(-1, m))
-    d_aspect = np.zeros((n_u, k, m))
-    np.add.at(d_aspect, inv_u, dau)
-    np.add.at(d_aspect, inv_c, dac.reshape(-1, k, m))
-    d_rho = np.zeros(n_u)
-    np.add.at(d_rho, inv_u, drho_u)
-    d_theta = np.zeros(n_u)
-    np.add.at(d_theta, inv_u, dtheta_n[:, 0])
+    ids_all = np.concatenate([u, cand.reshape(-1), hist.reshape(-1)[valid]])
+    km = k * m
+    rows = np.zeros((len(ids_all), m + km + 2))
+    rows[:b, :m] = diu
+    rows[:b, m:-2] = dau.reshape(b, km)
+    rows[:b, -2] = drho_u
+    rows[:b, -1] = dtheta_n[:, 0]
+    rows[b : b + b * c, :m] = dic.reshape(-1, m)
+    rows[b : b + b * c, m:-2] = dac.reshape(-1, km)
     if lmax:
-        np.add.at(d_identity, inv_h, dih.reshape(-1, m)[valid])
-        np.add.at(d_aspect, inv_h, dah.reshape(-1, k, m)[valid])
-        np.add.at(d_theta, inv_h, dtheta_n[:, 1:].reshape(-1)[valid])
-
-    return _CompactGrads(nodes, d_identity, d_aspect, d_rho, d_theta, d_attn_w, d_attn_a)
+        rows[b + b * c :, :m] = dih.reshape(-1, m)[valid]
+        rows[b + b * c :, m:-2] = dah.reshape(-1, km)[valid]
+        rows[b + b * c :, -1] = dtheta_n[:, 1:].reshape(-1)[valid]
+    order = np.argsort(ids_all, kind="stable")
+    ids_sorted = ids_all[order]
+    starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
+    select = sparse.csr_matrix(
+        (np.ones(len(order)), order, np.r_[starts, len(order)]),
+        shape=(len(starts), len(order)),
+    )
+    sums = select @ rows
+    return _CompactGrads(
+        ids_sorted[starts], sums[:, :m], sums[:, m:-2].reshape(-1, k, m),
+        sums[:, -2], sums[:, -1], d_attn_w, d_attn_a,
+    )
 
 
 def _train_grads(params: ModelParams, batch: _Batch, epoch: int, n_batch: int):
-    """(per-sample losses, summed gradients) of one training batch; raises
-    TrainingDiverged, before the backward pass, on a non-finite forward."""
+    """(per-sample losses, summed gradients) of one training batch.
+
+    Raises TrainingDiverged on a non-finite forward (before the backward
+    pass) or a non-finite gradient (before any parameter changes), naming
+    the epoch, the batch and the nodes involved.
+    """
     fwd, losses = _forward_loss(params, batch)
     bad = _blown_up(fwd, losses)
     if bad.any():
@@ -355,7 +473,20 @@ def _train_grads(params: ModelParams, batch: _Batch, epoch: int, n_batch: int):
             f"epoch {epoch}, batch {n_batch}: non-finite intensity or loss for "
             f"source nodes {np.unique(batch.u[bad]).tolist()}; try a lower learning rate"
         )
-    return losses, _backward(params, batch, fwd)
+    compact = _backward(params, batch, fwd)
+    if not np.isfinite(compact.global_norm()):
+        ok = (
+            np.isfinite(compact.d_identity).all(axis=1)
+            & np.isfinite(compact.d_aspect).all(axis=(1, 2))
+            & np.isfinite(compact.d_rho)
+            & np.isfinite(compact.d_theta)
+        )
+        raise TrainingDiverged(
+            f"epoch {epoch}, batch {n_batch}: non-finite gradient at nodes "
+            f"{compact.nodes[~ok].tolist()} (batch of source nodes "
+            f"{np.unique(batch.u).tolist()}); try a lower learning rate"
+        )
+    return losses, compact
 
 
 class _LazyAdam:
@@ -413,12 +544,16 @@ def train(
 ) -> ModelParams:
     """Mini-batch Adam over shuffled temporal edges.
 
-    Negatives and Gumbel draws for each sample come from a private stream
-    keyed by (seed, epoch, edge index), so they do not depend on the batch
-    schedule. With the default rng the run is a pure function of
-    (net, hyper, seed). ``on_epoch(epoch, mean_loss, wall_seconds)`` is
-    called after every pass. A batch with a non-finite intensity or loss
-    raises TrainingDiverged naming the epoch, the batch and its source nodes.
+    Each batch is drawn with array operations on the network's CSR events:
+    a row's history is a gather of its source's most recent events, and its
+    negatives and Gumbel noise come from a counter-based stream keyed by
+    (seed, epoch, edge index) (see ``EdgeStreams``). So the draws do not
+    depend on the batch schedule: a different ``batch_size`` regroups the
+    same draws. With the default rng, which only shuffles the edges, the run
+    is a pure function of (net, hyper, seed). ``on_epoch(epoch, mean_loss,
+    wall_seconds)`` is called after every pass. A batch with a non-finite
+    intensity, loss or gradient raises TrainingDiverged naming the epoch,
+    the batch and the nodes involved, before its update is applied.
     """
     if net.n_edges == 0:
         raise ValueError("cannot train on an empty network")
@@ -426,7 +561,7 @@ def train(
     if hyper.epochs == 0:
         return params
     master = rng if rng is not None else np.random.default_rng(hyper.seed)
-    sampler = NegativeSampler(net, seed=hyper.seed)
+    sampler = _BatchSampler(net, hyper)
     adam = _LazyAdam(params, hyper.lr)
     n_edges = net.n_edges
     update_attention = hyper.use_attention
@@ -436,17 +571,10 @@ def train(
         order = master.permutation(n_edges)
         loss_sum = 0.0
         for n_batch, start in enumerate(range(0, n_edges, hyper.batch_size)):
-            idxs = order[start : start + hyper.batch_size]
-            samples = []
-            for i in idxs:
-                i = int(i)
-                edge = TemporalEdge(int(net.sources[i]), int(net.targets[i]), float(net.times[i]))
-                srng = np.random.default_rng([hyper.seed, epoch, i])
-                samples.append(make_sample(net, sampler, edge, hyper, srng))
-            batch = _assemble(hyper, samples)
+            batch = sampler.batch(epoch, order[start : start + hyper.batch_size])
             losses, compact = _train_grads(params, batch, epoch, n_batch)
             loss_sum += float(losses.sum())
-            compact.scale(1.0 / len(samples))
+            compact.scale(1.0 / len(losses))
             norm = compact.global_norm()
             if norm > CLIP_NORM:
                 compact.scale(CLIP_NORM / norm)

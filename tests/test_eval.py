@@ -1,11 +1,15 @@
 import numpy as np
 
+import pytest
+
 from hawkmix import (
     build_context,
     candidate_scores,
     history,
     infer_aspect_labels,
     network_from_edges,
+    precision_recall_at_k,
+    probe_report,
     recommend,
 )
 
@@ -67,10 +71,36 @@ def test_infer_aspect_labels_matches_oracle():
         p = random_params(rng, history_len=2)
         expect = []
         for u in range(net.node_count):
-            times = net.ev_times[u].tolist() or [1.0]
+            times = net.events(u)[1].tolist() or [1.0]
             acc = np.zeros(p.hyper.n_aspects)
             for t in times:
                 _, _, pis, _, _ = ref_all(p, u, u, t, history(net, u, t, 2), None)
                 acc += pis[u]
             expect.append(int(np.argmax(acc)))
         assert infer_aspect_labels(p, net).tolist() == expect
+
+
+def test_probe_report_does_not_depend_on_pair_order():
+    rng = np.random.default_rng(4)
+    p = random_params(rng, n_nodes=40)
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, 40, (80, 2)) if a != b]
+    pos, neg = pairs[:30], pairs[30:60]
+    report = probe_report(p, pos, neg, seed=9)
+    shuffled = probe_report(
+        p, [pos[i] for i in rng.permutation(30)], [neg[i] for i in rng.permutation(30)], seed=9
+    )
+    assert shuffled.to_json() == report.to_json()
+
+
+def test_precision_recall_at_k_edge_cases():
+    ranked = [(3, 0.9), (1, 0.5), (4, 0.1)]
+    # k beyond the list: precision still divides by k
+    assert precision_recall_at_k(ranked, {3, 4, 7}, 5) == (2 / 5, 2 / 3)
+    # bare ids rank the same as (node, score) tuples
+    assert precision_recall_at_k([3, 1, 4], {3, 4, 7}, 2) == precision_recall_at_k(
+        ranked, {3, 4, 7}, 2
+    ) == (1 / 2, 1 / 3)
+    with pytest.raises(ValueError, match="k must be"):
+        precision_recall_at_k(ranked, {3}, 0)
+    with pytest.raises(ValueError, match="empty"):
+        precision_recall_at_k(ranked, set(), 3)

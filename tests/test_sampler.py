@@ -1,0 +1,152 @@
+"""The training batch sampler: counter-based draws, CSR histories, negatives
+and node-shared Gumbel noise."""
+
+import numpy as np
+import pytest
+from scipy.stats import kstest
+
+from hawkmix import (
+    HyperParams,
+    NegativeSampler,
+    PlantedSpec,
+    generate,
+    history,
+    network_from_edges,
+)
+from hawkmix import training as training_mod
+from hawkmix.temporal_graph import fill_negatives
+from hawkmix.training import EdgeStreams, philox4x32
+
+SPEC = PlantedSpec(2, 10, 1.0, 0.3, 1.0, 10.0, 0.1)
+HYPER = HyperParams(n_aspects=3, history_len=4, dim=4, n_negatives=5, seed=11)
+NETS = [(directed, coarse) for directed in (True, False) for coarse in (False, True)]
+
+
+def planted(directed, coarse=False):
+    """A planted net; ``coarse`` floors the times so that many events tie."""
+    _, truth = generate(SPEC, np.random.default_rng(4))
+    times = np.floor(truth.times * 4) if coarse else truth.times
+    return network_from_edges(
+        list(range(SPEC.node_count)), truth.sources, truth.targets, times, directed=directed
+    )
+
+
+def rows(batch):
+    """Each row's draws with the padding trimmed: (u, candidates, history ids,
+    history dt, source noise, history noise)."""
+    out = []
+    for i, n in enumerate(batch.hist.mask.sum(axis=1).astype(int)):
+        out.append((
+            int(batch.u[i]), batch.cand[i].tolist(), batch.hist.ids[i, :n].tolist(),
+            batch.hist.dt[i, :n].tolist(), batch.g_u[i].tolist(), batch.g_h[i, :n].tolist(),
+        ))
+    return out
+
+
+def test_philox_known_answers():
+    """Philox4x32-10 against the Random123 known-answer vectors."""
+    cases = [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    ]
+    for counter, key, expect in cases:
+        assert tuple(int(w) for w in philox4x32(counter, key)) == expect
+
+
+def test_edge_streams_are_uniform_and_addressed_by_column():
+    stream = EdgeStreams(seed=3, epoch=2)
+    edges = np.arange(5000)
+    u = stream.uniforms(edges, 0, 20)
+    assert u.shape == (5000, 20) and u.min() > 0.0 and u.max() < 1.0
+    assert kstest(u.ravel(), "uniform").pvalue > 0.01
+    # any column range reads the same columns; rows do not depend on each other
+    assert np.array_equal(stream.uniforms(edges, 3, 7), u[:, 3:10])
+    assert np.array_equal(stream.uniforms(edges[[7, 2]], 0, 20), u[[7, 2]])
+    # another epoch or seed is another stream
+    assert not np.array_equal(EdgeStreams(3, 1).uniforms(edges, 0, 20), u)
+    assert not np.array_equal(EdgeStreams(4, 2).uniforms(edges, 0, 20), u)
+
+
+@pytest.mark.parametrize("directed,coarse", NETS)
+def test_draws_do_not_depend_on_the_batch(directed, coarse):
+    net = planted(directed, coarse)
+    sampler = training_mod._BatchSampler(net, HYPER)
+    idx = np.random.default_rng(0).permutation(net.n_edges)[:60]
+    whole = rows(sampler.batch(1, idx))
+    assert whole[:3] == sum((rows(sampler.batch(1, [i])) for i in idx[:3]), [])
+    assert whole == sum((rows(sampler.batch(1, idx[s : s + 7])) for s in range(0, 60, 7)), [])
+    assert rows(sampler.batch(2, idx)) != whole
+
+
+@pytest.mark.parametrize("directed,coarse", NETS)
+def test_rows_hold_the_history_and_allowed_negatives(directed, coarse):
+    net = planted(directed, coarse)
+    batch = training_mod._BatchSampler(net, HYPER).batch(0, np.arange(net.n_edges))
+    for i, (u, cand, ids, dt, _, _) in enumerate(rows(batch)):
+        t = float(net.times[i])
+        h = history(net, u, t, HYPER.history_len)
+        assert ids == [e.neighbor for e in h]
+        assert dt == [t - e.time for e in h]
+        assert cand[0] == int(net.targets[i])
+        blocked = {u, cand[0]} | set(net.neighbors(u).tolist())
+        assert len(cand) == 1 + HYPER.n_negatives
+        assert not blocked & set(cand[1:])
+    lens = batch.hist.mask.sum(axis=1).astype(int)
+    padded = np.arange(batch.hist.ids.shape[1]) >= lens[:, None]
+    assert np.all(batch.hist.ids[padded] == 0) and np.all(batch.hist.dt[padded] == 0)
+
+
+@pytest.mark.parametrize("directed,coarse", NETS)
+def test_gumbel_noise_is_shared_per_node_and_zero_when_padded(directed, coarse):
+    net = planted(directed, coarse)
+    batch = training_mod._BatchSampler(net, HYPER).batch(0, np.arange(net.n_edges))
+    repeats = 0
+    for i, (u, _, ids, _, g_u, g_h) in enumerate(rows(batch)):
+        nodes, noise = [u] + ids, [g_u] + g_h
+        for a in range(len(nodes)):
+            for b in range(a):
+                assert (noise[a] == noise[b]) == (nodes[a] == nodes[b])
+                repeats += nodes[a] == nodes[b]
+        assert np.all(batch.g_h[i, len(ids) :] == 0)
+    assert repeats > 0  # the nets do repeat nodes within a row
+
+
+def test_negatives_follow_the_degree_weights():
+    """Node 0's only eligible negatives are x (degree 1) and y (degree 16),
+    drawn 1:8 by degree^(3/4) over many epochs of its 16 edges."""
+    helpers = list(range(3, 19))
+    sources = [0] * 16 + [2] * 16 + [1]
+    targets = helpers + helpers + [3]
+    net = network_from_edges(
+        list(range(19)), sources, targets, np.arange(33.0), directed=True, normalize=False
+    )
+    sampler = training_mod._BatchSampler(net, HYPER)
+    from_0 = np.flatnonzero(net.sources == 0)
+    negs = np.concatenate([sampler.batch(e, from_0).cand[:, 1:].ravel() for e in range(400)])
+    assert set(np.unique(negs)) == {1, 2}
+    assert np.mean(negs == 1) == pytest.approx(1.0 / 9.0, abs=0.01)
+
+
+def test_too_dense_graph_hits_the_rejection_cap():
+    net = network_from_edges(
+        [0, 1, 2], [0, 0, 1], [1, 2, 2], [0.0, 1.0, 2.0], directed=True, normalize=False
+    )
+    sampler = training_mod._BatchSampler(net, HYPER)
+    with pytest.raises(RuntimeError, match="smaller"):
+        sampler.batch(0, [0])
+
+
+def test_negatives_do_not_depend_on_round_sizes():
+    net = planted(True, coarse=True)
+    sampler, stream = NegativeSampler(net), EdgeStreams(seed=1, epoch=0)
+    idx = np.arange(net.n_edges)
+
+    def draw(extra):
+        return lambda rows, start, size: sampler.nodes(
+            stream.uniforms(idx[rows], start, size + extra)
+        )
+
+    exact = fill_negatives(net, net.sources, net.targets, 5, draw(0))
+    assert np.array_equal(fill_negatives(net, net.sources, net.targets, 5, draw(7)), exact)

@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from hawkmix import (
     NegativeSampler,
+    PlantedSpec,
+    generate,
     history,
     load_edge_list,
     mask_static_edges,
     network_from_edges,
     sample_negatives,
 )
-from hawkmix.temporal_graph import EdgeListParseError
+from hawkmix.temporal_graph import EdgeListParseError, history_windows
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -29,20 +31,20 @@ def test_load_directed_basics(tmp_path):
     assert net.n_edges == 3
     assert net.times.tolist() == [0.0, 0.5, 1.0]
     a = net.label_to_id["a"]
-    assert len(net.ev_times[a]) == 2
+    assert len(net.events(a)[1]) == 2
 
 
 def test_load_undirected_symmetric_insertion(tmp_path):
     net = load_edge_list(write(tmp_path, THREE_LINES), directed=False)
     for label in "abc":
-        assert len(net.ev_times[net.label_to_id[label]]) == 2
+        assert len(net.events(net.label_to_id[label])[1]) == 2
 
 
 def test_undirected_both_endpoints_see_each_edge(tmp_path):
     net = load_edge_list(write(tmp_path, THREE_LINES), directed=False)
     for s, t, tt in zip(net.sources, net.targets, net.times):
-        assert tt in net.ev_times[s] and tt in net.ev_times[t]
-        assert t in net.ev_nbrs[s] and s in net.ev_nbrs[t]
+        assert tt in net.events(s)[1] and tt in net.events(t)[1]
+        assert t in net.events(s)[0] and s in net.events(t)[0]
 
 
 def test_parse_error_names_line(tmp_path):
@@ -108,7 +110,7 @@ def test_raw_time_range_kept_through_masking(tmp_path):
 def test_tie_break_preserves_input_order(tmp_path):
     net = load_edge_list(write(tmp_path, "a b 1\na c 1\na d 2\n"), directed=True)
     a = net.label_to_id["a"]
-    assert net.ev_nbrs[a].tolist()[:2] == [net.label_to_id["b"], net.label_to_id["c"]]
+    assert net.events(a)[0].tolist()[:2] == [net.label_to_id["b"], net.label_to_id["c"]]
 
 
 def simple_history_net():
@@ -264,7 +266,7 @@ def test_mask_triangle():
     assert train.static_edge_count == 2
     assert len(pos) == 1 and len(neg) == 1
     assert set(pos).isdisjoint(neg)
-    assert neg[0] not in net.static_pairs
+    assert neg[0] not in net.pairs()
 
 
 def test_mask_zero_is_identity():
@@ -325,7 +327,7 @@ def test_mask_is_edge_disjoint_property():
     assert train_pairs.isdisjoint(pos)
     assert len(set(pos) & set(neg)) == 0
     assert len(neg) == count == len(pos)
-    assert all(p not in net.static_pairs for p in neg)
+    assert all(p not in net.pairs() for p in neg)
 
 
 def test_degrees_count_distinct_static_neighbors(tmp_path):
@@ -334,3 +336,64 @@ def test_degrees_count_distinct_static_neighbors(tmp_path):
     )
     a = net.label_to_id["a"]
     assert net.degrees[a] == 2  # b and c, duplicates and direction collapsed
+
+
+def tied_planted_truth():
+    """A 16-node planted log whose times floored to thirds tie often."""
+    _, truth = generate(PlantedSpec(2, 8, 1.0, 0.3, 1.0, 8.0, 0.1), np.random.default_rng(6))
+    return truth.sources, truth.targets, np.floor(truth.times * 3)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_csr_matches_per_node_lists(directed):
+    """The CSR arrays against per-node lists built by a plain loop over the
+    chronological edges, on a planted net with tied times, repeated edges
+    and self-loops."""
+    sources, targets, times = tied_planted_truth()
+    n = 16
+    net = network_from_edges(
+        list(range(n)), np.r_[sources, 3, 3, 5], np.r_[targets, 3, 4, 5],
+        np.r_[times, 1.0, 1.0, 2.0], directed=directed,
+    )
+
+    ev_n = [[] for _ in range(n)]
+    ev_t = [[] for _ in range(n)]
+    nbrs = [set() for _ in range(n)]
+    pairs = set()
+    for s, t, tt in zip(net.sources.tolist(), net.targets.tolist(), net.times.tolist()):
+        ev_n[s].append(t)
+        ev_t[s].append(tt)
+        if not directed:
+            ev_n[t].append(s)
+            ev_t[t].append(tt)
+        nbrs[s].add(t)
+        nbrs[t].add(s)
+        pairs.add((s, t) if directed or s < t else (t, s))
+    for u in range(n):
+        ids, ts = net.events(u)
+        assert ids.tolist() == ev_n[u] and ts.tolist() == ev_t[u]
+        assert net.neighbors(u).tolist() == sorted(nbrs[u])
+        assert net.degrees[u] == len(nbrs[u])
+        assert net.adjacent(np.full(n, u), np.arange(n)).tolist() == [
+            w in nbrs[u] for w in range(n)
+        ]
+    assert net.pairs() == sorted(pairs) and net.static_edge_count == len(pairs)
+    # edge_pos points at each edge's own event in its source's run
+    lo, hi = net.indptr[net.sources], net.indptr[net.sources + 1]
+    assert np.all((lo <= net.edge_pos) & (net.edge_pos < hi))
+    assert np.array_equal(net.ev_nbr[net.edge_pos], net.targets)
+    assert np.array_equal(net.ev_time[net.edge_pos], net.times)
+    assert len(np.unique(net.edge_pos)) == net.n_edges
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_history_windows_match_history(directed):
+    sources, targets, times = tied_planted_truth()
+    net = network_from_edges(list(range(16)), sources, targets, times, directed=directed)
+    owner = np.repeat(np.arange(net.node_count), np.diff(net.indptr))
+    for limit in (1, 3):
+        start, stop = history_windows(net, np.arange(len(net.ev_time)), limit)
+        for p in range(len(net.ev_time)):
+            h = history(net, int(owner[p]), float(net.ev_time[p]), limit)
+            assert net.ev_nbr[start[p] : stop[p]].tolist() == [e.neighbor for e in h]
+            assert net.ev_time[start[p] : stop[p]].tolist() == [e.time for e in h]

@@ -305,6 +305,41 @@ def test_training_diverges_at_huge_learning_rate():
     assert nodes and all(0 <= x < net.node_count for x in nodes)
 
 
+def test_nonfinite_gradient_stops_before_the_update(monkeypatch):
+    """A backward that yields a non-finite gradient ends the run before the
+    Adam step, naming its batch and the nodes whose gradient rows blew up."""
+    net = tiny_net()
+    hyper = HyperParams(n_aspects=2, dim=4, epochs=5, batch_size=8, seed=5, lr=100)
+    n_batches = -(-net.n_edges // hyper.batch_size)
+    backward, step = training_mod._backward, training_mod._LazyAdam.step
+    bad_rows = []
+
+    def spy_backward(params, batch, fwd):
+        g = backward(params, batch, fwd)
+        ok = (
+            np.isfinite(g.d_identity).all(axis=1) & np.isfinite(g.d_aspect).all(axis=(1, 2))
+            & np.isfinite(g.d_rho) & np.isfinite(g.d_theta)
+        )
+        bad_rows.append(g.nodes[~ok].tolist())
+        return g
+
+    def spy_step(self, params, grads, update_attention):
+        for arr in (grads.d_identity, grads.d_aspect, grads.d_rho, grads.d_theta,
+                    grads.d_attn_w, grads.d_attn_a):
+            assert np.isfinite(arr).all()
+        return step(self, params, grads, update_attention)
+
+    monkeypatch.setattr(training_mod, "_backward", spy_backward)
+    monkeypatch.setattr(training_mod._LazyAdam, "step", spy_step)
+    with pytest.raises(TrainingDiverged) as info:
+        train(net, hyper)
+    assert bad_rows[-1] and not any(bad_rows[:-1])
+    epoch, n_batch = divmod(len(bad_rows) - 1, n_batches)
+    assert str(info.value).startswith(
+        f"epoch {epoch}, batch {n_batch}: non-finite gradient at nodes {bad_rows[-1]}"
+    )
+
+
 def test_ablation_config():
     base = HyperParams(n_aspects=2, dim=4)
     assert ablation_config(base, "full") == base
@@ -331,5 +366,5 @@ def test_make_sample_contents():
     assert s.gumbel is not None and edge.source in s.gumbel
     for h, _ in s.history:
         assert h in s.gumbel
-    blocked = net.neighbor_sets[edge.source] | {edge.source, edge.target}
+    blocked = set(net.neighbors(edge.source).tolist()) | {edge.source, edge.target}
     assert all(int(w) not in blocked for w in s.negatives)
