@@ -110,12 +110,15 @@ def noise_arrays(k: int, u, hist: Histories, noises):
 class Forward:
     """Outputs of ``forward`` and the intermediates its backward reuses.
 
-    The outputs are ``pi`` (B, L+1, K) aspect weights of the source (row 0)
-    and of each history event, ``lam_k`` (B, C, K) raw per-aspect
-    intensities and ``lam`` (B, C) their pi-weighted mixture; apply exp() for
-    a positive rate per unit time. ``ctx`` (B, K, m) holds the contexts,
-    ``attn`` and ``kappa`` (B, L) the attention weights and kernel values,
-    ``mu`` (B, C) the identity similarity of source and candidate.
+    A query's node slots are its source (slot 0) and its L history events
+    (slots 1..L). The outputs are ``pi`` (B, L+1, K) aspect weights of every
+    slot, ``lam_k`` (B, C, K) raw per-aspect intensities and ``lam`` (B, C)
+    their pi-weighted mixture; apply exp() for a positive rate per unit time.
+    ``ctx`` (B, K, m) holds the contexts, ``attn`` and ``kappa`` (B, L) the
+    attention weights and kernel values, ``mu`` (B, C) the identity
+    similarity of source and candidate. With no candidates (C == 0) the
+    candidate terms are skipped: ``lam_k``, ``lam`` and ``mu`` are empty and
+    ``f_nc``, ``gam``, ``w_nc`` and ``pi_w`` are None.
     """
 
     pi: np.ndarray
@@ -126,12 +129,10 @@ class Forward:
     kappa: np.ndarray
     mu: np.ndarray
     # saved for the backward pass
-    iu: np.ndarray
-    ic: np.ndarray
-    ih: np.ndarray
-    au: np.ndarray
-    ac: np.ndarray
-    ah: np.ndarray
+    i_n: np.ndarray               # (B, L+1, m) identity embeddings of the slots
+    a_n: np.ndarray               # (B, L+1, K, m) aspect embeddings of the slots
+    ic: np.ndarray                # (B, C, m)
+    ac: np.ndarray                # (B, C, K, m)
     z: Optional[np.ndarray]
     wu: Optional[np.ndarray]
     wh: Optional[np.ndarray]
@@ -142,11 +143,10 @@ class Forward:
     fg_n: Optional[np.ndarray]    # logits before the temperature: f + g
     theta_n: Optional[np.ndarray]
     tau_n: Optional[np.ndarray]
-    gam_u: np.ndarray
-    f_hc: Optional[np.ndarray]
-    gam_h: Optional[np.ndarray]
-    ak: Optional[np.ndarray]
-    s_lc: Optional[np.ndarray]
+    f_nc: Optional[np.ndarray]    # (B, L+1, C) identity similarity, slot to candidate
+    gam: Optional[np.ndarray]     # (B, K, L+1, C) squared aspect distance, slot to candidate
+    w_nc: Optional[np.ndarray]    # (B, L+1, C) f_nc times the slot weight (1, attn * kappa)
+    pi_w: Optional[np.ndarray]    # (B, K, L+1) pi of each slot's term: 1 for the source
 
     @property
     def pi_u(self) -> np.ndarray:
@@ -165,6 +165,12 @@ def forward(
     targets ``cand`` (B, C), and fixed Gumbel noise ``g_u`` (B, K) and ``g_h``
     (B, L, K), or None for none (deterministic aspect weights).
 
+    Every squared distance between a slot (source or history event) and a
+    candidate is in Gram form, |a - b|^2 = |a|^2 + |b|^2 - 2 a.b: the cross
+    terms are matrix products over the embedding dimension, so no (B, L, C,
+    K, m) difference array is built, and each squared norm is computed once.
+    With C == 0 (the aspect read-out) the candidate terms are skipped.
+
     Padded history slots carry kappa == 0, which zeroes their contribution to
     the intensities and to every gradient path that reaches node arrays.
     """
@@ -174,17 +180,18 @@ def forward(
     u = np.asarray(u, dtype=np.int64)
     cand = np.asarray(cand, dtype=np.int64)
     ids, mask = hist.ids, hist.mask
-    b = len(u)
+    b, c = cand.shape
     lmax = ids.shape[1]
     lens = mask.sum(axis=1)
     lens_safe = np.maximum(lens, 1.0)
 
-    iu = ident[u]                        # (B, m)
-    ic = ident[cand]                     # (B, C, m)
-    ih = ident[ids]                      # (B, L, m)
-    au = aspect[u]                       # (B, K, m)
-    ac = aspect[cand]                    # (B, C, K, m)
-    ah = aspect[ids]                     # (B, L, K, m)
+    nodes_n = np.concatenate([u[:, None], ids], axis=1)              # (B, L+1)
+    i_n = ident[nodes_n]                                             # (B, L+1, m)
+    a_n = aspect[nodes_n]                                            # (B, L+1, K, m)
+    iu, ih = i_n[:, 0], i_n[:, 1:]
+    au, ah = a_n[:, 0], a_n[:, 1:]
+    ic = ident[cand]                                                 # (B, C, m)
+    ac = aspect[cand]                                                # (B, C, K, m)
 
     delta_u = softplus(params.rho[u])
     kappa = np.exp(-delta_u[:, None] * hist.dt) * mask               # (B, L)
@@ -213,8 +220,6 @@ def forward(
     ctx = w_ex[:, None, None] * havg + w_self[:, None, None] * au    # (B, K, m)
 
     # aspect distributions for the source (row 0) and each history event
-    nodes_n = np.concatenate([u[:, None], ids], axis=1)              # (B, L+1)
-    i_n = ident[nodes_n]                                             # (B, L+1, m)
     diff_nc = i_n[:, :, None, :] - ctx[:, None, :, :]                # (B, L+1, K, m)
     f_n = -np.sum(diff_nc**2, axis=3)                                # (B, L+1, K)
     if hyper.use_gumbel:
@@ -228,25 +233,33 @@ def forward(
     logits = logits - logits.max(axis=2, keepdims=True)
     exp_l = np.exp(logits)
     pi = exp_l / exp_l.sum(axis=2, keepdims=True)                    # (B, L+1, K)
-    pi_u, pi_h = pi[:, 0, :], pi[:, 1:, :]
+    pi_u = pi[:, 0, :]
 
-    # per-aspect and mixed intensities for every candidate
-    mu = -np.sum((iu[:, None, :] - ic) ** 2, axis=2)                 # (B, C)
-    gam_u = np.sum((au[:, None] - ac) ** 2, axis=3)                  # (B, C, K)
-    lam_k = mu[:, :, None] * gam_u                                   # (B, C, K)
-    f_hc = gam_h = ak = s_lc = None
-    if lmax:
-        f_hc = -np.sum((ih[:, :, None, :] - ic[:, None]) ** 2, axis=3)      # (B, L, C)
-        gam_h = np.sum((ah[:, :, None] - ac[:, None]) ** 2, axis=4)         # (B, L, C, K)
-        ak = attn * kappa                                                   # (B, L)
-        s_lc = f_hc * ak[:, :, None]
-        lam_k = lam_k + np.einsum("blk,blck,blc->bck", pi_h, gam_h, s_lc)
+    # Per-aspect intensities: each slot adds its identity similarity to the
+    # candidate times its aspect distance to it, weighted by 1 for the source
+    # and by pi * attn * kappa for a history event.
+    mu, lam_k = np.zeros((b, c)), np.zeros((b, c, k))
+    f_nc = gam = w_nc = pi_w = None
+    if c:
+        f_nc = 2.0 * np.einsum("bnm,bcm->bnc", i_n, ic)
+        f_nc -= np.einsum("bnm,bnm->bn", i_n, i_n)[:, :, None]
+        f_nc -= np.einsum("bcm,bcm->bc", ic, ic)[:, None]                # (B, L+1, C)
+        gam = (
+            np.einsum("bnkm,bnkm->bkn", a_n, a_n)[:, :, :, None]
+            + np.einsum("bckm,bckm->bkc", ac, ac)[:, :, None]
+        )
+        gam -= 2.0 * (a_n.transpose(0, 2, 1, 3) @ ac.transpose(0, 2, 3, 1))  # (B, K, L+1, C)
+        w_nc = f_nc * np.concatenate([np.ones((b, 1)), attn * kappa], axis=1)[:, :, None]
+        pi_w = pi.transpose(0, 2, 1).copy()
+        pi_w[:, :, 0] = 1.0                                              # (B, K, L+1)
+        lam_k = np.einsum("bkn,bknc->bck", pi_w, gam * w_nc[:, None])    # (B, C, K)
+        mu = f_nc[:, 0]
     lam = np.einsum("bck,bk->bc", lam_k, pi_u)                       # (B, C)
 
     return Forward(
         pi, lam_k, lam, ctx, attn, kappa, mu,
-        iu, ic, ih, au, ac, ah, z, wu, wh, lens_safe, w_ex, w_self, diff_nc,
-        fg_n, theta_n, tau_n, gam_u, f_hc, gam_h, ak, s_lc,
+        i_n, a_n, ic, ac, z, wu, wh, lens_safe, w_ex, w_self, diff_nc,
+        fg_n, theta_n, tau_n, f_nc, gam, w_nc, pi_w,
     )
 
 

@@ -113,10 +113,15 @@ def batch_loss(params: ModelParams, samples) -> np.ndarray:
 
 
 def batch_gradients(params: ModelParams, samples):
-    """(mean loss, mean GradientSet) over a list of samples."""
+    """(mean loss, mean GradientSet) over a list of samples.
+
+    Raises ValueError on a non-finite intensity, loss or gradient.
+    """
     batch = _assemble(params.hyper, samples)
     fwd, losses = _checked_forward(params, batch)
     compact = _backward(params, batch, fwd)
+    if not np.isfinite(compact.global_norm()):
+        raise ValueError("non-finite gradient in batch: parameters have blown up")
     compact.scale(1.0 / len(samples))
     return float(losses.mean()), _compact_to_set(compact)
 
@@ -261,10 +266,15 @@ class _BatchSampler:
 
 
 def _forward_loss(params: ModelParams, batch: _Batch):
-    """(Forward, per-sample losses) of a batch; no finiteness check."""
+    """(Forward, per-sample losses) of a batch; no finiteness check.
+
+    Every caller checks the result with ``_blown_up`` and raises on a
+    non-finite intensity or loss, so a NaN intensity is not also warned about.
+    """
     fwd = forward(params, batch.u, batch.hist, batch.cand, batch.g_u, batch.g_h)
     lam = fwd.lam
-    losses = np.logaddexp(0.0, -lam[:, 0]) + np.logaddexp(0.0, lam[:, 1:]).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        losses = np.logaddexp(0.0, -lam[:, 0]) + np.logaddexp(0.0, lam[:, 1:]).sum(axis=1)
     return fwd, losses
 
 
@@ -334,58 +344,54 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> _CompactGrads
     mask, hist_dt = batch.hist.mask, batch.hist.dt
     b, c = cand.shape
     lmax = hist.shape[1]
-    lam, lam_k, mu, gam_u = fwd.lam, fwd.lam_k, fwd.mu, fwd.gam_u
-    pi, pi_u, pi_h = fwd.pi, fwd.pi[:, 0, :], fwd.pi[:, 1:, :]
-    attn, kappa, ak, s_lc = fwd.attn, fwd.kappa, fwd.ak, fwd.s_lc
-    f_hc, gam_h, diff_nc = fwd.f_hc, fwd.gam_h, fwd.diff_nc
-    iu, ic, ih, au, ac, ah = fwd.iu, fwd.ic, fwd.ih, fwd.au, fwd.ac, fwd.ah
+    pi, attn, kappa = fwd.pi, fwd.attn, fwd.kappa
+    f_nc, gam, w_nc, pi_w = fwd.f_nc, fwd.gam, fwd.w_nc, fwd.pi_w
+    i_n, a_n, ic, ac = fwd.i_n, fwd.a_n, fwd.ic, fwd.ac
+    iu, ih = i_n[:, 0], i_n[:, 1:]
     w_ex, w_self, lens_safe = fwd.w_ex, fwd.w_self, fwd.lens_safe
     tau_n, theta_n = fwd.tau_n, fwd.theta_n
     z, wu, wh = fwd.z, fwd.wu, fwd.wh
 
-    wc = expit(lam)
+    wc = expit(fwd.lam)
     wc[:, 0] -= 1.0                                                  # dL/dlam
 
-    dpi_u = np.einsum("bc,bck->bk", wc, lam_k)
-    dlam_k = wc[:, :, None] * pi_u[:, None, :]                       # (B, C, K)
-    dmu = np.einsum("bck,bck->bc", dlam_k, gam_u)
-    dgam_u = dlam_k * mu[:, :, None]
-
-    dkappa = np.zeros((b, lmax))
-    if lmax:
-        cg = np.einsum("bck,blck->blck", dlam_k, gam_h)              # (B, L, C, K)
-        dpi_h = np.einsum("blck,blc->blk", cg, s_lc)
-        e0 = np.einsum("blck,blk,blc->bl", cg, pi_h, f_hc)
-        dattn = e0 * kappa
-        dkappa += e0 * attn
-        df_hc = np.einsum("blck,blk->blc", cg, pi_h) * ak[:, :, None]
-        dgam_h = (dlam_k[:, None] * pi_h[:, :, None, :]) * s_lc[:, :, :, None]
-    else:
-        dpi_h = np.zeros((b, 0, k))
-        dattn = None
+    # intensity backward over the slots (source, then history events); the
+    # source's pi weights the mixture, an event's pi its own term
+    dlam_k = pi[:, 0, :, None] * wc[:, None, :]                      # (B, K, C)
+    dpi = np.einsum("bknc,bkc->bnk", gam * w_nc[:, None], dlam_k)    # (B, L+1, K)
+    dpi[:, 0] = np.einsum("bc,bck->bk", wc, fwd.lam_k)
+    pd = pi_w[:, :, :, None] * dlam_k[:, :, None, :]                 # (B, K, L+1, C)
+    dw_nc = np.einsum("bknc,bknc->bnc", pd, gam)                     # (B, L+1, C)
+    dgam2 = 2.0 * pd * w_nc[:, None]                                 # 2 dL/dgam
+    e0 = np.einsum("blc,blc->bl", dw_nc[:, 1:], f_nc[:, 1:])         # dL/d(attn * kappa)
+    dattn = e0 * kappa
+    dkappa = e0 * attn
+    df2_nc = 2.0 * dw_nc                                             # 2 dL/df_nc
+    df2_nc[:, 1:] *= (attn * kappa)[:, :, None]
 
     # aspect-softmax backward (linear in dpi, so per-event rows of duplicated
     # nodes sum to the correct node gradient on scatter)
-    dpi = np.concatenate([dpi_u[:, None, :], dpi_h], axis=1)         # (B, L+1, K)
     dlogits = pi * (dpi - np.sum(dpi * pi, axis=2, keepdims=True))
     if hyper.use_gumbel:
         df_n = dlogits / tau_n[:, :, None]
-        dtau_n = -np.sum(dlogits * fwd.fg_n, axis=2) / tau_n**2
+        # tau_n**2 can underflow to 0 (0/0): every caller raises on the
+        # non-finite gradient, so it is not also warned about
+        with np.errstate(invalid="ignore"):
+            dtau_n = -np.sum(dlogits * fwd.fg_n, axis=2) / tau_n**2
         dtheta_n = dtau_n * expit(theta_n)
     else:
         df_n = dlogits
         dtheta_n = np.zeros((b, lmax + 1))
-    di_n = -2.0 * np.einsum("bnk,bnkm->bnm", df_n, diff_nc)
-    dctx = 2.0 * np.einsum("bnk,bnkm->bkm", df_n, diff_nc)
+    di_n = -2.0 * np.einsum("bnk,bnkm->bnm", df_n, fwd.diff_nc)      # (B, L+1, m)
+    dctx = 2.0 * np.einsum("bnk,bnkm->bkm", df_n, fwd.diff_nc)
 
     # context backward
-    dau = w_self[:, None, None] * dctx
+    da_n = np.zeros((b, lmax + 1, k, m))
+    da_n[:, 0] = w_self[:, None, None] * dctx
     dhsum = (w_ex / lens_safe)[:, None, None] * dctx
     if lmax:
-        dkappa += np.einsum("bkm,blkm->bl", dhsum, ah)
-        dah = dhsum[:, None] * kappa[:, :, None, None]
-    else:
-        dah = np.zeros((b, 0, k, m))
+        dkappa += np.einsum("bkm,blkm->bl", dhsum, a_n[:, 1:])
+        da_n[:, 1:] = dhsum[:, None] * kappa[:, :, None, None]
 
     # kernel / decay backward
     ddelta = -np.sum(dkappa * hist_dt * kappa, axis=1)
@@ -394,8 +400,6 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> _CompactGrads
     # attention backward
     d_attn_w = np.zeros((m, m))
     d_attn_a = np.zeros(2 * m)
-    diu = np.zeros((b, m))
-    dih = np.zeros((b, lmax, m))
     if hyper.use_attention and lmax > 0:
         a1, a2 = params.attn_a[:m], params.attn_a[m:]
         de = attn * (dattn - np.sum(dattn * attn, axis=1, keepdims=True))
@@ -404,27 +408,20 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> _CompactGrads
         d_attn_a[:m] = dz_row @ wu
         d_attn_a[m:] = np.einsum("bl,blm->m", dz, wh)
         d_attn_w = np.outer(a1, dz_row @ iu) + np.outer(a2, np.einsum("bl,blm->m", dz, ih))
-        diu += dz_row[:, None] * (params.attn_w.T @ a1)
-        dih += dz[:, :, None] * (params.attn_w.T @ a2)
+        di_n[:, 0] += dz_row[:, None] * (params.attn_w.T @ a1)
+        di_n[:, 1:] += dz[:, :, None] * (params.attn_w.T @ a2)
 
-    # similarity-term backward
-    diff_uc = iu[:, None, :] - ic
-    diu += -2.0 * np.einsum("bc,bcm->bm", dmu, diff_uc)
-    dic = 2.0 * dmu[:, :, None] * diff_uc
-    diff_au = au[:, None] - ac
-    dau += 2.0 * np.einsum("bck,bckm->bkm", dgam_u, diff_au)
-    dac = -2.0 * dgam_u[:, :, :, None] * diff_au
-    if lmax:
-        diff_hc = ih[:, :, None, :] - ic[:, None]
-        dih += -2.0 * np.einsum("blc,blcm->blm", df_hc, diff_hc)
-        dic += 2.0 * np.einsum("blc,blcm->bcm", df_hc, diff_hc)
-        diff_ahc = ah[:, :, None] - ac[:, None]
-        dah += 2.0 * np.einsum("blck,blckm->blkm", dgam_h, diff_ahc)
-        dac += -2.0 * np.einsum("blck,blckm->bckm", dgam_h, diff_ahc)
-
-    # fold the pi-path identity gradients into their roles
-    diu += di_n[:, 0, :]
-    dih += di_n[:, 1:, :]
+    # similarity-term backward: a pair sum is in Gram form,
+    # sum_j g_j (a - b_j) = (sum_j g_j) a - g @ b, so no slot x candidate
+    # difference array is built
+    di_n += df2_nc @ ic
+    di_n -= np.einsum("bnc->bn", df2_nc)[:, :, None] * i_n
+    dic = df2_nc.transpose(0, 2, 1) @ i_n
+    dic -= np.einsum("bnc->bc", df2_nc)[:, :, None] * ic
+    da_n += np.einsum("bknc->bnk", dgam2)[:, :, :, None] * a_n
+    da_n -= (dgam2 @ ac.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    dac = np.einsum("bknc->bck", dgam2)[:, :, :, None] * ac
+    dac -= (dgam2.transpose(0, 1, 3, 2) @ a_n.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
 
     # scatter per-role rows onto the unique touched nodes with one sorted
     # segment sum, a product with a 0/1 selector matrix (it adds each node's
@@ -435,15 +432,15 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> _CompactGrads
     ids_all = np.concatenate([u, cand.reshape(-1), hist.reshape(-1)[valid]])
     km = k * m
     rows = np.zeros((len(ids_all), m + km + 2))
-    rows[:b, :m] = diu
-    rows[:b, m:-2] = dau.reshape(b, km)
+    rows[:b, :m] = di_n[:, 0]
+    rows[:b, m:-2] = da_n[:, 0].reshape(b, km)
     rows[:b, -2] = drho_u
     rows[:b, -1] = dtheta_n[:, 0]
     rows[b : b + b * c, :m] = dic.reshape(-1, m)
     rows[b : b + b * c, m:-2] = dac.reshape(-1, km)
     if lmax:
-        rows[b + b * c :, :m] = dih.reshape(-1, m)[valid]
-        rows[b + b * c :, m:-2] = dah.reshape(-1, km)[valid]
+        rows[b + b * c :, :m] = di_n[:, 1:].reshape(-1, m)[valid]
+        rows[b + b * c :, m:-2] = da_n[:, 1:].reshape(-1, km)[valid]
         rows[b + b * c :, -1] = dtheta_n[:, 1:].reshape(-1)[valid]
     order = np.argsort(ids_all, kind="stable")
     ids_sorted = ids_all[order]

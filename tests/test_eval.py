@@ -104,3 +104,12 @@ def test_precision_recall_at_k_edge_cases():
         precision_recall_at_k(ranked, {3}, 0)
     with pytest.raises(ValueError, match="empty"):
         precision_recall_at_k(ranked, set(), 3)
+
+
+def test_trained_planted_link_auc(trained_planted):
+    """End-to-end quality gate: the probe on the trained planted net reads
+    AUC 0.787 at probe seed 0 (an untrained model ~0.53); fail below 0.75."""
+    d = trained_planted
+    assert d["losses"][-1] < d["losses"][0]
+    report = probe_report(d["params"], d["positives"], d["negatives"], seed=0)
+    assert report.metrics["auc_roc"] >= 0.75

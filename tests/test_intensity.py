@@ -339,3 +339,60 @@ def test_oracle_equivalence_50_fixtures():
         assert np.allclose(fwd.pi_u[0], ref_pis[0], atol=1e-12, rtol=0)
         ctx = build_context(p, 0, 1, 0.9, h, noise=noise)
         assert mixed_intensity(p, ctx) == pytest.approx(ref_lam, abs=1e-12)
+
+
+def target_in_history_fixtures(rng, scale, count=20):
+    """Queries whose target (node 1) is also a history node, so the target's
+    pair distances to that event are exactly zero; one in three has the
+    target twice in its history."""
+    for trial in range(count):
+        p = random_params(
+            rng, scale=scale, use_attention=trial % 2 == 0,
+            use_gumbel=trial % 3 != 0, k=1 + trial % 3,
+        )
+        repeats = 2 if trial % 3 == 2 else 1
+        nodes = rng.permutation(np.r_[[1] * repeats, rng.integers(2, p.node_count, size=trial % 3)])
+        times = np.sort(rng.uniform(0, 0.9, size=len(nodes)))
+        h = hist(*zip(nodes.tolist(), times.tolist()))
+        noise = None
+        if p.hyper.use_gumbel:
+            noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes.tolist()}
+        yield p, h, noise
+
+
+def test_oracle_equivalence_target_in_history():
+    """The Gram-form pair distances keep 1e-12 where a distance is zero."""
+    for p, h, noise in target_in_history_fixtures(np.random.default_rng(23), scale=0.6):
+        fwd = run(p, h, noise=noise)
+        _, _, ref_pis, ref_lam_k, ref_lam = ref_all(p, 0, 1, 0.9, h, noise)
+        for k in range(p.hyper.n_aspects):
+            assert fwd.lam_k[0, 0, k] == pytest.approx(ref_lam_k[k], abs=1e-12)
+        assert fwd.lam[0, 0] == pytest.approx(ref_lam, abs=1e-12)
+        assert np.allclose(fwd.pi_u[0], ref_pis[0], atol=1e-12, rtol=0)
+
+
+def test_oracle_equivalence_target_in_history_large_embeddings():
+    """At embedding scale 5 the squared norms are ~70 times those at scale
+    0.6, so a cancellation in the Gram form would show; the intensities
+    still agree with the oracle to 1e-12 relative."""
+    for p, h, noise in target_in_history_fixtures(np.random.default_rng(24), scale=5.0):
+        fwd = run(p, h, noise=noise)
+        _, _, _, ref_lam_k, ref_lam = ref_all(p, 0, 1, 0.9, h, noise)
+        for k in range(p.hyper.n_aspects):
+            assert fwd.lam_k[0, 0, k] == pytest.approx(ref_lam_k[k], rel=1e-12)
+        assert fwd.lam[0, 0] == pytest.approx(ref_lam, rel=1e-12)
+
+
+def test_forward_without_candidates_gives_the_same_aspect_weights():
+    """C == 0 (the aspect read-out) skips the candidate terms only."""
+    rng = np.random.default_rng(25)
+    p = random_params(rng)
+    h = hist((2, 0.1), (3, 0.5), (2, 0.7))
+    noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in (0, 2, 3)}
+    ctx = build_context(p, 0, 1, 0.9, h, noise=noise)
+    full = forward(p, [0], ctx.hist, np.array([[1, 4, 5]]), ctx.g_u, ctx.g_h)
+    empty = forward(p, [0], ctx.hist, np.empty((1, 0), dtype=np.int64), ctx.g_u, ctx.g_h)
+    assert np.array_equal(empty.pi, full.pi)
+    assert np.array_equal(empty.ctx, full.ctx)
+    assert empty.lam_k.shape == (1, 0, p.hyper.n_aspects)
+    assert empty.lam.shape == empty.mu.shape == (1, 0)

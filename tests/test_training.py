@@ -138,6 +138,34 @@ def test_gradients_match_finite_differences():
             assert err < 1e-4, f"{case}: rel err {err}"
 
 
+def test_gradients_match_finite_differences_target_in_history():
+    """The positive target is also a history node and a negative repeats
+    another, so those pair distances are exactly zero in difference form."""
+    rng = np.random.default_rng(6)
+    for use_attention, use_gumbel in [(True, True), (False, True), (True, False), (False, False)]:
+        p = random_params(rng, use_attention=use_attention, use_gumbel=use_gumbel)
+        hist = [NeighborEvent(3, 0.2), NeighborEvent(1, 0.5), NeighborEvent(5, 0.7)]
+        noise = None
+        if use_gumbel:
+            noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in (0, 1, 3, 5)}
+        s = LossSample(TemporalEdge(0, 1, 0.9), hist, np.array([5, 6]), noise)
+        err = fd_max_rel_error(p, s, sample_loss)
+        assert err < 1e-4, f"attention={use_attention}, gumbel={use_gumbel}: rel err {err}"
+
+
+def test_batch_gradients_raise_on_nonfinite_gradient():
+    """A finite forward whose backward is not finite raises ValueError: a
+    temperature of ~1e-164 squares to 0, and the one-hot aspect weights give
+    a 0/0 temperature gradient."""
+    rng = np.random.default_rng(12)
+    p = random_params(rng)
+    s = random_sample(rng, p, n_hist=2)
+    p.theta[0] = -378.0
+    assert np.isfinite(sample_loss(p, s))
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        batch_gradients(p, [s])
+
+
 def test_gradient_additivity_over_negatives():
     """Duplicated negative node: its gradient is exactly twice the single-copy one."""
     rng = np.random.default_rng(7)
