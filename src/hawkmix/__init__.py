@@ -6,7 +6,6 @@ from .eval import (
     auc_roc,
     edge_feature,
     infer_aspect_labels,
-    link_prediction,
     logistic_fit,
     logistic_predict,
     macro_f1,

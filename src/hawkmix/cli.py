@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -270,16 +271,28 @@ def _cmd_eval_link(cfg, variant=None) -> int:
     return 0
 
 
-def _cmd_recommend(cfg) -> int:
-    _require(cfg, "model", "edges", "node")
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
+def _model_net_node(cfg):
+    """(params, network, node id) of a query; the model must fit the network."""
     params = load_params(cfg["model"])
     net = load_edge_list(cfg["edges"], directed=cfg["directed"])
+    if params.node_count != net.node_count:
+        raise ValueError(
+            f"the model has {params.node_count} nodes but the edge list has "
+            f"{net.node_count}; use the edge list the model was trained on"
+        )
     node = cfg["node"]
     if node not in net.label_to_id:
         raise ValueError(f"node {node!r} does not appear in the edge list")
-    u = net.label_to_id[node]
+    return params, net, net.label_to_id[node]
+
+
+def _cmd_recommend(cfg) -> int:
+    _require(cfg, "model", "edges", "node")
+    if cfg["time"] is not None and not math.isfinite(cfg["time"]):
+        raise SystemExit2(f"--time must be a finite number, not {cfg['time']}")
+    out = _outdir(cfg)
+    _echo_config(cfg, out)
+    params, net, u = _model_net_node(cfg)
     t = float(net.times.max()) + 1e-9 if cfg["time"] is None else net.normalized_time(cfg["time"])
     ranked = recommend(params, net, u, t, cfg["k"])
     with open(out / "recommendations.csv", "w", newline="") as fh:
@@ -329,12 +342,7 @@ def _cmd_intensity(cfg) -> int:
     _require(cfg, "model", "edges", "node")
     out = _outdir(cfg)
     _echo_config(cfg, out)
-    params = load_params(cfg["model"])
-    net = load_edge_list(cfg["edges"], directed=cfg["directed"])
-    node = cfg["node"]
-    if node not in net.label_to_id:
-        raise ValueError(f"node {node!r} does not appear in the edge list")
-    u = net.label_to_id[node]
+    params, net, u = _model_net_node(cfg)
     pos = np.arange(net.indptr[u], net.indptr[u + 1])
     ts = net.ev_time[pos]
     start, stop = history_windows(net, pos, params.hyper.history_len)

@@ -20,7 +20,7 @@ from scipy.stats import rankdata
 
 from .intensity import build_context, candidate_scores, forward, window_histories
 from .params import ModelParams, all_embeddings
-from .temporal_graph import TemporalNetwork, history, history_windows, mask_static_edges
+from .temporal_graph import TemporalNetwork, history, history_windows
 
 
 @dataclass
@@ -188,20 +188,6 @@ def probe_report(
         },
         config=report_config,
         seed=seed,
-    )
-
-
-def link_prediction(params: ModelParams, net: TemporalNetwork, mask_count: int, seed: int) -> EvalReport:
-    """Re-derive the seed's masked pairs from ``net`` and run the probe.
-
-    The caller must have trained ``params`` on the network returned by
-    ``mask_static_edges(net, mask_count, default_rng(seed))``; the same seed
-    here reproduces the identical positive and negative pair sets.
-    """
-    _, positives, negatives = mask_static_edges(net, mask_count, np.random.default_rng(seed))
-    return probe_report(
-        params, positives, negatives, seed,
-        config={"masked_edges": mask_count},
     )
 
 

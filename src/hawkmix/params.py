@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,7 +17,8 @@ MODEL_MAGIC = b"MHNE1"
 
 
 class ModelFileError(ValueError):
-    """Raised when a model file is unreadable, truncated, or the wrong version."""
+    """Raised when a model file is unreadable, truncated, the wrong version,
+    or has a malformed header."""
 
 
 def softplus(x):
@@ -102,17 +103,6 @@ class ModelParams:
     def temperature(self) -> np.ndarray:
         return softplus(self.theta)
 
-    def copy(self) -> "ModelParams":
-        return replace(
-            self,
-            identity=self.identity.copy(),
-            aspect=self.aspect.copy(),
-            rho=self.rho.copy(),
-            theta=self.theta.copy(),
-            attn_w=self.attn_w.copy(),
-            attn_a=self.attn_a.copy(),
-        )
-
 
 def init_params(hyper: HyperParams, node_count: int, rng: np.random.Generator) -> ModelParams:
     """Fresh parameters: small uniform embeddings, decay and temperature both 1.
@@ -178,10 +168,16 @@ def load_params(path) -> ModelParams:
     off += 4
     if len(data) < off + hlen:
         raise ModelFileError(f"{path}: truncated header")
-    header = json.loads(data[off : off + hlen].decode("utf-8"))
+    try:
+        header = json.loads(data[off : off + hlen].decode("utf-8"))
+        hyper = HyperParams(**header["hyper"])
+        n = header["node_count"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"node_count must be a positive integer, not {n!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ModelFileError(f"{path}: malformed header: {exc!r}") from exc
     off += hlen
-    hyper = HyperParams(**header["hyper"])
-    n, m, k = header["node_count"], hyper.dim, hyper.n_aspects
+    m, k = hyper.dim, hyper.n_aspects
     shapes = {
         "identity": (n, m),
         "aspect": (n, k, m),

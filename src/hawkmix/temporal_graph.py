@@ -347,12 +347,6 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
     if count > n_pairs:
         raise ValueError(f"cannot mask {count} edges; only {n_pairs} static edges exist")
     t_range = (net.tmin, net.tmax)
-    if count == 0:
-        train = _build_network(
-            net.labels, net.label_to_id, net.sources, net.targets, net.times,
-            net.directed, normalize=False, t_range=t_range,
-        )
-        return train, [], []
     chosen = np.sort(rng.choice(n_pairs, size=count, replace=False))
     pairs = net.pairs()
     positives = [pairs[i] for i in chosen]

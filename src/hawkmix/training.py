@@ -11,7 +11,9 @@ Samples are padded into one batch whose forward pass is ``intensity.forward``;
 the backward pass here reuses the values that forward saved. The gradients
 are tested against finite differences, the loss against the loop-only oracle.
 The trainer draws its batches straight into the engine's arrays from the
-network's CSR events and counter-based random streams.
+network's CSR events and counter-based random streams; it and
+``batch_gradients`` share one checked step, which raises ``TrainingDiverged``
+on a non-finite intensity, loss or gradient.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ ADAM_EPS = 1e-8
 CLIP_NORM = 5.0
 
 
-class TrainingDiverged(RuntimeError):
-    """A batch's intensities or losses became non-finite; parameters blew up."""
+class TrainingDiverged(ValueError):
+    """A batch's intensities, losses or gradients became non-finite."""
 
 
 @dataclass
@@ -67,17 +69,41 @@ class LossSample:
 
 @dataclass
 class GradientSet:
-    """Per-sample gradients, sparse over nodes: absent node means zero."""
+    """Gradients over the unique touched nodes; an absent node's are zero.
 
-    d_identity: dict
-    d_aspect: dict
-    d_rho: dict
-    d_theta: dict
-    d_attn_w: np.ndarray
-    d_attn_a: np.ndarray
+    ``nodes`` is sorted and unique, and row i of each per-node array belongs
+    to ``nodes[i]``. The attention gradients are dense.
+    """
 
-    def touched(self):
-        return set(self.d_identity)
+    nodes: np.ndarray
+    d_identity: np.ndarray  # (U, m)
+    d_aspect: np.ndarray    # (U, K, m)
+    d_rho: np.ndarray       # (U,)
+    d_theta: np.ndarray     # (U,)
+    d_attn_w: np.ndarray    # (m, m)
+    d_attn_a: np.ndarray    # (2m,)
+
+    def touched(self) -> set:
+        return set(self.nodes.tolist())
+
+    def scale(self, c: float) -> None:
+        self.d_identity *= c
+        self.d_aspect *= c
+        self.d_rho *= c
+        self.d_theta *= c
+        self.d_attn_w *= c
+        self.d_attn_a *= c
+
+    def global_norm(self) -> float:
+        sq = (
+            np.sum(self.d_identity**2)
+            + np.sum(self.d_aspect**2)
+            + np.sum(self.d_rho**2)
+            + np.sum(self.d_theta**2)
+            + np.sum(self.d_attn_w**2)
+            + np.sum(self.d_attn_a**2)
+        )
+        return float(np.sqrt(sq))
 
 
 def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> LossSample:
@@ -108,22 +134,19 @@ def gradients(params: ModelParams, sample: LossSample) -> GradientSet:
 
 
 def batch_loss(params: ModelParams, samples) -> np.ndarray:
-    """Per-sample losses through the batched forward."""
-    return _checked_forward(params, _assemble(params.hyper, samples))[1]
+    """Per-sample losses through the batched forward; raises TrainingDiverged
+    on a non-finite intensity or loss."""
+    return _checked_forward(params, _assemble(params.hyper, samples), "batch")[1]
 
 
 def batch_gradients(params: ModelParams, samples):
     """(mean loss, mean GradientSet) over a list of samples.
 
-    Raises ValueError on a non-finite intensity, loss or gradient.
+    The same checked step as a training batch: raises TrainingDiverged (a
+    ValueError) on a non-finite intensity, loss or gradient.
     """
-    batch = _assemble(params.hyper, samples)
-    fwd, losses = _checked_forward(params, batch)
-    compact = _backward(params, batch, fwd)
-    if not np.isfinite(compact.global_norm()):
-        raise ValueError("non-finite gradient in batch: parameters have blown up")
-    compact.scale(1.0 / len(samples))
-    return float(losses.mean()), _compact_to_set(compact)
+    losses, grads = _step(params, _assemble(params.hyper, samples), "batch")
+    return float(losses.mean()), grads
 
 
 def ablation_config(base: HyperParams, variant: str) -> HyperParams:
@@ -268,8 +291,8 @@ class _BatchSampler:
 def _forward_loss(params: ModelParams, batch: _Batch):
     """(Forward, per-sample losses) of a batch; no finiteness check.
 
-    Every caller checks the result with ``_blown_up`` and raises on a
-    non-finite intensity or loss, so a NaN intensity is not also warned about.
+    ``_checked_forward`` raises on a non-finite intensity or loss, so a NaN
+    intensity is not also warned about.
     """
     fwd = forward(params, batch.u, batch.hist, batch.cand, batch.g_u, batch.g_h)
     lam = fwd.lam
@@ -278,65 +301,23 @@ def _forward_loss(params: ModelParams, batch: _Batch):
     return fwd, losses
 
 
-def _blown_up(fwd: Forward, losses: np.ndarray) -> np.ndarray:
-    """(B,) mask of samples whose intensities or loss are not finite."""
-    return ~(np.isfinite(fwd.lam).all(axis=1) & np.isfinite(losses))
-
-
-def _checked_forward(params: ModelParams, batch: _Batch):
+def _checked_forward(params: ModelParams, batch: _Batch, where: str):
+    """``_forward_loss``, raising TrainingDiverged (prefixed by ``where``) on a
+    non-finite intensity or loss."""
     fwd, losses = _forward_loss(params, batch)
-    if _blown_up(fwd, losses).any():
-        raise ValueError("non-finite intensity in batch: parameters have blown up")
+    bad = ~(np.isfinite(fwd.lam).all(axis=1) & np.isfinite(losses))
+    if bad.any():
+        raise TrainingDiverged(
+            f"{where}: non-finite intensity or loss for source nodes "
+            f"{np.unique(batch.u[bad]).tolist()}; try a lower learning rate"
+        )
     return fwd, losses
 
 
-@dataclass
-class _CompactGrads:
-    """Summed batch gradients over the unique touched nodes."""
-
-    nodes: np.ndarray
-    d_identity: np.ndarray  # (U, m)
-    d_aspect: np.ndarray    # (U, K, m)
-    d_rho: np.ndarray       # (U,)
-    d_theta: np.ndarray     # (U,)
-    d_attn_w: np.ndarray    # (m, m)
-    d_attn_a: np.ndarray    # (2m,)
-
-    def scale(self, c: float) -> None:
-        self.d_identity *= c
-        self.d_aspect *= c
-        self.d_rho *= c
-        self.d_theta *= c
-        self.d_attn_w *= c
-        self.d_attn_a *= c
-
-    def global_norm(self) -> float:
-        sq = (
-            np.sum(self.d_identity**2)
-            + np.sum(self.d_aspect**2)
-            + np.sum(self.d_rho**2)
-            + np.sum(self.d_theta**2)
-            + np.sum(self.d_attn_w**2)
-            + np.sum(self.d_attn_a**2)
-        )
-        return float(np.sqrt(sq))
-
-
-def _compact_to_set(c: _CompactGrads) -> GradientSet:
-    gs = GradientSet({}, {}, {}, {}, c.d_attn_w, c.d_attn_a)
-    for i, node in enumerate(c.nodes):
-        node = int(node)
-        gs.d_identity[node] = c.d_identity[i]
-        gs.d_aspect[node] = c.d_aspect[i]
-        gs.d_rho[node] = float(c.d_rho[i])
-        gs.d_theta[node] = float(c.d_theta[i])
-    return gs
-
-
-def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> _CompactGrads:
+def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> GradientSet:
     """Gradients of the summed batch loss, from the values ``fwd`` saved.
 
-    Gradients are sums over the batch; the trainer rescales to a mean.
+    Gradients are sums over the batch; ``_step`` rescales them to a mean.
     """
     hyper = params.hyper
     m, k = hyper.dim, hyper.n_aspects
@@ -450,40 +431,35 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> _CompactGrads
         shape=(len(starts), len(order)),
     )
     sums = select @ rows
-    return _CompactGrads(
+    return GradientSet(
         ids_sorted[starts], sums[:, :m], sums[:, m:-2].reshape(-1, k, m),
         sums[:, -2], sums[:, -1], d_attn_w, d_attn_a,
     )
 
 
-def _train_grads(params: ModelParams, batch: _Batch, epoch: int, n_batch: int):
-    """(per-sample losses, summed gradients) of one training batch.
+def _step(params: ModelParams, batch: _Batch, where: str):
+    """(per-sample losses, mean GradientSet) of one batch.
 
-    Raises TrainingDiverged on a non-finite forward (before the backward
-    pass) or a non-finite gradient (before any parameter changes), naming
-    the epoch, the batch and the nodes involved.
+    Raises TrainingDiverged, prefixed by ``where`` and naming the nodes
+    involved, on a non-finite forward (before the backward pass) or a
+    non-finite gradient (before any parameter changes).
     """
-    fwd, losses = _forward_loss(params, batch)
-    bad = _blown_up(fwd, losses)
-    if bad.any():
-        raise TrainingDiverged(
-            f"epoch {epoch}, batch {n_batch}: non-finite intensity or loss for "
-            f"source nodes {np.unique(batch.u[bad]).tolist()}; try a lower learning rate"
-        )
-    compact = _backward(params, batch, fwd)
-    if not np.isfinite(compact.global_norm()):
+    fwd, losses = _checked_forward(params, batch, where)
+    grads = _backward(params, batch, fwd)
+    if not np.isfinite(grads.global_norm()):
         ok = (
-            np.isfinite(compact.d_identity).all(axis=1)
-            & np.isfinite(compact.d_aspect).all(axis=(1, 2))
-            & np.isfinite(compact.d_rho)
-            & np.isfinite(compact.d_theta)
+            np.isfinite(grads.d_identity).all(axis=1)
+            & np.isfinite(grads.d_aspect).all(axis=(1, 2))
+            & np.isfinite(grads.d_rho)
+            & np.isfinite(grads.d_theta)
         )
         raise TrainingDiverged(
-            f"epoch {epoch}, batch {n_batch}: non-finite gradient at nodes "
-            f"{compact.nodes[~ok].tolist()} (batch of source nodes "
-            f"{np.unique(batch.u).tolist()}); try a lower learning rate"
+            f"{where}: non-finite gradient at nodes {grads.nodes[~ok].tolist()} "
+            f"(batch of source nodes {np.unique(batch.u).tolist()}); "
+            "try a lower learning rate"
         )
-    return losses, compact
+    grads.scale(1.0 / len(losses))
+    return losses, grads
 
 
 class _LazyAdam:
@@ -519,7 +495,7 @@ class _LazyAdam:
             v[rows] += (1.0 - ADAM_BETA2) * (grad**2 - v[rows])
             target[rows] -= self.lr * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + ADAM_EPS)
 
-    def step(self, params: ModelParams, grads: _CompactGrads, update_attention: bool):
+    def step(self, params: ModelParams, grads: GradientSet, update_attention: bool):
         self.step_count += 1
         rows = grads.nodes
         self._update("identity", params.identity, grads.d_identity, rows)
@@ -534,7 +510,6 @@ class _LazyAdam:
 def train(
     net,
     hyper: HyperParams,
-    rng: Optional[np.random.Generator] = None,
     on_epoch=None,
     checkpoint_every: Optional[int] = None,
     checkpoint_dir=None,
@@ -546,18 +521,19 @@ def train(
     negatives and Gumbel noise come from a counter-based stream keyed by
     (seed, epoch, edge index) (see ``EdgeStreams``). So the draws do not
     depend on the batch schedule: a different ``batch_size`` regroups the
-    same draws. With the default rng, which only shuffles the edges, the run
-    is a pure function of (net, hyper, seed). ``on_epoch(epoch, mean_loss,
-    wall_seconds)`` is called after every pass. A batch with a non-finite
-    intensity, loss or gradient raises TrainingDiverged naming the epoch,
-    the batch and the nodes involved, before its update is applied.
+    same draws, and the run is a pure function of (net, hyper).
+    ``on_epoch(epoch, mean_loss, wall_seconds)`` is called after every pass.
+    Each batch takes the checked step of ``batch_gradients``, then clipping
+    and the Adam update: a non-finite intensity, loss or gradient raises
+    TrainingDiverged naming the epoch, the batch and the nodes involved,
+    before its update is applied.
     """
     if net.n_edges == 0:
         raise ValueError("cannot train on an empty network")
     params = init_params(hyper, net.node_count, np.random.default_rng(hyper.seed))
     if hyper.epochs == 0:
         return params
-    master = rng if rng is not None else np.random.default_rng(hyper.seed)
+    master = np.random.default_rng(hyper.seed)
     sampler = _BatchSampler(net, hyper)
     adam = _LazyAdam(params, hyper.lr)
     n_edges = net.n_edges
@@ -569,13 +545,12 @@ def train(
         loss_sum = 0.0
         for n_batch, start in enumerate(range(0, n_edges, hyper.batch_size)):
             batch = sampler.batch(epoch, order[start : start + hyper.batch_size])
-            losses, compact = _train_grads(params, batch, epoch, n_batch)
+            losses, grads = _step(params, batch, f"epoch {epoch}, batch {n_batch}")
             loss_sum += float(losses.sum())
-            compact.scale(1.0 / len(losses))
-            norm = compact.global_norm()
+            norm = grads.global_norm()
             if norm > CLIP_NORM:
-                compact.scale(CLIP_NORM / norm)
-            adam.step(params, compact, update_attention)
+                grads.scale(CLIP_NORM / norm)
+            adam.step(params, grads, update_attention)
         mean_loss = loss_sum / n_edges
         wall = time.perf_counter() - t0
         if on_epoch is not None:

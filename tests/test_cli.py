@@ -96,6 +96,31 @@ def test_unknown_node_is_an_error(simulated, capsys):
     assert "does not appear" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_nonfinite_time_is_a_usage_error(simulated, capsys, time):
+    root, edges = simulated
+    out = root / f"rec-{time}"
+    assert run(["recommend", "--model", str(root / "train" / "model.bin"),
+                "--edges", str(edges), "--directed", "--node", "0", f"--time={time}",
+                "--out", str(out)]) == 2
+    assert "--time must be a finite number" in capsys.readouterr().err
+    assert not (out / "recommendations.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["recommend", "intensity"])
+def test_model_of_another_network_is_an_error(simulated, tmp_path, capsys, command):
+    """A model trained on 12 nodes, queried on a 3-node edge list."""
+    root, _ = simulated
+    model = root / "train" / "model.bin"
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 1.0\n1 2 2.0\n")
+    assert run([command, "--model", str(model), "--edges", str(edges), "--directed",
+                "--node", "0", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"the model has {load_params(model).node_count} nodes" in err
+    assert "the edge list has 3" in err
+
+
 def test_times_are_in_the_edge_lists_units(tmp_path):
     """--time and intensity.csv use raw times, not the normalized scale."""
     edges = tmp_path / "edges.txt"

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from hawkmix import (
     softplus,
     softplus_inv,
 )
-from hawkmix.params import ModelFileError, all_embeddings, export_embeddings
+from hawkmix.params import MODEL_MAGIC, ModelFileError, all_embeddings, export_embeddings
 
 
 def hyper(m=4, k=2, **kw):
@@ -139,6 +142,30 @@ def test_load_trailing_garbage_errors(tmp_path):
     save_params(p, path)
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(ModelFileError, match="trailing"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("hyper"),
+    lambda h: h.pop("node_count"),
+    lambda h: h["hyper"].update(bogus=1),
+    lambda h: h.update(node_count="3"),
+], ids=["no-hyper", "no-node-count", "unknown-field", "text-node-count"])
+def test_load_malformed_header_errors(tmp_path, edit):
+    """A header without ``hyper`` or ``node_count``, with an unknown
+    hyperparameter or with a node count that is not an integer, is a
+    ModelFileError, not a KeyError or TypeError."""
+    p = init_params(hyper(), 3, np.random.default_rng(0))
+    path = tmp_path / "model.bin"
+    save_params(p, path)
+    blob = path.read_bytes()
+    off = len(MODEL_MAGIC)
+    (hlen,) = struct.unpack_from("<I", blob, off)
+    header = json.loads(blob[off + 4 : off + 4 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(MODEL_MAGIC + struct.pack("<I", len(text)) + text + blob[off + 4 + hlen :])
+    with pytest.raises(ModelFileError, match="malformed header"):
         load_params(path)
 
 

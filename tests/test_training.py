@@ -180,8 +180,9 @@ def test_gradient_additivity_over_negatives():
     g_a = gradients(p1, s_a)
     # the pos-edge part of d/dI_4 is zero (4 is not u, v, or history), so the
     # whole row is the negative-candidate contribution and must double exactly
-    assert np.allclose(g_aa.d_identity[4], 2 * g_a.d_identity[4], atol=1e-12)
-    assert np.allclose(g_aa.d_aspect[4], 2 * g_a.d_aspect[4], atol=1e-12)
+    r_aa, r_a = list(g_aa.nodes).index(4), list(g_a.nodes).index(4)
+    assert np.allclose(g_aa.d_identity[r_aa], 2 * g_a.d_identity[r_a], atol=1e-12)
+    assert np.allclose(g_aa.d_aspect[r_aa], 2 * g_a.d_aspect[r_a], atol=1e-12)
 
 
 def test_gradient_locality():
@@ -190,11 +191,11 @@ def test_gradient_locality():
     s = random_sample(rng, p, n_hist=2)
     gs = gradients(p, s)
     involved = {0, 1} | {h for h, _ in s.history} | set(int(x) for x in s.negatives)
-    assert set(gs.d_identity) == involved
+    assert gs.touched() == involved
+    assert len(gs.d_identity) == len(gs.d_aspect) == len(involved)
     for w in range(10):
         if w not in involved:
-            assert w not in gs.d_identity
-            assert w not in gs.d_aspect
+            assert w not in gs.nodes
 
 
 def test_gradient_replay_is_deterministic():
@@ -203,8 +204,8 @@ def test_gradient_replay_is_deterministic():
     s = random_sample(rng, p, n_hist=3)
     a = gradients(p, s)
     b = gradients(p, s)
-    for node in a.d_identity:
-        assert np.array_equal(a.d_identity[node], b.d_identity[node])
+    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(a.d_identity, b.d_identity)
     assert np.array_equal(a.d_attn_w, b.d_attn_w)
 
 
@@ -217,19 +218,20 @@ def test_batch_gradient_equals_mean_of_samples():
     losses = [sample_loss(p, s) for s in samples]
     assert mean_loss == pytest.approx(np.mean(losses), abs=1e-12)
     b = len(samples)
-    for node in gbatch.d_identity:
-        expect = sum(g.d_identity.get(node, 0.0) for g in singles) / b
-        assert np.allclose(gbatch.d_identity[node], expect, atol=1e-12)
-        expect_a = sum(g.d_aspect.get(node, 0.0) for g in singles) / b
-        assert np.allclose(gbatch.d_aspect[node], expect_a, atol=1e-12)
+    rows = [dict(zip(g.nodes.tolist(), range(len(g.nodes)))) for g in (gbatch, *singles)]
+    for node, row in rows[0].items():
+        expect = sum(g.d_identity[r[node]] for g, r in zip(singles, rows[1:]) if node in r) / b
+        assert np.allclose(gbatch.d_identity[row], expect, atol=1e-12)
+        expect_a = sum(g.d_aspect[r[node]] for g, r in zip(singles, rows[1:]) if node in r) / b
+        assert np.allclose(gbatch.d_aspect[row], expect_a, atol=1e-12)
     expect_w = sum(g.d_attn_w for g in singles) / b
     assert np.allclose(gbatch.d_attn_w, expect_w, atol=1e-12)
     expect_rho = {}
     for g in singles:
-        for node, val in g.d_rho.items():
+        for node, val in zip(g.nodes.tolist(), g.d_rho):
             expect_rho[node] = expect_rho.get(node, 0.0) + val / b
     for node, val in expect_rho.items():
-        assert gbatch.d_rho[node] == pytest.approx(val, abs=1e-12)
+        assert gbatch.d_rho[rows[0][node]] == pytest.approx(val, abs=1e-12)
 
 
 def tiny_net(seed=0):

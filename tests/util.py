@@ -85,20 +85,19 @@ def fd_max_rel_error(params, sample, loss_fn, step=1e-5):
         rel = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-4)
         worst = max(worst, rel)
 
-    touched = sorted(gs.d_identity)
-    untouched = [w for w in range(params.node_count) if w not in gs.d_identity]
+    untouched = [w for w in range(params.node_count) if w not in gs.nodes]
     assert untouched, "fixture should leave at least one node untouched"
     for node in untouched[:1]:
         for i in range(m):
             probe(params.identity, (node, i), 0.0)
-    for node in touched:
+    for row, node in enumerate(gs.nodes.tolist()):
         for i in range(m):
-            probe(params.identity, (node, i), gs.d_identity[node][i])
+            probe(params.identity, (node, i), gs.d_identity[row][i])
         for kk in range(k):
             for i in range(m):
-                probe(params.aspect, (node, kk, i), gs.d_aspect[node][kk, i])
-        probe(params.rho, (node,), gs.d_rho[node])
-        probe(params.theta, (node,), gs.d_theta[node])
+                probe(params.aspect, (node, kk, i), gs.d_aspect[row][kk, i])
+        probe(params.rho, (node,), gs.d_rho[row])
+        probe(params.theta, (node,), gs.d_theta[row])
     for i in range(m):
         for j in range(m):
             probe(params.attn_w, (i, j), gs.d_attn_w[i, j])
