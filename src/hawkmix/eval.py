@@ -217,7 +217,14 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
         return []
     ctx = build_context(params, u, u, t, history(net, u, t, params.hyper.history_len))
     scores = candidate_scores(params, ctx, candidates)
-    order = np.lexsort((candidates, -scores))[:k]
+    neg = -scores
+    top = np.arange(len(candidates))
+    if k < len(candidates):
+        # only the candidates scoring at or above the k-th best are sorted;
+        # NaN scores, which the sort puts last, are kept with them
+        kth = np.partition(neg, k - 1)[k - 1]
+        top = np.flatnonzero(~(neg > kth))
+    order = top[np.lexsort((candidates[top], neg[top]))[:k]]
     return [(int(candidates[i]), float(scores[i])) for i in order]
 
 

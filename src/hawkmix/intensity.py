@@ -173,6 +173,12 @@ def forward(
 
     Padded history slots carry kappa == 0, which zeroes their contribution to
     the intensities and to every gradient path that reaches node arrays.
+
+    Every ``lam_k`` and ``lam`` is <= 0: each term is an identity similarity
+    f_nc = -|i - c|^2 <= 0 times a squared aspect distance gam >= 0, and the
+    weights (1 for the source, pi * attn * kappa for an event) and the
+    mixture's pi are >= 0. So sigmoid(lam) <= 1/2, and each positive in the
+    training loss -log sigmoid(lam_pos) costs at least ln 2.
     """
     hyper = params.hyper
     m, k = hyper.dim, hyper.n_aspects

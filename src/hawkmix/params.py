@@ -3,11 +3,15 @@
 Every node carries one identity embedding and one embedding per aspect; the
 per-node decay and temperature scalars are stored unconstrained and mapped
 through a softplus so they stay strictly positive under gradient updates.
+A node's parameters are one row of a node table, laid out as identity |
+aspect | rho | theta; the training gradients and the optimizer's moments use
+the same row layout.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -64,36 +68,100 @@ class HyperParams:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, not {self.lr!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
 
     @property
     def total_dim(self) -> int:
         """Length of the concatenated per-node vector: identity + all aspects."""
         return self.dim * (self.n_aspects + 1)
 
+    @property
+    def row_width(self) -> int:
+        """Length of a node's row of parameters: both embeddings, rho and theta."""
+        return self.total_dim + 2
 
-@dataclass
+
+def node_fields(table: np.ndarray, m: int):
+    """(identity (n, m), aspect (n, K, m), rho (n,), theta (n,)) views of the
+    rows of a per-node table laid out as identity | aspect | rho | theta."""
+    n, width = table.shape
+    k = (width - 2) // m - 1
+    return table[:, :m], table[:, m:-2].reshape(n, k, m), table[:, -2], table[:, -1]
+
+
+class _NodeField:
+    """One of ``ModelParams``' per-node arrays: a view into its table."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, params, owner=None):
+        if params is None:
+            return self
+        return params._fields[self.name]
+
+    def __set__(self, params, value):
+        view = params._fields[self.name]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"{self.name} must have shape {view.shape}, not {np.shape(value)}")
+        view[...] = value
+
+
 class ModelParams:
     """All trainable arrays for one model.
 
+    table    : (n, m + K*m + 2) one row per node: identity | aspect | rho | theta
     identity : (n, m) identity embeddings
     aspect   : (n, K, m) aspect embeddings
     rho      : (n,) unconstrained; per-node kernel decay = softplus(rho)
     theta    : (n,) unconstrained; per-node temperature = softplus(theta)
     attn_w   : (m, m) shared attention projection
     attn_a   : (2m,) attention scoring vector
+
+    ``identity``, ``aspect``, ``rho`` and ``theta`` are views into ``table``:
+    a write through one is a write to the table, and assigning one copies the
+    values into its columns. The constructor packs the four arrays into a new
+    table; ``from_table`` wraps an existing table without a copy.
     """
 
-    hyper: HyperParams
-    identity: np.ndarray
-    aspect: np.ndarray
-    rho: np.ndarray
-    theta: np.ndarray
-    attn_w: np.ndarray
-    attn_a: np.ndarray
+    identity = _NodeField()
+    aspect = _NodeField()
+    rho = _NodeField()
+    theta = _NodeField()
+
+    def __init__(self, hyper, identity, aspect, rho, theta, attn_w, attn_a):
+        self._bind(hyper, np.empty((len(identity), hyper.row_width)), attn_w, attn_a)
+        self.identity, self.aspect, self.rho, self.theta = identity, aspect, rho, theta
+
+    @classmethod
+    def from_table(cls, hyper: HyperParams, table, attn_w, attn_a) -> "ModelParams":
+        """Parameters over ``table`` itself, not a copy of it."""
+        if table.shape[1:] != (hyper.row_width,) or table.dtype != np.float64:
+            raise ValueError(
+                f"node table must be float64 of shape (n, {hyper.row_width}), "
+                f"not {table.dtype} {table.shape}"
+            )
+        params = cls.__new__(cls)
+        params._bind(hyper, table, attn_w, attn_a)
+        return params
+
+    def _bind(self, hyper, table, attn_w, attn_a):
+        self.hyper, self.attn_w, self.attn_a = hyper, attn_w, attn_a
+        self._table = table
+        self._fields = dict(
+            zip(("identity", "aspect", "rho", "theta"), node_fields(table, hyper.dim))
+        )
+
+    @property
+    def table(self) -> np.ndarray:
+        return self._table
 
     @property
     def node_count(self) -> int:
-        return self.identity.shape[0]
+        return self._table.shape[0]
 
     @property
     def decay(self) -> np.ndarray:
@@ -104,39 +172,50 @@ class ModelParams:
         return softplus(self.theta)
 
 
+# rows drawn per call in init_params; the draws do not depend on it
+_INIT_BLOCK = 1024
+
+
 def init_params(hyper: HyperParams, node_count: int, rng: np.random.Generator) -> ModelParams:
     """Fresh parameters: small uniform embeddings, decay and temperature both 1.
 
     Embedding entries are drawn from uniform(-0.5/m, 0.5/m) so initial
     intensities stay O(1); the attention projection starts at the identity
-    map plus small off-diagonal noise.
+    map plus small off-diagonal noise. The embeddings are drawn straight
+    into the node table, a block of rows at a time, in the order of one
+    (n, m) identity draw followed by one (n, K, m) aspect draw.
     """
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
-    m, k = hyper.dim, hyper.n_aspects
+    m = hyper.dim
     half = 0.5 / m
-    identity = rng.uniform(-half, half, size=(node_count, m))
-    aspect = rng.uniform(-half, half, size=(node_count, k, m))
+    table = np.empty((node_count, hyper.row_width))
+    # uniform(-half, half) is -half + (2 * half) * random(), bit for bit: the
+    # draws go to one reused buffer, and the shift writes them to the table
+    buf = np.empty(_INIT_BLOCK * hyper.total_dim)
+    for cols in (slice(0, m), slice(m, -2)):
+        for lo in range(0, node_count, _INIT_BLOCK):
+            block = table[lo : lo + _INIT_BLOCK, cols]
+            draws = rng.random(out=buf[: block.size].reshape(block.shape))
+            draws *= half - (-half)
+            np.add(draws, -half, out=block)
+    table[:, -2:] = float(softplus_inv(1.0))
     attn_w = np.eye(m)
     noise = rng.uniform(-0.01, 0.01, size=(m, m))
     np.fill_diagonal(noise, 0.0)
     attn_w += noise
     attn_a = rng.uniform(-0.01, 0.01, size=2 * m)
-    raw_one = float(softplus_inv(1.0))
-    rho = np.full(node_count, raw_one)
-    theta = np.full(node_count, raw_one)
-    return ModelParams(hyper, identity, aspect, rho, theta, attn_w, attn_a)
+    return ModelParams.from_table(hyper, table, attn_w, attn_a)
 
 
 def concat_embedding(params: ModelParams, u: int) -> np.ndarray:
     """[identity_u, aspect_u^1, ..., aspect_u^K] as one flat vector."""
-    return np.concatenate([params.identity[u], params.aspect[u].ravel()])
+    return params.table[u, :-2].copy()
 
 
 def all_embeddings(params: ModelParams) -> np.ndarray:
     """Concatenated embeddings for every node, shape (n, m*(K+1))."""
-    n = params.node_count
-    return np.hstack([params.identity, params.aspect.reshape(n, -1)])
+    return params.table[:, :-2].copy()
 
 
 _ARRAY_FIELDS = ("identity", "aspect", "rho", "theta", "attn_w", "attn_a")
@@ -152,7 +231,7 @@ def save_params(params: ModelParams, path) -> None:
         fh.write(blob)
         for name in _ARRAY_FIELDS:
             arr = getattr(params, name)
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_params(path) -> ModelParams:
@@ -189,16 +268,19 @@ def load_params(path) -> ModelParams:
     arrays = {}
     for name in _ARRAY_FIELDS:
         shape = shapes[name]
-        nbytes = int(np.prod(shape)) * 8
-        if len(data) < off + nbytes:
+        count = math.prod(shape)
+        if len(data) < off + 8 * count:
             raise ModelFileError(f"{path}: truncated while reading '{name}'")
-        arrays[name] = (
-            np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(shape).copy()
-        )
-        off += nbytes
+        arrays[name] = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
+        off += 8 * count
     if off != len(data):
         raise ModelFileError(f"{path}: {len(data) - off} unexpected trailing bytes")
-    return ModelParams(hyper=hyper, **arrays)
+    table = np.empty((n, hyper.row_width))
+    for view, name in zip(node_fields(table, m), _ARRAY_FIELDS):
+        view[...] = arrays[name]
+    return ModelParams.from_table(
+        hyper, table, arrays["attn_w"].copy(), arrays["attn_a"].copy()
+    )
 
 
 def export_embeddings(params: ModelParams, path, labels=None) -> None:

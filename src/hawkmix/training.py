@@ -14,6 +14,12 @@ The trainer draws its batches straight into the engine's arrays from the
 network's CSR events and counter-based random streams; it and
 ``batch_gradients`` share one checked step, which raises ``TrainingDiverged``
 on a non-finite intensity, loss or gradient.
+
+Per-node state keeps one row layout, identity | aspect | rho | theta, from
+the backward scatter to the optimizer: ``GradientSet.rows`` holds a touched
+node's gradient as one row of ``ModelParams.table``, clipping scales it
+whole, and ``_LazyAdam`` updates the gathered rows of the table and of its
+two moment tables together.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .intensity import (
     pad_histories,
     window_histories,
 )
-from .params import HyperParams, ModelParams, init_params, save_params
+from .params import HyperParams, ModelParams, init_params, node_fields, save_params
 from .temporal_graph import (
     NegativeSampler,
     TemporalEdge,
@@ -71,39 +77,52 @@ class LossSample:
 class GradientSet:
     """Gradients over the unique touched nodes; an absent node's are zero.
 
-    ``nodes`` is sorted and unique, and row i of each per-node array belongs
-    to ``nodes[i]``. The attention gradients are dense.
+    ``nodes`` is sorted and unique, and row i of ``rows`` is the gradient of
+    row ``nodes[i]`` of ``ModelParams.table``, in its layout: identity |
+    aspect | rho | theta. ``d_identity`` (U, m), ``d_aspect`` (U, K, m),
+    ``d_rho`` (U,) and ``d_theta`` (U,) are views into ``rows``. The
+    attention gradients are dense.
     """
 
     nodes: np.ndarray
-    d_identity: np.ndarray  # (U, m)
-    d_aspect: np.ndarray    # (U, K, m)
-    d_rho: np.ndarray       # (U,)
-    d_theta: np.ndarray     # (U,)
+    rows: np.ndarray        # (U, m + K*m + 2)
     d_attn_w: np.ndarray    # (m, m)
     d_attn_a: np.ndarray    # (2m,)
+
+    def fields(self):
+        """(d_identity, d_aspect, d_rho, d_theta) views of ``rows``."""
+        return node_fields(self.rows, len(self.d_attn_w))
+
+    @property
+    def d_identity(self) -> np.ndarray:
+        return self.fields()[0]
+
+    @property
+    def d_aspect(self) -> np.ndarray:
+        return self.fields()[1]
+
+    @property
+    def d_rho(self) -> np.ndarray:
+        return self.fields()[2]
+
+    @property
+    def d_theta(self) -> np.ndarray:
+        return self.fields()[3]
 
     def touched(self) -> set:
         return set(self.nodes.tolist())
 
     def scale(self, c: float) -> None:
-        self.d_identity *= c
-        self.d_aspect *= c
-        self.d_rho *= c
-        self.d_theta *= c
+        self.rows *= c
         self.d_attn_w *= c
         self.d_attn_a *= c
 
     def global_norm(self) -> float:
-        sq = (
-            np.sum(self.d_identity**2)
-            + np.sum(self.d_aspect**2)
-            + np.sum(self.d_rho**2)
-            + np.sum(self.d_theta**2)
-            + np.sum(self.d_attn_w**2)
-            + np.sum(self.d_attn_a**2)
-        )
-        return float(np.sqrt(sq))
+        # a sum of squares per field, each over a contiguous array: a sum over
+        # the strided views of ``rows`` would add in another order and move
+        # the last bits of the norm, and so of every clipped update
+        sq = sum(np.sum(d**2) for d in self.fields())
+        return float(np.sqrt(sq + np.sum(self.d_attn_w**2) + np.sum(self.d_attn_a**2)))
 
 
 def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> LossSample:
@@ -145,7 +164,7 @@ def batch_gradients(params: ModelParams, samples):
     The same checked step as a training batch: raises TrainingDiverged (a
     ValueError) on a non-finite intensity, loss or gradient.
     """
-    losses, grads = _step(params, _assemble(params.hyper, samples), "batch")
+    losses, grads, _ = _step(params, _assemble(params.hyper, samples), "batch")
     return float(losses.mean()), grads
 
 
@@ -250,7 +269,9 @@ class _BatchSampler:
     window is found once, here). Its Gumbel noise and negatives come from
     the edge's stream in ``EdgeStreams``: the first (history_len + 1) * K
     columns are the noise of the source and history slots, the rest feed
-    the negatives' rejection rounds.
+    the negatives' rejection rounds. One call draws the noise columns and
+    the first round's candidates together, twice the negative count so that
+    most rows fill in that round; later rounds draw for the rows still short.
     """
 
     def __init__(self, net, hyper: HyperParams):
@@ -267,22 +288,26 @@ class _BatchSampler:
         hist = window_histories(
             net.times[idx], net.ev_nbr, net.ev_time, self.start[idx], self.stop[idx]
         )
-        # A later round draws as many candidates as all earlier ones together
-        # (up to 1024), so a row with a low acceptance rate needs few rounds.
-        negs = fill_negatives(
-            net, u, v, hyper.n_negatives,
-            lambda rows, start, size: self.negatives.nodes(
-                stream.uniforms(idx[rows], self.n_noise + start, max(size, min(start, 1024)))
-            ),
-        )
+        lead = 0 if hyper.use_gumbel else self.n_noise
+        first = stream.uniforms(idx, lead, self.n_noise - lead + 2 * hyper.n_negatives)
+
+        # The first round reads the columns drawn above; a later round draws
+        # as many candidates as all earlier ones together (up to 1024), so a
+        # row with a low acceptance rate needs few rounds.
+        def draw(rows, start, size):
+            if start == 0:
+                return self.negatives.nodes(first[rows, self.n_noise - lead :])
+            size = max(size, min(start, 1024))
+            return self.negatives.nodes(stream.uniforms(idx[rows], self.n_noise + start, size))
+
+        negs = fill_negatives(net, u, v, hyper.n_negatives, draw)
         g_u = g_h = None
         if hyper.use_gumbel:
             slots = hist.ids.shape[1] + 1
-            uni = stream.uniforms(idx, 0, slots * hyper.n_aspects)
             g = node_shared_gumbel(
                 np.column_stack([u, hist.ids]),
                 np.column_stack([np.ones(len(idx)), hist.mask]),
-                uni.reshape(len(idx), slots, hyper.n_aspects),
+                first[:, : slots * hyper.n_aspects].reshape(len(idx), slots, hyper.n_aspects),
             )
             g_u, g_h = g[:, 0], g[:, 1:]
         return _Batch(u, np.column_stack([v, negs]), hist, g_u, g_h)
@@ -407,22 +432,19 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> GradientSet:
     # scatter per-role rows onto the unique touched nodes with one sorted
     # segment sum, a product with a 0/1 selector matrix (it adds each node's
     # rows in batch order, as np.add.at did); padded history slots are
-    # excluded so they neither appear as touched nor receive zeros. Row
-    # layout: identity, aspect, rho, theta.
+    # excluded so they neither appear as touched nor receive zeros. The rows
+    # are in the layout of ModelParams.table.
     valid = mask.reshape(-1) > 0
     ids_all = np.concatenate([u, cand.reshape(-1), hist.reshape(-1)[valid]])
-    km = k * m
-    rows = np.zeros((len(ids_all), m + km + 2))
-    rows[:b, :m] = di_n[:, 0]
-    rows[:b, m:-2] = da_n[:, 0].reshape(b, km)
-    rows[:b, -2] = drho_u
-    rows[:b, -1] = dtheta_n[:, 0]
-    rows[b : b + b * c, :m] = dic.reshape(-1, m)
-    rows[b : b + b * c, m:-2] = dac.reshape(-1, km)
+    rows = np.zeros((len(ids_all), hyper.row_width))
+    r_ident, r_aspect, r_rho, r_theta = node_fields(rows, m)
+    r_ident[:b], r_aspect[:b] = di_n[:, 0], da_n[:, 0]
+    r_rho[:b], r_theta[:b] = drho_u, dtheta_n[:, 0]
+    r_ident[b : b + b * c], r_aspect[b : b + b * c] = dic.reshape(-1, m), dac.reshape(-1, k, m)
     if lmax:
-        rows[b + b * c :, :m] = di_n[:, 1:].reshape(-1, m)[valid]
-        rows[b + b * c :, m:-2] = da_n[:, 1:].reshape(-1, km)[valid]
-        rows[b + b * c :, -1] = dtheta_n[:, 1:].reshape(-1)[valid]
+        r_ident[b + b * c :] = di_n[:, 1:].reshape(-1, m)[valid]
+        r_aspect[b + b * c :] = da_n[:, 1:].reshape(-1, k, m)[valid]
+        r_theta[b + b * c :] = dtheta_n[:, 1:].reshape(-1)[valid]
     order = np.argsort(ids_all, kind="stable")
     ids_sorted = ids_all[order]
     starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
@@ -430,81 +452,88 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> GradientSet:
         (np.ones(len(order)), order, np.r_[starts, len(order)]),
         shape=(len(starts), len(order)),
     )
-    sums = select @ rows
-    return GradientSet(
-        ids_sorted[starts], sums[:, :m], sums[:, m:-2].reshape(-1, k, m),
-        sums[:, -2], sums[:, -1], d_attn_w, d_attn_a,
-    )
+    return GradientSet(ids_sorted[starts], select @ rows, d_attn_w, d_attn_a)
 
 
 def _step(params: ModelParams, batch: _Batch, where: str):
-    """(per-sample losses, mean GradientSet) of one batch.
+    """(per-sample losses, mean GradientSet, its global norm) of one batch.
 
     Raises TrainingDiverged, prefixed by ``where`` and naming the nodes
     involved, on a non-finite forward (before the backward pass) or a
-    non-finite gradient (before any parameter changes).
+    non-finite gradient norm (before any parameter changes).
     """
     fwd, losses = _checked_forward(params, batch, where)
     grads = _backward(params, batch, fwd)
-    if not np.isfinite(grads.global_norm()):
-        ok = (
-            np.isfinite(grads.d_identity).all(axis=1)
-            & np.isfinite(grads.d_aspect).all(axis=(1, 2))
-            & np.isfinite(grads.d_rho)
-            & np.isfinite(grads.d_theta)
-        )
+    grads.scale(1.0 / len(losses))
+    norm = grads.global_norm()
+    if not np.isfinite(norm):
+        bad = ~np.isfinite(grads.rows).all(axis=1)
         raise TrainingDiverged(
-            f"{where}: non-finite gradient at nodes {grads.nodes[~ok].tolist()} "
+            f"{where}: non-finite gradient at nodes {grads.nodes[bad].tolist()} "
             f"(batch of source nodes {np.unique(batch.u).tolist()}); "
             "try a lower learning rate"
         )
-    grads.scale(1.0 / len(losses))
-    return losses, grads
+    return losses, grads, norm
 
 
 class _LazyAdam:
     """Adam whose moment estimates advance only for rows present in a batch.
 
-    Bias correction uses the global step count, matching the usual lazy/sparse
-    Adam variants for embedding tables.
+    The per-node moments are two tables in the layout of ``ModelParams.table``.
+    A step gathers the touched rows of the parameters and of both moments
+    once each, updates the gathered blocks in place, and scatters each back
+    once, a block of rows at a time. The attention arrays and their moments
+    are dense. Bias correction uses the global step count, matching the
+    usual lazy/sparse Adam variants for embedding tables.
     """
 
     def __init__(self, params: ModelParams, lr: float):
         self.lr = lr
         self.step_count = 0
-        self.m = {
-            "identity": np.zeros_like(params.identity),
-            "aspect": np.zeros_like(params.aspect),
-            "rho": np.zeros_like(params.rho),
-            "theta": np.zeros_like(params.theta),
-            "attn_w": np.zeros_like(params.attn_w),
-            "attn_a": np.zeros_like(params.attn_a),
-        }
-        self.v = {name: np.zeros_like(arr) for name, arr in self.m.items()}
+        self.m_nodes = np.zeros_like(params.table)
+        self.v_nodes = np.zeros_like(params.table)
+        self.m_attn = (np.zeros_like(params.attn_w), np.zeros_like(params.attn_a))
+        self.v_attn = (np.zeros_like(params.attn_w), np.zeros_like(params.attn_a))
 
-    def _update(self, name, target, grad, rows=None):
-        m, v = self.m[name], self.v[name]
+    def _update(self, target, m, v, grad):
+        """One Adam update of ``target``, ``m`` and ``v`` in place.
+
+        The same operations in the same order as
+            m += (1 - beta1) * (grad - m)
+            v += (1 - beta2) * (grad**2 - v)
+            target -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        with two temporaries in place of one per operation.
+        """
         bc1 = 1.0 - ADAM_BETA1**self.step_count
         bc2 = 1.0 - ADAM_BETA2**self.step_count
-        if rows is None:
-            m += (1.0 - ADAM_BETA1) * (grad - m)
-            v += (1.0 - ADAM_BETA2) * (grad**2 - v)
-            target -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        else:
-            m[rows] += (1.0 - ADAM_BETA1) * (grad - m[rows])
-            v[rows] += (1.0 - ADAM_BETA2) * (grad**2 - v[rows])
-            target[rows] -= self.lr * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + ADAM_EPS)
+        tmp = np.subtract(grad, m)
+        tmp *= 1.0 - ADAM_BETA1
+        m += tmp
+        np.square(grad, out=tmp)
+        tmp -= v
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = np.divide(m, bc1)
+        step *= self.lr
+        step /= tmp
+        target -= step
 
     def step(self, params: ModelParams, grads: GradientSet, update_attention: bool):
         self.step_count += 1
-        rows = grads.nodes
-        self._update("identity", params.identity, grads.d_identity, rows)
-        self._update("aspect", params.aspect, grads.d_aspect, rows)
-        self._update("rho", params.rho, grads.d_rho, rows)
-        self._update("theta", params.theta, grads.d_theta, rows)
+        # blocks of ~2**15 values (256 KB), so that a block's gathered rows
+        # and temporaries stay in cache from the gather to the scatter
+        chunk = max(1, 2**15 // params.table.shape[1])
+        for lo in range(0, len(grads.nodes), chunk):
+            rows = grads.nodes[lo : lo + chunk]
+            p, m, v = params.table[rows], self.m_nodes[rows], self.v_nodes[rows]
+            self._update(p, m, v, grads.rows[lo : lo + chunk])
+            params.table[rows], self.m_nodes[rows], self.v_nodes[rows] = p, m, v
         if update_attention:
-            self._update("attn_w", params.attn_w, grads.d_attn_w)
-            self._update("attn_a", params.attn_a, grads.d_attn_a)
+            self._update(params.attn_w, self.m_attn[0], self.v_attn[0], grads.d_attn_w)
+            self._update(params.attn_a, self.m_attn[1], self.v_attn[1], grads.d_attn_a)
 
 
 def train(
@@ -545,9 +574,8 @@ def train(
         loss_sum = 0.0
         for n_batch, start in enumerate(range(0, n_edges, hyper.batch_size)):
             batch = sampler.batch(epoch, order[start : start + hyper.batch_size])
-            losses, grads = _step(params, batch, f"epoch {epoch}, batch {n_batch}")
+            losses, grads, norm = _step(params, batch, f"epoch {epoch}, batch {n_batch}")
             loss_sum += float(losses.sum())
-            norm = grads.global_norm()
             if norm > CLIP_NORM:
                 grads.scale(CLIP_NORM / norm)
             adam.step(params, grads, update_attention)

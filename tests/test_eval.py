@@ -113,3 +113,24 @@ def test_trained_planted_link_auc(trained_planted):
     assert d["losses"][-1] < d["losses"][0]
     report = probe_report(d["params"], d["positives"], d["negatives"], seed=0)
     assert report.metrics["auc_roc"] >= 0.75
+
+
+def test_recommend_top_k_matches_a_full_sort_with_ties_at_the_cut():
+    """Top-k picks exactly the first k of a full (-score, id) sort, for every
+    k: runs of tied candidates straddle the k-th place, and k can exceed the
+    candidate count."""
+    n = 30
+    edges = [(0, 1, 0.1), (2, 0, 0.2), (3, 4, 0.25), (0, 5, 0.3), (6, 7, 0.4)]
+    s, t, tt = zip(*edges)
+    net = network_from_edges(list(range(n)), s, t, tt, directed=True, normalize=False)
+    p = random_params(np.random.default_rng(5), n_nodes=n)
+    p.table[11:16] = p.table[10]  # six candidates tied
+    p.table[21:23] = p.table[20]  # three more
+    ctx = build_context(p, 0, 0, 0.5, history(net, 0, 0.5, p.hyper.history_len))
+    cands = [v for v in range(n) if v not in (0, 1, 2, 5)]
+    scores = candidate_scores(p, ctx, cands).tolist()
+    full = sorted(zip(cands, scores), key=lambda vs: (-vs[1], vs[0]))
+    tied = [i for i, (v, _) in enumerate(full) if 10 <= v <= 15]
+    assert tied == list(range(tied[0], tied[0] + 6))
+    for k in range(1, len(cands) + 4):
+        assert recommend(p, net, 0, 0.5, k) == full[:k]

@@ -383,6 +383,32 @@ def test_oracle_equivalence_target_in_history_large_embeddings():
         assert fwd.lam[0, 0] == pytest.approx(ref_lam, rel=1e-12)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.01, 5.0),
+    n_hist=st.integers(0, 4),
+    use_attention=st.booleans(),
+    use_gumbel=st.booleans(),
+)
+@settings(max_examples=50, deadline=None)
+def test_intensities_are_never_positive(seed, scale, n_hist, use_attention, use_gumbel):
+    """The sign cap in ``forward``'s docstring: every lam_k and lam is <= 0,
+    so a positive's loss term is at least ln 2. Candidates include the source
+    and the history nodes, whose distances to a slot are exactly zero."""
+    rng = np.random.default_rng(seed)
+    p = random_params(rng, scale=scale, use_attention=use_attention, use_gumbel=use_gumbel)
+    nodes = rng.integers(0, p.node_count, size=n_hist)
+    h = hist(*zip(nodes.tolist(), np.sort(rng.uniform(0, 0.9, size=n_hist)).tolist()))
+    noise = None
+    if use_gumbel:
+        noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes.tolist()}
+    targets = np.r_[0, nodes, rng.integers(0, p.node_count, size=4)]
+    fwd = run(p, h, targets=targets.tolist(), noise=noise)
+    assert np.all(fwd.lam_k <= 0.0)
+    assert np.all(fwd.lam <= 0.0)
+    assert np.all(np.logaddexp(0.0, -fwd.lam) >= math.log(2.0))
+
+
 def test_forward_without_candidates_gives_the_same_aspect_weights():
     """C == 0 (the aspect read-out) skips the candidate terms only."""
     rng = np.random.default_rng(25)

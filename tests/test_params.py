@@ -6,6 +6,7 @@ import pytest
 
 from hawkmix import (
     HyperParams,
+    ModelParams,
     concat_embedding,
     init_params,
     load_params,
@@ -43,6 +44,50 @@ def test_init_deterministic_in_seed():
     assert np.array_equal(a.aspect, b.aspect)
     assert np.array_equal(a.attn_w, b.attn_w)
     assert np.array_equal(a.attn_a, b.attn_a)
+
+
+def test_init_draws_as_whole_array_uniform_calls():
+    """The table is filled a block of rows at a time, from the same stream as
+    one (n, m) identity draw, one (n, K, m) aspect draw, then the attention."""
+    h, n = hyper(m=3, k=2), 2500
+    p = init_params(h, n, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    half = 0.5 / 3
+    assert np.array_equal(p.identity, rng.uniform(-half, half, size=(n, 3)))
+    assert np.array_equal(p.aspect, rng.uniform(-half, half, size=(n, 2, 3)))
+    noise = rng.uniform(-0.01, 0.01, size=(3, 3))
+    np.fill_diagonal(noise, 0.0)
+    assert np.array_equal(p.attn_w, np.eye(3) + noise)
+    assert np.array_equal(p.attn_a, rng.uniform(-0.01, 0.01, size=6))
+
+
+def test_node_fields_are_views_of_the_table():
+    rng = np.random.default_rng(6)
+    n, m, k = 5, 3, 2
+    arrays = {"identity": rng.normal(size=(n, m)), "aspect": rng.normal(size=(n, k, m)),
+              "rho": rng.normal(size=n), "theta": rng.normal(size=n)}
+    p = ModelParams(hyper(m=m, k=k), **arrays, attn_w=np.eye(m), attn_a=np.zeros(2 * m))
+    table = p.table
+    assert table.shape == (n, m + k * m + 2)
+    # packed once, in the row layout identity | aspect | rho | theta
+    assert np.array_equal(table, np.column_stack([
+        arrays["identity"], arrays["aspect"].reshape(n, -1), arrays["rho"], arrays["theta"],
+    ]))
+    arrays["rho"][0] = 99.0  # the table is a copy of the inputs
+    assert table[0, -2] != 99.0
+    for name in ("identity", "aspect", "rho", "theta"):
+        assert np.shares_memory(getattr(p, name), table), name
+    p.identity[1, 2] = 7.0
+    p.aspect[2, 1, 0] = 8.0
+    p.rho[3] = 9.0
+    p.theta[4] = 10.0
+    assert table[1, 2] == 7.0 and table[2, m + m] == 8.0
+    assert table[3, -2] == 9.0 and table[4, -1] == 10.0
+    # assigning a field copies into the same table
+    p.theta = np.arange(n, dtype=float)
+    assert p.table is table and np.array_equal(table[:, -1], np.arange(n))
+    with pytest.raises(ValueError, match="identity"):
+        p.identity = np.zeros((n, m + 1))
 
 
 def test_init_embedding_range_scales_with_dim():
@@ -117,6 +162,25 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     assert q.hyper == p.hyper
     for name in ("identity", "aspect", "rho", "theta", "attn_w", "attn_a"):
         assert np.array_equal(getattr(p, name), getattr(q, name)), name
+
+
+def test_save_writes_each_field_whole_and_load_refills_the_table(tmp_path):
+    """After the header the file holds each array whole, in C order, not the
+    table's rows; a loaded model has the same table bytes and saves to the
+    same file."""
+    p = init_params(hyper(m=2, k=3), 4, np.random.default_rng(8))
+    p.rho[:] = np.random.default_rng(1).normal(size=4)
+    path = tmp_path / "model.bin"
+    save_params(p, path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, len(MODEL_MAGIC))
+    fields = ("identity", "aspect", "rho", "theta", "attn_w", "attn_a")
+    body = b"".join(np.array(getattr(p, name), dtype="<f8").tobytes() for name in fields)
+    assert data[len(MODEL_MAGIC) + 4 + hlen :] == body
+    q = load_params(path)
+    assert q.table.tobytes() == p.table.tobytes()
+    save_params(q, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == data
 
 
 def test_load_truncated_file_errors(tmp_path):
@@ -202,6 +266,18 @@ def test_hyperparams_validation():
         HyperParams(dim=0)
     with pytest.raises(ValueError):
         HyperParams(n_negatives=0)
+
+
+@pytest.mark.parametrize("lr", [-0.01, 0.0, float("nan"), float("inf")])
+def test_hyperparams_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="lr"):
+        HyperParams(lr=lr)
+
+
+def test_hyperparams_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        HyperParams(seed=-1)
+    assert HyperParams(seed=0).seed == 0
 
 
 def test_total_dim():

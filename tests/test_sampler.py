@@ -1,6 +1,8 @@
 """The training batch sampler: counter-based draws, CSR histories, negatives
 and node-shared Gumbel noise."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -14,6 +16,7 @@ from hawkmix import (
     network_from_edges,
 )
 from hawkmix import training as training_mod
+from hawkmix.intensity import node_shared_gumbel
 from hawkmix.temporal_graph import fill_negatives
 from hawkmix.training import EdgeStreams, philox4x32
 
@@ -150,3 +153,29 @@ def test_negatives_do_not_depend_on_round_sizes():
 
     exact = fill_negatives(net, net.sources, net.targets, 5, draw(0))
     assert np.array_equal(fill_negatives(net, net.sources, net.targets, 5, draw(7)), exact)
+
+
+@pytest.mark.parametrize("directed,coarse", NETS)
+def test_batch_reads_noise_then_negatives_from_the_stream_columns(directed, coarse):
+    """The column layout of an edge's stream: the Gumbel noise of the L+1
+    slots at columns [0, (L+1)*K), the negatives' rejection rounds from
+    (L+1)*K on, the same with the noise switched off."""
+    net = planted(directed, coarse)
+    idx = np.random.default_rng(1).permutation(net.n_edges)[:80]
+    batch = training_mod._BatchSampler(net, HYPER).batch(3, idx)
+    stream, k = EdgeStreams(HYPER.seed, 3), HYPER.n_aspects
+    slots = batch.hist.ids.shape[1] + 1
+    g = node_shared_gumbel(
+        np.column_stack([batch.u, batch.hist.ids]),
+        np.column_stack([np.ones(len(idx)), batch.hist.mask]),
+        stream.uniforms(idx, 0, slots * k).reshape(len(idx), slots, k),
+    )
+    assert np.array_equal(batch.g_u, g[:, 0]) and np.array_equal(batch.g_h, g[:, 1:])
+    n_noise, nodes = (HYPER.history_len + 1) * k, NegativeSampler(net).nodes
+    negs = fill_negatives(
+        net, batch.u, batch.cand[:, 0], HYPER.n_negatives,
+        lambda rows, start, size: nodes(stream.uniforms(idx[rows], n_noise + start, size)),
+    )
+    assert np.array_equal(batch.cand[:, 1:], negs)
+    plain = training_mod._BatchSampler(net, replace(HYPER, use_gumbel=False)).batch(3, idx)
+    assert plain.g_u is None and np.array_equal(plain.cand, batch.cand)

@@ -23,6 +23,7 @@ from hawkmix import (
     train,
 )
 from hawkmix import training as training_mod
+from hawkmix.params import node_fields
 
 from oracle import ref_sample_loss
 from util import fd_max_rel_error, random_params, random_sample
@@ -398,3 +399,60 @@ def test_make_sample_contents():
         assert h in s.gumbel
     blocked = set(net.neighbors(edge.source).tolist()) | {edge.source, edge.target}
     assert all(int(w) not in blocked for w in s.negatives)
+
+
+def reference_lazy_adam(params, steps, lr):
+    """Per-array lazy Adam, one fancy-indexed update per array: the formula
+    the fused row-table step must reproduce bitwise. ``steps`` is a list of
+    (GradientSet, update_attention); returns the final arrays and moments."""
+    names = ("identity", "aspect", "rho", "theta", "attn_w", "attn_a")
+    arrays = {name: getattr(params, name).copy() for name in names}
+    m = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    v = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    b1, b2, eps = training_mod.ADAM_BETA1, training_mod.ADAM_BETA2, training_mod.ADAM_EPS
+    for t, (grads, update_attention) in enumerate(steps, start=1):
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for name in names[:4]:
+            rows, g = grads.nodes, getattr(grads, "d_" + name)
+            mn, vn = m[name], v[name]
+            mn[rows] += (1.0 - b1) * (g - mn[rows])
+            vn[rows] += (1.0 - b2) * (g**2 - vn[rows])
+            arrays[name][rows] -= lr * (mn[rows] / bc1) / (np.sqrt(vn[rows] / bc2) + eps)
+        if update_attention:
+            for name in names[4:]:
+                g, mn, vn = getattr(grads, "d_" + name), m[name], v[name]
+                mn += (1.0 - b1) * (g - mn)
+                vn += (1.0 - b2) * (g**2 - vn)
+                arrays[name] -= lr * (mn / bc1) / (np.sqrt(vn / bc2) + eps)
+    return arrays, m, v
+
+
+def test_fused_lazy_adam_matches_the_per_array_reference_bitwise():
+    """Random touched rows over enough nodes for several blocks of rows per
+    step, with and without the attention update."""
+    rng = np.random.default_rng(17)
+    n, m, k, lr = 3000, 8, 3, 0.01
+    p = random_params(rng, n_nodes=n, m=m, k=k)
+    start = {name: getattr(p, name).copy() for name in ("identity", "aspect", "rho", "theta")}
+    steps = []
+    for update_attention in (True, False, True, True, False):
+        nodes = np.sort(rng.choice(n, size=int(rng.integers(1, 2500)), replace=False))
+        rows = rng.normal(0, rng.choice([1e-6, 1.0, 30.0]), (len(nodes), m + k * m + 2))
+        grads = training_mod.GradientSet(
+            nodes, rows, rng.normal(size=(m, m)), rng.normal(size=2 * m)
+        )
+        steps.append((grads, update_attention))
+    expect, exp_m, exp_v = reference_lazy_adam(p, steps, lr)
+    adam = training_mod._LazyAdam(p, lr)
+    for grads, update_attention in steps:
+        adam.step(p, grads, update_attention)
+    for name, arr in expect.items():
+        assert getattr(p, name).tobytes() == arr.tobytes(), name
+    moments = {"m": (adam.m_nodes, adam.m_attn, exp_m), "v": (adam.v_nodes, adam.v_attn, exp_v)}
+    for which, (nodes_table, attn, ref) in moments.items():
+        fields = dict(zip(("identity", "aspect", "rho", "theta"), node_fields(nodes_table, m)))
+        fields.update(attn_w=attn[0], attn_a=attn[1])
+        for name, arr in fields.items():
+            assert arr.tobytes() == ref[name].tobytes(), (which, name)
+    untouched = np.setdiff1d(np.arange(n), np.concatenate([g.nodes for g, _ in steps]))
+    assert len(untouched) and np.array_equal(p.identity[untouched], start["identity"][untouched])
