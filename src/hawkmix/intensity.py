@@ -12,6 +12,12 @@ history, candidate targets) and is the only implementation of it: training,
 the loss, recommendation, aspect read-out and the CLI all call it.
 ``build_context``, ``mixed_intensity`` and ``candidate_scores`` are thin
 single-query wrappers around it. Everything here is pure in (params, inputs).
+
+Every squared distance in ``forward`` is in Gram form, |a|^2 + |b|^2 - 2 a.b,
+so no array of differences over the embedding dimension is built. With no
+candidates (the aspect read-out) ``forward`` computes only the contexts and
+the aspect weights: attention weights just the history terms toward
+candidates, so it is skipped too.
 """
 
 from __future__ import annotations
@@ -117,15 +123,17 @@ class Forward:
     ``ctx`` (B, K, m) holds the contexts, ``attn`` and ``kappa`` (B, L) the
     attention weights and kernel values, ``mu`` (B, C) the identity
     similarity of source and candidate. With no candidates (C == 0) the
-    candidate terms are skipped: ``lam_k``, ``lam`` and ``mu`` are empty and
-    ``f_nc``, ``gam``, ``w_nc`` and ``pi_w`` are None.
+    candidate terms and the attention are skipped: ``lam_k``, ``lam`` and
+    ``mu`` are empty, and ``attn``, ``z``, ``wu``, ``wh``, ``f_nc``, ``gam``,
+    ``w_nc`` and ``pi_w`` are None. Attention never feeds ``pi`` or ``ctx``,
+    so both are the same with or without candidates.
     """
 
     pi: np.ndarray
     lam_k: np.ndarray
     lam: np.ndarray
     ctx: np.ndarray
-    attn: np.ndarray
+    attn: Optional[np.ndarray]
     kappa: np.ndarray
     mu: np.ndarray
     # saved for the backward pass
@@ -139,7 +147,6 @@ class Forward:
     lens_safe: np.ndarray
     w_ex: np.ndarray
     w_self: np.ndarray
-    diff_nc: np.ndarray
     fg_n: Optional[np.ndarray]    # logits before the temperature: f + g
     theta_n: Optional[np.ndarray]
     tau_n: Optional[np.ndarray]
@@ -165,11 +172,14 @@ def forward(
     targets ``cand`` (B, C), and fixed Gumbel noise ``g_u`` (B, K) and ``g_h``
     (B, L, K), or None for none (deterministic aspect weights).
 
-    Every squared distance between a slot (source or history event) and a
-    candidate is in Gram form, |a - b|^2 = |a|^2 + |b|^2 - 2 a.b: the cross
-    terms are matrix products over the embedding dimension, so no (B, L, C,
-    K, m) difference array is built, and each squared norm is computed once.
-    With C == 0 (the aspect read-out) the candidate terms are skipped.
+    Every squared distance, from a slot (source or history event) to a
+    candidate or to a context, is in Gram form, |a - b|^2 = |a|^2 + |b|^2 -
+    2 a.b: the cross terms are matrix products over the embedding dimension,
+    so no (B, L+1, C, K, m) or (B, L+1, K, m) difference array is built, and
+    each squared norm is computed once. The identity cross term toward
+    candidates is an einsum that sums in the order of its norms, so a slot's
+    distance to itself as a candidate is exactly zero. With C == 0 (the
+    aspect read-out) the candidate terms and the attention are skipped.
 
     Padded history slots carry kappa == 0, which zeroes their contribution to
     the intensities and to every gradient path that reaches node arrays.
@@ -202,8 +212,10 @@ def forward(
     delta_u = softplus(params.rho[u])
     kappa = np.exp(-delta_u[:, None] * hist.dt) * mask               # (B, L)
 
-    # attention over history events
-    if hyper.use_attention and lmax > 0:
+    # attention over history events: it weights only the events' terms
+    # toward candidates, so the read-out (C == 0) skips it
+    attn = z = wu = wh = None
+    if c and hyper.use_attention and lmax > 0:
         a1, a2 = params.attn_a[:m], params.attn_a[m:]
         wu = iu @ params.attn_w.T                                # (B, m)
         wh = ih @ params.attn_w.T                                # (B, L, m)
@@ -214,20 +226,22 @@ def forward(
         exp_e = np.exp(np.where(mask > 0, e - row_max, -np.inf))
         denom = exp_e.sum(axis=1, keepdims=True)
         attn = np.divide(exp_e, denom, out=np.zeros_like(exp_e), where=denom > 0)
-    else:
+    elif c:
         attn = mask.copy()
-        z = wu = wh = None
 
     # contexts: decayed history mean blended with the source's own aspects
-    hsum = np.einsum("bl,blkm->bkm", kappa, ah) if lmax else np.zeros((b, k, m))
+    hsum = (kappa[:, None, :] @ ah.reshape(b, lmax, k * m)).reshape(b, k, m)
     havg = hsum / lens_safe[:, None, None]
     w_ex = np.where(lens > 0, 0.5, 0.0)
     w_self = np.where(lens > 0, 0.5, 1.0)
     ctx = w_ex[:, None, None] * havg + w_self[:, None, None] * au    # (B, K, m)
 
-    # aspect distributions for the source (row 0) and each history event
-    diff_nc = i_n[:, :, None, :] - ctx[:, None, :, :]                # (B, L+1, K, m)
-    f_n = -np.sum(diff_nc**2, axis=3)                                # (B, L+1, K)
+    # aspect distributions for the source (row 0) and each history event,
+    # from f_n = -|i_n - ctx_k|^2 in Gram form
+    i_sq = np.einsum("bnm,bnm->bn", i_n, i_n)                        # (B, L+1)
+    f_n = 2.0 * (i_n @ ctx.transpose(0, 2, 1))
+    f_n -= i_sq[:, :, None]
+    f_n -= np.einsum("bkm,bkm->bk", ctx, ctx)[:, None]               # (B, L+1, K)
     if hyper.use_gumbel:
         fg_n = f_n if g_u is None else f_n + np.concatenate([g_u[:, None, :], g_h], axis=1)
         theta_n = params.theta[nodes_n]
@@ -248,7 +262,7 @@ def forward(
     f_nc = gam = w_nc = pi_w = None
     if c:
         f_nc = 2.0 * np.einsum("bnm,bcm->bnc", i_n, ic)
-        f_nc -= np.einsum("bnm,bnm->bn", i_n, i_n)[:, :, None]
+        f_nc -= i_sq[:, :, None]
         f_nc -= np.einsum("bcm,bcm->bc", ic, ic)[:, None]                # (B, L+1, C)
         gam = (
             np.einsum("bnkm,bnkm->bkn", a_n, a_n)[:, :, :, None]
@@ -264,7 +278,7 @@ def forward(
 
     return Forward(
         pi, lam_k, lam, ctx, attn, kappa, mu,
-        i_n, a_n, ic, ac, z, wu, wh, lens_safe, w_ex, w_self, diff_nc,
+        i_n, a_n, ic, ac, z, wu, wh, lens_safe, w_ex, w_self,
         fg_n, theta_n, tau_n, f_nc, gam, w_nc, pi_w,
     )
 

@@ -236,6 +236,8 @@ def history(net: TemporalNetwork, u: int, t: float, limit: int):
     """The at-most-``limit`` most recent events of u strictly before t, ascending."""
     if limit < 1:
         raise ValueError("history length must be >= 1")
+    if not np.isfinite(t):
+        raise ValueError(f"query time {t} is not finite")
     if not 0 <= u < net.node_count:
         raise ValueError(f"node {u} out of range")
     nbrs, times = net.recent(u, t, limit)
@@ -344,6 +346,8 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
     surviving edges without re-normalizing time, and keeps the raw time range.
     """
     n_pairs = net.static_edge_count
+    if count < 0:
+        raise ValueError(f"cannot mask {count} edges; the count must be >= 0")
     if count > n_pairs:
         raise ValueError(f"cannot mask {count} edges; only {n_pairs} static edges exist")
     t_range = (net.tmin, net.tmax)

@@ -118,11 +118,9 @@ class GradientSet:
         self.d_attn_a *= c
 
     def global_norm(self) -> float:
-        # a sum of squares per field, each over a contiguous array: a sum over
-        # the strided views of ``rows`` would add in another order and move
-        # the last bits of the norm, and so of every clipped update
-        sq = sum(np.sum(d**2) for d in self.fields())
-        return float(np.sqrt(sq + np.sum(self.d_attn_w**2) + np.sum(self.d_attn_a**2)))
+        sq = np.einsum("ij,ij->", self.rows, self.rows)
+        sq += np.einsum("ij,ij->", self.d_attn_w, self.d_attn_w)
+        return float(np.sqrt(sq + np.einsum("i,i->", self.d_attn_a, self.d_attn_a)))
 
 
 def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> LossSample:
@@ -388,8 +386,13 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> GradientSet:
     else:
         df_n = dlogits
         dtheta_n = np.zeros((b, lmax + 1))
-    di_n = -2.0 * np.einsum("bnk,bnkm->bnm", df_n, fwd.diff_nc)      # (B, L+1, m)
-    dctx = 2.0 * np.einsum("bnk,bnkm->bkm", df_n, fwd.diff_nc)
+    # f_n = 2 i_n.ctx_k - |i_n|^2 - |ctx_k|^2, so its pair sums are in Gram
+    # form too
+    df2_n = 2.0 * df_n
+    di_n = df2_n @ fwd.ctx                                           # (B, L+1, m)
+    di_n -= np.einsum("bnk->bn", df2_n)[:, :, None] * i_n
+    dctx = df2_n.transpose(0, 2, 1) @ i_n                            # (B, K, m)
+    dctx -= np.einsum("bnk->bk", df2_n)[:, :, None] * fwd.ctx
 
     # context backward
     da_n = np.zeros((b, lmax + 1, k, m))

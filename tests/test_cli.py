@@ -107,6 +107,14 @@ def test_nonfinite_time_is_a_usage_error(simulated, capsys, time):
     assert not (out / "recommendations.csv").exists()
 
 
+def test_negative_mask_count_is_an_error(simulated, capsys):
+    root, edges = simulated
+    out = root / "mask-negative"
+    assert run(["eval-link", "--edges", str(edges), "--directed", *TINY,
+                "--mask-count", "-1", "--out", str(out)]) == 1
+    assert "cannot mask -1 edges; the count must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["recommend", "intensity"])
 def test_model_of_another_network_is_an_error(simulated, tmp_path, capsys, command):
     """A model trained on 12 nodes, queried on a 3-node edge list."""

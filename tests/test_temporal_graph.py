@@ -151,6 +151,13 @@ def test_history_validates_arguments():
         history(net, 99, 0.5, 1)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_history_rejects_a_nonfinite_time(t):
+    """NaN compares as later than every event, so it must not get this far."""
+    with pytest.raises(ValueError, match=f"query time {t} is not finite"):
+        history(simple_history_net(), 0, t, 5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     times=st.lists(st.floats(0, 1, allow_nan=False), min_size=0, max_size=12),
@@ -281,6 +288,11 @@ def test_mask_count_too_large():
     net = triangle_net()
     with pytest.raises(ValueError):
         mask_static_edges(net, 4, np.random.default_rng(0))
+
+
+def test_mask_count_negative():
+    with pytest.raises(ValueError, match="cannot mask -1 edges; the count must be >= 0"):
+        mask_static_edges(triangle_net(), -1, np.random.default_rng(0))
 
 
 def test_mask_removes_all_temporal_occurrences():
