@@ -14,7 +14,7 @@ from .eval import (
     recommend,
 )
 from .intensity import (
-    EdgeContext,
+    Queries,
     build_context,
     candidate_scores,
     forward,

@@ -360,6 +360,12 @@ def _cmd_intensity(cfg) -> int:
 
 def _cmd_aspect_probe(cfg) -> int:
     _require(cfg, "edges")
+    k, which = cfg["aspects"], str(cfg["which"])
+    slices = {"identity": ["identity"], "concat": ["concat"],
+              "all": ["identity", "concat", *range(k)], **{str(i): [i] for i in range(k)}}
+    if which not in slices:
+        raise SystemExit2(f"--which must be 'identity', 'concat', 'all' or an aspect index "
+                          f"in [0, {k}), not {which!r}")
     out = _outdir(cfg)
     net = load_edge_list(cfg["edges"], directed=cfg["directed"])
     hyper = _hyper_from(cfg, net.node_count)
@@ -367,13 +373,8 @@ def _cmd_aspect_probe(cfg) -> int:
     rng = np.random.default_rng(cfg["seed"])
     train_net, positives, negatives = mask_static_edges(net, cfg["mask_count"], rng)
     params = _train_to_dir(train_net, hyper, cfg, out)
-    which = cfg["which"]
-    if which == "all":
-        slices = ["identity", "concat"] + list(range(hyper.n_aspects))
-    else:
-        slices = [which if which in ("identity", "concat") else int(which)]
     reports = {}
-    for sl in slices:
+    for sl in slices[which]:
         rep = aspect_probe(params, positives, negatives, sl, cfg["seed"])
         key = sl if isinstance(sl, str) else f"aspect_{sl}"
         reports[key] = rep.metrics

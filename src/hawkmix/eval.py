@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .intensity import build_context, candidate_scores, forward, window_histories
+from .intensity import forward, window_histories
 from .params import ModelParams, all_embeddings
-from .temporal_graph import TemporalNetwork, history, history_windows
+from .temporal_graph import TemporalNetwork, history_windows
 
 
 @dataclass
@@ -207,6 +207,8 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
         raise ValueError("k must be >= 1")
     if not 0 <= u < net.node_count:
         raise ValueError(f"node {u} out of range")
+    if not np.isfinite(t):
+        raise ValueError(f"query time {t} is not finite")
     before = net.times < t
     eligible = np.ones(net.node_count, dtype=bool)
     eligible[u] = False
@@ -215,8 +217,9 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
     candidates = np.flatnonzero(eligible)
     if len(candidates) == 0:
         return []
-    ctx = build_context(params, u, u, t, history(net, u, t, params.hyper.history_len))
-    scores = candidate_scores(params, ctx, candidates)
+    nbr, ev_time = net.recent(u, t, params.hyper.history_len)
+    hist = window_histories([t], nbr, ev_time, [0], [len(nbr)])
+    scores = forward(params, [u], hist, candidates[None, :]).lam[0]
     neg = -scores
     top = np.arange(len(candidates))
     if k < len(candidates):

@@ -10,8 +10,10 @@ similarities, optionally perturbed with fixed Gumbel noise during training.
 ``forward`` evaluates the model for a batch of queries (source, padded
 history, candidate targets) and is the only implementation of it: training,
 the loss, recommendation, aspect read-out and the CLI all call it.
-``build_context``, ``mixed_intensity`` and ``candidate_scores`` are thin
-single-query wrappers around it. Everything here is pure in (params, inputs).
+``Queries`` holds its arguments; ``assemble`` builds them from per-row event
+and Gumbel lists. ``build_context`` builds a one-row ``Queries``, and
+``candidate_scores`` and ``mixed_intensity`` score one; only the benchmark and
+the tests call these three. Everything here is pure in (params, inputs).
 
 Every squared distance in ``forward`` is in Gram form, |a|^2 + |b|^2 - 2 a.b,
 so no array of differences over the embedding dimension is built. With no
@@ -90,26 +92,6 @@ def pad_histories(t, histories) -> Histories:
     if np.any(hist.dt < 0):
         raise ValueError("history events must not come after the query time")
     return hist
-
-
-def noise_arrays(k: int, u, hist: Histories, noises):
-    """(g_u (B, K), g_h (B, L, K)) replaying per-query Gumbel draws.
-
-    ``noises[i]`` maps each node of query i (its source and history nodes) to
-    a (K,) draw; a None entry gives zero noise for that query.
-    """
-    b, lmax = hist.ids.shape
-    g_u = np.zeros((b, k))
-    g_h = np.zeros((b, lmax, k))
-    lens = hist.mask.sum(axis=1).astype(np.int64).tolist()
-    rows = zip(noises, np.asarray(u).tolist(), hist.ids.tolist(), lens)
-    for i, (noise, src, ids, n) in enumerate(rows):
-        if noise is None:
-            continue
-        g_u[i] = noise[src]
-        for j in range(n):
-            g_h[i, j] = noise[ids[j]]
-    return g_u, g_h
 
 
 @dataclass
@@ -284,52 +266,62 @@ def forward(
 
 
 @dataclass
-class EdgeContext:
-    """One (source, time) query's padded arrays, ready for ``forward``.
+class Queries:
+    """B link queries, the arguments of ``forward``: sources ``u`` (B,),
+    candidate targets ``cand`` (B, C), padded ``hist``, and fixed Gumbel noise
+    ``g_u`` (B, K) and ``g_h`` (B, L, K), or None for none."""
 
-    The history and noise depend only on the source and the time, so one
-    EdgeContext serves a positive target and all its sampled negatives (swap
-    ``target`` via ``with_target``).
-    """
-
-    source: int
-    target: int
-    time: float
-    hist: Histories                # one row
+    u: np.ndarray
+    cand: np.ndarray
+    hist: Histories
     g_u: Optional[np.ndarray] = None
     g_h: Optional[np.ndarray] = None
 
-    def with_target(self, v: int) -> "EdgeContext":
-        return replace(self, target=v)
+    def with_target(self, v: int) -> "Queries":
+        """This one-row query with ``v`` as its only candidate."""
+        return replace(self, cand=np.array([[v]], dtype=np.int64))
 
 
-def build_context(
-    params: ModelParams,
-    u: int,
-    v: int,
-    t: float,
-    history,
-    noise: Optional[dict] = None,
-) -> EdgeContext:
-    """Assemble the arrays for scoring targets of u at time t.
+def assemble(k: int, u, cand, t, histories, noises) -> Queries:
+    """Queries from per-row lists: ``histories[i]`` holds the (neighbor, time)
+    events of row i before ``t[i]``, and ``noises[i]`` maps each node of the
+    row (its source and history nodes) to a (K,) Gumbel draw, or is None for
+    zero noise. With no noise in any row, ``g_u`` and ``g_h`` are None.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    cand = np.asarray(cand, dtype=np.int64)
+    hist = pad_histories(t, [([h for h, _ in ev], [th for _, th in ev]) for ev in histories])
+    if all(noise is None for noise in noises):
+        return Queries(u, cand, hist)
+    b, lmax = hist.ids.shape
+    g_u, g_h = np.zeros((b, k)), np.zeros((b, lmax, k))
+    lens = hist.mask.sum(axis=1).astype(np.int64).tolist()
+    rows = zip(noises, u.tolist(), hist.ids.tolist(), lens)
+    for i, (noise, src, ids, n) in enumerate(rows):
+        if noise is None:
+            continue
+        g_u[i] = noise[src]
+        for j in range(n):
+            g_h[i, j] = noise[ids[j]]
+    return Queries(u, cand, hist, g_u, g_h)
+
+
+def build_context(params: ModelParams, u: int, v: int, t: float, history, noise=None) -> Queries:
+    """The one-row query of u toward v at time t.
 
     ``history`` is a sequence of (neighbor, time) events before t. ``noise``
     replays per-node Gumbel vectors for u and each history node; without it
     the aspect weights are deterministic.
     """
-    hist = pad_histories([t], [([h for h, _ in history], [th for _, th in history])])
-    g_u = g_h = None
-    if noise is not None:
-        g_u, g_h = noise_arrays(params.hyper.n_aspects, [u], hist, [noise])
-    return EdgeContext(u, v, t, hist, g_u, g_h)
+    return assemble(params.hyper.n_aspects, [u], [[v]], [t], [history], [noise])
 
 
-def candidate_scores(params: ModelParams, ctx: EdgeContext, targets) -> np.ndarray:
-    """Raw mixed intensities of the context's source toward every target."""
+def candidate_scores(params: ModelParams, query: Queries, targets) -> np.ndarray:
+    """Raw mixed intensities of a one-row query's source toward every target."""
     cand = np.asarray(targets, dtype=np.int64)[None, :]
-    return forward(params, [ctx.source], ctx.hist, cand, ctx.g_u, ctx.g_h).lam[0]
+    return forward(params, query.u, query.hist, cand, query.g_u, query.g_h).lam[0]
 
 
-def mixed_intensity(params: ModelParams, ctx: EdgeContext) -> float:
-    """Aspect mixture of raw rates; apply exp() for a positive rate per unit time."""
-    return float(candidate_scores(params, ctx, [ctx.target])[0])
+def mixed_intensity(params: ModelParams, query: Queries) -> float:
+    """Raw mixed rate of a one-row query toward its candidate; apply exp() for a rate."""
+    return float(candidate_scores(params, query, query.cand[0])[0])

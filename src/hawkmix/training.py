@@ -35,11 +35,10 @@ from scipy.special import expit
 from .intensity import (
     LEAKY_SLOPE,
     Forward,
-    Histories,
+    Queries,
+    assemble,
     forward,
     node_shared_gumbel,
-    noise_arrays,
-    pad_histories,
     window_histories,
 )
 from .params import HyperParams, ModelParams, init_params, node_fields, save_params
@@ -183,30 +182,18 @@ def ablation_config(base: HyperParams, variant: str) -> HyperParams:
 
 
 # ---------------------------------------------------------------------------
-# Batched engine: samples padded into one batch, the shared forward, the
-# loss, and the hand-derived backward over the forward's saved values.
+# Batched engine: a ``Queries`` batch (candidate column 0 is the positive), the
+# shared forward, the loss, and the hand-derived backward over its saved values.
 
 
-@dataclass
-class _Batch:
-    u: np.ndarray                 # (B,)
-    cand: np.ndarray              # (B, C) column 0 is the positive target
-    hist: Histories               # (B, L) padded histories
-    g_u: Optional[np.ndarray]     # (B, K) Gumbel noise for the source, or None
-    g_h: Optional[np.ndarray]     # (B, L, K) noise per history event (node-shared)
-
-
-def _assemble(hyper: HyperParams, samples) -> _Batch:
-    u = np.array([s.edge.source for s in samples], dtype=np.int64)
-    t = np.array([s.edge.time for s in samples])
+def _assemble(hyper: HyperParams, samples) -> Queries:
     cand = np.empty((len(samples), 1 + hyper.n_negatives), dtype=np.int64)
     cand[:, 0] = [s.edge.target for s in samples]
     cand[:, 1:] = [s.negatives for s in samples]
-    hist = pad_histories(
-        t, [([h for h, _ in s.history], [th for _, th in s.history]) for s in samples]
+    return assemble(
+        hyper.n_aspects, [s.edge.source for s in samples], cand, [s.edge.time for s in samples],
+        [s.history for s in samples], [s.gumbel for s in samples],
     )
-    g_u, g_h = noise_arrays(hyper.n_aspects, u, hist, [s.gumbel for s in samples])
-    return _Batch(u, cand, hist, g_u, g_h)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +265,7 @@ class _BatchSampler:
         self.start, self.stop = history_windows(net, net.edge_pos, hyper.history_len)
         self.n_noise = (hyper.history_len + 1) * hyper.n_aspects
 
-    def batch(self, epoch: int, idx) -> _Batch:
+    def batch(self, epoch: int, idx) -> Queries:
         net, hyper = self.net, self.hyper
         idx = np.asarray(idx, dtype=np.int64)
         stream = EdgeStreams(hyper.seed, epoch)
@@ -308,10 +295,10 @@ class _BatchSampler:
                 first[:, : slots * hyper.n_aspects].reshape(len(idx), slots, hyper.n_aspects),
             )
             g_u, g_h = g[:, 0], g[:, 1:]
-        return _Batch(u, np.column_stack([v, negs]), hist, g_u, g_h)
+        return Queries(u, np.column_stack([v, negs]), hist, g_u, g_h)
 
 
-def _forward_loss(params: ModelParams, batch: _Batch):
+def _forward_loss(params: ModelParams, batch: Queries):
     """(Forward, per-sample losses) of a batch; no finiteness check.
 
     ``_checked_forward`` raises on a non-finite intensity or loss, so a NaN
@@ -324,7 +311,7 @@ def _forward_loss(params: ModelParams, batch: _Batch):
     return fwd, losses
 
 
-def _checked_forward(params: ModelParams, batch: _Batch, where: str):
+def _checked_forward(params: ModelParams, batch: Queries, where: str):
     """``_forward_loss``, raising TrainingDiverged (prefixed by ``where``) on a
     non-finite intensity or loss."""
     fwd, losses = _forward_loss(params, batch)
@@ -337,7 +324,7 @@ def _checked_forward(params: ModelParams, batch: _Batch, where: str):
     return fwd, losses
 
 
-def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> GradientSet:
+def _backward(params: ModelParams, batch: Queries, fwd: Forward) -> GradientSet:
     """Gradients of the summed batch loss, from the values ``fwd`` saved.
 
     Gradients are sums over the batch; ``_step`` rescales them to a mean.
@@ -458,7 +445,7 @@ def _backward(params: ModelParams, batch: _Batch, fwd: Forward) -> GradientSet:
     return GradientSet(ids_sorted[starts], select @ rows, d_attn_w, d_attn_a)
 
 
-def _step(params: ModelParams, batch: _Batch, where: str):
+def _step(params: ModelParams, batch: Queries, where: str):
     """(per-sample losses, mean GradientSet, its global norm) of one batch.
 
     Raises TrainingDiverged, prefixed by ``where`` and naming the nodes
@@ -558,8 +545,11 @@ def train(
     Each batch takes the checked step of ``batch_gradients``, then clipping
     and the Adam update: a non-finite intensity, loss or gradient raises
     TrainingDiverged naming the epoch, the batch and the nodes involved,
-    before its update is applied.
+    before its update is applied. With ``checkpoint_every`` n (>= 1) and a
+    ``checkpoint_dir``, the parameters are saved after every n-th epoch.
     """
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, not {checkpoint_every}")
     if net.n_edges == 0:
         raise ValueError("cannot train on an empty network")
     params = init_params(hyper, net.node_count, np.random.default_rng(hyper.seed))
@@ -586,10 +576,6 @@ def train(
         wall = time.perf_counter() - t0
         if on_epoch is not None:
             on_epoch(epoch, mean_loss, wall)
-        if (
-            checkpoint_every
-            and checkpoint_dir is not None
-            and (epoch + 1) % checkpoint_every == 0
-        ):
+        if checkpoint_every and checkpoint_dir is not None and (epoch + 1) % checkpoint_every == 0:
             save_params(params, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.bin")
     return params

@@ -115,6 +115,27 @@ def test_negative_mask_count_is_an_error(simulated, capsys):
     assert "cannot mask -1 edges; the count must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("every", ["0", "-1"])
+def test_checkpoint_every_below_one_is_an_error(simulated, capsys, every):
+    root, edges = simulated
+    out = root / f"checkpoint-every{every}"
+    assert run(["train", "--edges", str(edges), "--directed", *TINY,
+                "--checkpoint-every", every, "--out", str(out)]) == 1
+    assert f"checkpoint_every must be >= 1, not {every}" in capsys.readouterr().err
+    assert not list(out.glob("*.bin"))
+
+
+@pytest.mark.parametrize("which", ["foo", "2", "7"])
+def test_bad_aspect_probe_slice_is_a_usage_error(simulated, capsys, which):
+    """K=2 here: the value is checked before any training."""
+    root, edges = simulated
+    out = root / f"aspect-probe-{which}"
+    assert run(["aspect-probe", "--edges", str(edges), "--directed", *TINY,
+                "--mask-count", "3", "--which", which, "--out", str(out)]) == 2
+    assert "usage error: --which must be" in capsys.readouterr().err
+    assert not (out / "model.bin").exists()
+
+
 @pytest.mark.parametrize("command", ["recommend", "intensity"])
 def test_model_of_another_network_is_an_error(simulated, tmp_path, capsys, command):
     """A model trained on 12 nodes, queried on a 3-node edge list."""

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hawkmix import (
     generate,
     gradients,
     init_params,
+    load_params,
     make_sample,
     sample_loss,
     train,
@@ -271,6 +273,29 @@ def test_train_emits_epoch_callbacks():
     assert all(r[2] >= 0 for r in rows)
 
 
+def test_checkpoints_match_unbroken_runs(tmp_path):
+    """Every second epoch of four writes a checkpoint: the parameters of an
+    unbroken run of that many epochs, bit for bit."""
+    net = tiny_net()
+    hyper = HyperParams(n_aspects=2, dim=4, epochs=4, batch_size=8, seed=5)
+    final = train(net, hyper, checkpoint_every=2, checkpoint_dir=tmp_path)
+    names = ["checkpoint_epoch0002.bin", "checkpoint_epoch0004.bin"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    expected = [train(net, replace(hyper, epochs=2)), final]
+    for name, expect in zip(names, expected):
+        got = load_params(tmp_path / name)
+        for field in ("table", "attn_w", "attn_a"):
+            assert getattr(got, field).tobytes() == getattr(expect, field).tobytes(), (name, field)
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_train_rejects_checkpoint_every_below_one(tmp_path, every):
+    hyper = HyperParams(n_aspects=2, dim=4, epochs=2, batch_size=8, seed=5)
+    with pytest.raises(ValueError, match=f"checkpoint_every must be >= 1, not {every}"):
+        train(tiny_net(), hyper, checkpoint_every=every, checkpoint_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_loss_decreases_on_planted_net():
     """Median loss drop over 5 seeds on a 20-node planted network >= 30%."""
     spec = PlantedSpec(2, 10, 1.0, 0.3, 1.0, 20.0, 0.05)
@@ -307,6 +332,30 @@ def test_train_updates_touch_only_batch_nodes():
     for node in range(net.node_count):
         if node not in touched:
             assert np.array_equal(params.identity[node], before[node])
+
+
+def test_batch_rows_with_and_without_noise_match_single_samples():
+    """Rows with and without Gumbel noise batch together exactly as each
+    sample scores alone, with histories of three events and with empty ones;
+    a batch with no noise in any row carries none, and scores exactly as
+    with zero noise. Each batch keeps one history length: padding a row to a
+    longer window can move the last bits of its aspect-weight matmul."""
+    rng = np.random.default_rng(11)
+    p = random_params(rng)
+    full = [random_sample(rng, p), random_sample(rng, p, with_noise=False)]
+    empty = [random_sample(rng, p, n_hist=0), random_sample(rng, p, n_hist=0, with_noise=False)]
+    for samples in (full, empty):
+        assert batch_loss(p, samples).tolist() == [sample_loss(p, s) for s in samples]
+        batch = training_mod._assemble(p.hyper, samples)
+        assert batch.g_u[0].any() and not batch.g_u[1].any() and not batch.g_h[1].any()
+    quiet = [full[1], empty[1]]
+    batch = training_mod._assemble(p.hyper, quiet)
+    assert batch.g_u is None and batch.g_h is None
+    nodes = [[s.edge.source] + [h for h, _ in s.history] for s in quiet]
+    zero = [replace(s, gumbel={n: np.zeros(p.hyper.n_aspects) for n in ns})
+            for s, ns in zip(quiet, nodes)]
+    assert training_mod._assemble(p.hyper, zero).g_u is not None
+    assert batch_loss(p, quiet).tobytes() == batch_loss(p, zero).tobytes()
 
 
 def test_training_diverged_detector(monkeypatch):
