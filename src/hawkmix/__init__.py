@@ -19,7 +19,6 @@ from .intensity import (
     candidate_scores,
     forward,
     mixed_intensity,
-    pad_histories,
 )
 from .params import (
     HyperParams,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .eval import aspect_probe, precision_recall_at_k, probe_report, recommend
-from .intensity import forward, window_histories
+from .intensity import forward
 from .params import (
     HyperParams,
     ModelFileError,
@@ -31,7 +31,6 @@ from .params import (
 from .synth import PlantedSpec, generate
 from .temporal_graph import (
     EdgeListParseError,
-    history_windows,
     load_edge_list,
     mask_static_edges,
     write_pairs,
@@ -343,11 +342,9 @@ def _cmd_intensity(cfg) -> int:
     out = _outdir(cfg)
     _echo_config(cfg, out)
     params, net, u = _model_net_node(cfg)
-    pos = np.arange(net.indptr[u], net.indptr[u + 1])
-    ts = net.ev_time[pos]
-    start, stop = history_windows(net, pos, params.hyper.history_len)
-    hist = window_histories(ts, net.ev_nbr, net.ev_time, start, stop)
-    fwd = forward(params, np.full(len(ts), u), hist, net.ev_nbr[pos][:, None])
+    nbrs, ts = net.events(u)
+    src = np.full(len(ts), u)
+    fwd = forward(params, src, net.histories(src, ts, params.hyper.history_len), nbrs[:, None])
     rates = np.exp(fwd.lam_k[:, 0, :])                               # (events, K)
     with open(out / "intensity.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

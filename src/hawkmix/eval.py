@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .intensity import forward, window_histories
+from .intensity import forward
 from .params import ModelParams, all_embeddings
-from .temporal_graph import TemporalNetwork, history_windows
+from .temporal_graph import TemporalNetwork, window_histories
 
 
 @dataclass
@@ -217,8 +217,7 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
     candidates = np.flatnonzero(eligible)
     if len(candidates) == 0:
         return []
-    nbr, ev_time = net.recent(u, t, params.hyper.history_len)
-    hist = window_histories([t], nbr, ev_time, [0], [len(nbr)])
+    hist = net.histories([u], [t], params.hyper.history_len)
     scores = forward(params, [u], hist, candidates[None, :]).lam[0]
     neg = -scores
     top = np.arange(len(candidates))
@@ -245,8 +244,9 @@ def precision_recall_at_k(ranked, ground_truth, k: int):
 
 def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray:
     """Dominant aspect per node: argmax of its summed deterministic aspect
-    weights over its own events (empty-history weights at t=1 for nodes that
-    never acted as a source).
+    weights over its own events (empty-history weights at t=1 for nodes with
+    no events of their own; in an undirected network both endpoints of an
+    edge own its event).
 
     Every (node, event time) query runs through the forward pass in chunks of
     ``batch_size`` queries, with no candidate targets; the histories are
@@ -255,17 +255,12 @@ def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray
     hyper = params.hyper
     n, k = net.node_count, hyper.n_aspects
     counts = np.diff(net.indptr)
-    nodes = np.repeat(np.arange(n), np.maximum(counts, 1))
     # one query per event, in CSR order; a node without events gets one
-    # empty-history query at t=1
-    is_event = np.repeat(counts > 0, np.maximum(counts, 1))
-    times = np.ones(len(nodes))
-    times[is_event] = net.ev_time
-    start = np.zeros(len(nodes), dtype=np.int64)
-    stop = np.zeros(len(nodes), dtype=np.int64)
-    start[is_event], stop[is_event] = history_windows(
-        net, np.arange(len(net.ev_time)), hyper.history_len
-    )
+    # query at t=1, in its CSR place, and its window there is empty
+    lone = np.flatnonzero(counts == 0)
+    nodes = np.insert(np.repeat(np.arange(n), counts), net.indptr[lone], lone)
+    times = np.insert(net.ev_time, net.indptr[lone], 1.0)
+    start, stop = net.windows(nodes, times, hyper.history_len)
     pi_u = np.empty((len(nodes), k))
     for lo in range(0, len(nodes), hyper.batch_size):
         sl = slice(lo, lo + hyper.batch_size)

@@ -9,7 +9,8 @@ similarities, optionally perturbed with fixed Gumbel noise during training.
 
 ``forward`` evaluates the model for a batch of queries (source, padded
 history, candidate targets) and is the only implementation of it: training,
-the loss, recommendation, aspect read-out and the CLI all call it.
+the loss, recommendation, aspect read-out and the CLI all call it, with the
+history windows that the network owns (``TemporalNetwork.histories``).
 ``Queries`` holds its arguments; ``assemble`` builds them from per-row event
 and Gumbel lists. ``build_context`` builds a one-row ``Queries``, and
 ``candidate_scores`` and ``mixed_intensity`` score one; only the benchmark and
@@ -30,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .params import ModelParams, softplus
+from .temporal_graph import Histories, window_histories
 
 LEAKY_SLOPE = 0.2
 
@@ -51,47 +53,6 @@ def node_shared_gumbel(nodes, real, uniforms) -> np.ndarray:
     g = -np.log(-np.log(uniforms))
     g = np.take_along_axis(g, first[:, :, None], axis=1)
     return g * np.asarray(real, dtype=np.float64)[:, :, None]
-
-
-@dataclass
-class Histories:
-    """Padded history windows of B queries; L is the longest window."""
-
-    ids: np.ndarray   # (B, L) neighbor ids, 0 in padded slots
-    dt: np.ndarray    # (B, L) query time minus event time, 0 in padded slots
-    mask: np.ndarray  # (B, L) 1.0 for real events
-
-
-def window_histories(t, nbr, ev_time, start, stop) -> Histories:
-    """Pad the windows ``start[i]:stop[i]`` of flat event arrays into (B, L).
-
-    ``nbr`` and ``ev_time`` hold the events' neighbor ids and times; ``t``
-    holds the B query times. L is the longest window in the batch, not the
-    configured history length, so a batch of short histories stays small.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    lens = np.asarray(stop) - np.asarray(start)
-    lmax = int(lens.max(initial=0))
-    real = np.arange(lmax) < lens[:, None]
-    pos = np.where(real, np.asarray(start)[:, None] + np.arange(lmax), 0)
-    ids = np.where(real, nbr[pos], 0)
-    dt = np.where(real, t[:, None] - ev_time[pos], 0.0)
-    return Histories(ids, dt, real.astype(np.float64))
-
-
-def pad_histories(t, histories) -> Histories:
-    """Pad per-query ``(neighbor ids, event times)`` pairs into (B, L) arrays.
-
-    ``t`` holds the B query times; see ``window_histories``.
-    """
-    lens = np.array([len(ids) for ids, _ in histories], dtype=np.int64)
-    stop = np.cumsum(lens)
-    nbr = np.concatenate([np.asarray(h, dtype=np.int64) for h, _ in histories])
-    ev_t = np.concatenate([np.asarray(ts, dtype=np.float64) for _, ts in histories])
-    hist = window_histories(t, nbr, ev_t, stop - lens, stop)
-    if np.any(hist.dt < 0):
-        raise ValueError("history events must not come after the query time")
-    return hist
 
 
 @dataclass
@@ -287,10 +248,18 @@ def assemble(k: int, u, cand, t, histories, noises) -> Queries:
     events of row i before ``t[i]``, and ``noises[i]`` maps each node of the
     row (its source and history nodes) to a (K,) Gumbel draw, or is None for
     zero noise. With no noise in any row, ``g_u`` and ``g_h`` are None.
+    Raises ValueError if a history event comes after its row's query time.
     """
     u = np.asarray(u, dtype=np.int64)
     cand = np.asarray(cand, dtype=np.int64)
-    hist = pad_histories(t, [([h for h, _ in ev], [th for _, th in ev]) for ev in histories])
+    lens = np.array([len(ev) for ev in histories], dtype=np.int64)
+    stop = np.cumsum(lens)
+    events = [e for ev in histories for e in ev]
+    nbr = np.array([h for h, _ in events], dtype=np.int64)
+    ev_time = np.array([th for _, th in events], dtype=np.float64)
+    hist = window_histories(t, nbr, ev_time, stop - lens, stop)
+    if np.any(hist.dt < 0):
+        raise ValueError("history events must not come after the query time")
     if all(noise is None for noise in noises):
         return Queries(u, cand, hist)
     b, lmax = hist.ids.shape

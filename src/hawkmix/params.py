@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,7 +43,11 @@ def softplus_inv(y):
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Training configuration; ``dim`` is the size of each individual embedding."""
+    """Training configuration; ``dim`` is the size of each individual embedding.
+
+    A field whose value is not of its annotated type raises ValueError; a
+    bool is not an integer here, and ``lr`` takes any real number.
+    """
 
     n_aspects: int = 4
     history_len: int = 5
@@ -56,6 +61,11 @@ class HyperParams:
     use_gumbel: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}[f.type]
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
         if self.n_aspects < 1:
             raise ValueError("n_aspects must be >= 1")
         if self.history_len < 1:

@@ -7,6 +7,10 @@ negative draws and adjacency tests are array operations. Timestamps are
 min-max normalized to [0, 1] at load so decay parameters are comparable
 across datasets; the network keeps the raw range so that times can be
 converted back to the input's units.
+
+The network owns the history windows: a query (u, t) sees u's
+at-most-``limit`` most recent events strictly before t, and every caller
+finds them with ``TemporalNetwork.windows`` or ``histories``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,32 @@ class EdgeListParseError(ValueError):
 
 
 @dataclass
+class Histories:
+    """Padded history windows of B queries; L is the longest window."""
+
+    ids: np.ndarray   # (B, L) neighbor ids, 0 in padded slots
+    dt: np.ndarray    # (B, L) query time minus event time, 0 in padded slots
+    mask: np.ndarray  # (B, L) 1.0 for real events
+
+
+def window_histories(t, nbr, ev_time, start, stop) -> Histories:
+    """Pad the windows ``start[i]:stop[i]`` of flat event arrays into (B, L).
+
+    ``nbr`` and ``ev_time`` hold the events' neighbor ids and times; ``t``
+    holds the B query times. L is the longest window in the batch, not the
+    configured history length, so a batch of short histories stays small.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    lens = np.asarray(stop) - np.asarray(start)
+    lmax = int(lens.max(initial=0))
+    real = np.arange(lmax) < lens[:, None]
+    pos = np.where(real, np.asarray(start)[:, None] + np.arange(lmax), 0)
+    ids = np.where(real, nbr[pos], 0)
+    dt = np.where(real, t[:, None] - ev_time[pos], 0.0)
+    return Histories(ids, dt, real.astype(np.float64))
+
+
+@dataclass
 class TemporalNetwork:
     """Immutable-after-construction view of a temporal interaction network.
 
@@ -42,7 +72,9 @@ class TemporalNetwork:
     ``ev_nbr`` (the other endpoint) and ``ev_time``, in edge order, so times
     ascend within a node and equal times keep the input order. A directed edge
     is an event of its source; an undirected edge is an event of both
-    endpoints. ``edge_pos[i]`` is edge i's position in its source's events.
+    endpoints. ``ev_key`` holds each event's (owner, time) as ``owner + 1j *
+    time``: NumPy orders complex numbers by real, then imaginary part, so
+    the keys ascend in CSR order.
 
     The static adjacency is a sorted array of ``a * node_count + b`` keys:
     ``adj_keys`` holds both orientations of every linked pair (so a node's
@@ -60,7 +92,7 @@ class TemporalNetwork:
     indptr: np.ndarray = field(repr=False)     # (node_count + 1,) event offsets
     ev_nbr: np.ndarray = field(repr=False)     # per event: neighbor id
     ev_time: np.ndarray = field(repr=False)    # per event: time, ascending per node
-    edge_pos: np.ndarray = field(repr=False)   # per edge: its source-side event
+    ev_key: np.ndarray = field(repr=False)     # per event: owner + 1j * time, ascending
     adj_keys: np.ndarray = field(repr=False)   # sorted a*N+b, both orientations
     pair_keys: np.ndarray = field(repr=False)  # sorted a*N+b, one per static edge
     degrees: np.ndarray = field(repr=False)
@@ -88,12 +120,18 @@ class TemporalNetwork:
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return self.ev_nbr[lo:hi], self.ev_time[lo:hi]
 
-    def recent(self, u: int, t: float, limit: int):
-        """Neighbor ids and times of u's last ``limit`` events strictly before t."""
-        nbrs, times_u = self.events(u)
-        idx = int(np.searchsorted(times_u, t, side="left"))
-        lo = max(0, idx - limit)
-        return nbrs[lo:idx], times_u[lo:idx]
+    def windows(self, u, t, limit: int):
+        """CSR bounds (start, stop) of the history windows of queries
+        (u[i], t[i]): u's at-most-``limit`` most recent events strictly
+        before t. Times must be finite."""
+        u = np.asarray(u, dtype=np.int64)
+        stop = np.searchsorted(self.ev_key, u + 1j * np.asarray(t, dtype=np.float64))
+        return np.maximum(self.indptr[u], stop - limit), stop
+
+    def histories(self, u, t, limit: int) -> Histories:
+        """The padded history windows of queries (u[i], t[i]); see ``windows``."""
+        start, stop = self.windows(u, t, limit)
+        return window_histories(t, self.ev_nbr, self.ev_time, start, stop)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Distinct static neighbors of u in either direction, ascending."""
@@ -146,17 +184,14 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, norma
 
     # Events: one per edge for its source, plus one for its target when
     # undirected; grouped by owner, in edge order within each owner.
-    e = len(times)
     owner, other = sources, targets
     if not directed:
         owner, other = np.concatenate([sources, targets]), np.concatenate([targets, sources])
-    edge_of = np.arange(len(owner)) % max(e, 1)
+    edge_of = np.arange(len(owner)) % max(len(times), 1)
     perm = np.lexsort((edge_of, owner))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-    edge_pos = np.empty(e, dtype=np.int64)
-    src_side = perm < e
-    edge_pos[perm[src_side]] = np.flatnonzero(src_side)
+    ev_time = times[edge_of[perm]]
 
     adj_keys = np.unique(np.concatenate([sources * n + targets, targets * n + sources]))
     return TemporalNetwork(
@@ -169,8 +204,8 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, norma
         directed=directed,
         indptr=indptr,
         ev_nbr=other[perm],
-        ev_time=times[edge_of[perm]],
-        edge_pos=edge_pos,
+        ev_time=ev_time,
+        ev_key=owner[perm] + 1j * ev_time,
         adj_keys=adj_keys,
         pair_keys=np.unique(_pair_keys(sources, targets, n, directed)),
         degrees=np.bincount(adj_keys // max(n, 1), minlength=n),
@@ -240,25 +275,9 @@ def history(net: TemporalNetwork, u: int, t: float, limit: int):
         raise ValueError(f"query time {t} is not finite")
     if not 0 <= u < net.node_count:
         raise ValueError(f"node {u} out of range")
-    nbrs, times = net.recent(u, t, limit)
+    (start,), (stop,) = net.windows([u], [t], limit)
+    nbrs, times = net.ev_nbr[start:stop], net.ev_time[start:stop]
     return [NeighborEvent(int(n), float(tt)) for n, tt in zip(nbrs, times)]
-
-
-def history_windows(net: TemporalNetwork, pos, limit: int):
-    """CSR bounds (start, stop) of each event's history window.
-
-    For the event at CSR position ``pos[i]`` of owner u at time t, the window
-    holds u's at-most-``limit`` most recent events strictly before t: the
-    ``limit`` positions before the start of the run of u's events at time t.
-    """
-    counts = np.diff(net.indptr)
-    owner = np.repeat(np.arange(net.node_count), counts)
-    new_run = np.ones(len(owner), dtype=bool)
-    new_run[1:] = (owner[1:] != owner[:-1]) | (net.ev_time[1:] != net.ev_time[:-1])
-    run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(owner)), 0))
-    pos = np.asarray(pos, dtype=np.int64)
-    stop = run_start[pos]
-    return np.maximum(net.indptr[owner[pos]], stop - limit), stop
 
 
 class NegativeSampler:

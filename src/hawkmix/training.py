@@ -39,7 +39,6 @@ from .intensity import (
     assemble,
     forward,
     node_shared_gumbel,
-    window_histories,
 )
 from .params import HyperParams, ModelParams, init_params, node_fields, save_params
 from .temporal_graph import (
@@ -47,7 +46,6 @@ from .temporal_graph import (
     TemporalEdge,
     fill_negatives,
     history,
-    history_windows,
     sample_negatives,
 )
 
@@ -250,8 +248,8 @@ class EdgeStreams:
 class _BatchSampler:
     """Draws training batches of edge indices straight into engine arrays.
 
-    A row's history is a gather from the network's CSR events (each edge's
-    window is found once, here). Its Gumbel noise and negatives come from
+    A row's history is a gather from the network's CSR events, through the
+    network's window rule. Its Gumbel noise and negatives come from
     the edge's stream in ``EdgeStreams``: the first (history_len + 1) * K
     columns are the noise of the source and history slots, the rest feed
     the negatives' rejection rounds. One call draws the noise columns and
@@ -262,7 +260,6 @@ class _BatchSampler:
     def __init__(self, net, hyper: HyperParams):
         self.net, self.hyper = net, hyper
         self.negatives = NegativeSampler(net)
-        self.start, self.stop = history_windows(net, net.edge_pos, hyper.history_len)
         self.n_noise = (hyper.history_len + 1) * hyper.n_aspects
 
     def batch(self, epoch: int, idx) -> Queries:
@@ -270,9 +267,7 @@ class _BatchSampler:
         idx = np.asarray(idx, dtype=np.int64)
         stream = EdgeStreams(hyper.seed, epoch)
         u, v = net.sources[idx], net.targets[idx]
-        hist = window_histories(
-            net.times[idx], net.ev_nbr, net.ev_time, self.start[idx], self.stop[idx]
-        )
+        hist = net.histories(u, net.times[idx], hyper.history_len)
         lead = 0 if hyper.use_gumbel else self.n_noise
         first = stream.uniforms(idx, lead, self.n_noise - lead + 2 * hyper.n_negatives)
 
@@ -540,7 +535,10 @@ def train(
     negatives and Gumbel noise come from a counter-based stream keyed by
     (seed, epoch, edge index) (see ``EdgeStreams``). So the draws do not
     depend on the batch schedule: a different ``batch_size`` regroups the
-    same draws, and the run is a pure function of (net, hyper).
+    same draws, and the run is a pure function of (net, hyper). A batch pads
+    its histories to its longest window, though, and the products over that
+    padded length may round differently, so a different ``batch_size`` can
+    change the results in the last bits.
     ``on_epoch(epoch, mean_loss, wall_seconds)`` is called after every pass.
     Each batch takes the checked step of ``batch_gradients``, then clipping
     and the Adam update: a non-finite intensity, loss or gradient raises

@@ -1,10 +1,12 @@
 import csv
 import json
+import struct
 
 import pytest
 
 from hawkmix import load_params
 from hawkmix.cli import run
+from hawkmix.params import MODEL_MAGIC
 
 TINY = ["--aspects", "2", "--dim-per", "4", "--history", "3", "--negatives", "2",
         "--epochs", "1", "--batch", "16", "--seed", "1"]
@@ -134,6 +136,35 @@ def test_bad_aspect_probe_slice_is_a_usage_error(simulated, capsys, which):
                 "--mask-count", "3", "--which", which, "--out", str(out)]) == 2
     assert "usage error: --which must be" in capsys.readouterr().err
     assert not (out / "model.bin").exists()
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("seed", "1")])
+def test_config_value_of_the_wrong_type_is_an_error(simulated, tmp_path, capsys, field, value):
+    _, edges = simulated
+    cfg = {"aspects": 2, "dim_per": 4, "history": 3, "negatives": 2, "batch": 16,
+           "epochs": 1, "seed": 1, field: value}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert run(["train", "--config", str(config), "--edges", str(edges), "--directed",
+                "--out", str(tmp_path / "out")]) == 1
+    assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_model_header_of_the_wrong_type_is_an_error(simulated, tmp_path, capsys):
+    """A model whose header says ``"dim": 2.5``, passed to ``recommend``."""
+    root, edges = simulated
+    blob = (root / "train" / "model.bin").read_bytes()
+    off = len(MODEL_MAGIC)
+    (hlen,) = struct.unpack_from("<I", blob, off)
+    header = json.loads(blob[off + 4 : off + 4 + hlen])
+    header["hyper"]["dim"] = 2.5
+    text = json.dumps(header).encode()
+    model = tmp_path / "model.bin"
+    model.write_bytes(MODEL_MAGIC + struct.pack("<I", len(text)) + text + blob[off + 4 + hlen :])
+    assert run(["recommend", "--model", str(model), "--edges", str(edges), "--directed",
+                "--node", "0", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "malformed header" in err and "dim must be of type int" in err
 
 
 @pytest.mark.parametrize("command", ["recommend", "intensity"])

@@ -11,9 +11,8 @@ from hawkmix import (
     candidate_scores,
     forward,
     mixed_intensity,
-    pad_histories,
 )
-from hawkmix.intensity import gumbel_noise
+from hawkmix.intensity import assemble, gumbel_noise
 from hawkmix.params import softplus_inv
 
 from oracle import ref_all, softmax as ref_softmax
@@ -141,10 +140,11 @@ def test_all_contexts_matches_context_op():
         (2, hist((4, 0.9))),
     ]
     srcs = [u for u, _ in queries]
-    padded = pad_histories(
-        [0.9] * len(queries), [([n for n, _ in h], [t for _, t in h]) for _, h in queries]
+    padded = assemble(
+        p.hyper.n_aspects, srcs, np.ones((len(queries), 1)), [0.9] * len(queries),
+        [h for _, h in queries], [None] * len(queries),
     )
-    stacked = forward(p, srcs, padded, np.ones((len(queries), 1), dtype=np.int64)).ctx
+    stacked = forward(p, srcs, padded.hist, padded.cand).ctx
     assert stacked.shape == (len(queries), p.hyper.n_aspects, p.aspect.shape[2])
     for i, (u, h) in enumerate(queries):
         assert np.array_equal(stacked[i], run(p, h, u=u).ctx[0])
@@ -193,7 +193,9 @@ def test_aspect_distribution_gumbel_argmax_frequencies():
     expected = np.asarray(ref_softmax(f))
     draws = 100_000
     u = np.zeros(draws, dtype=np.int64)
-    empty = pad_histories(np.full(draws, 0.5), [((), ())] * draws)
+    empty = assemble(
+        4, u, np.empty((draws, 0)), np.full(draws, 0.5), [()] * draws, [None] * draws
+    ).hist
     g_u = gumbel_noise(rng, 4 * draws).reshape(draws, 4)
     fwd = forward(p, u, empty, np.empty((draws, 0)), g_u, np.zeros((draws, 0, 4)))
     counts = np.bincount(np.argmax(fwd.pi_u, axis=1), minlength=4)
@@ -419,9 +421,10 @@ def test_forward_without_candidates_gives_the_same_aspect_weights(use_attention,
     p = random_params(rng, use_attention=use_attention, use_gumbel=use_gumbel)
     k = p.hyper.n_aspects
     u = [0, 6, 1]
-    hists = pad_histories(
-        [0.9, 0.8, 0.95], [([], []), ([2, 3], [0.1, 0.5]), ([4, 2, 5, 2], [0.1, 0.2, 0.6, 0.7])]
-    )
+    hists = assemble(
+        k, u, np.empty((3, 0)), [0.9, 0.8, 0.95],
+        [(), hist((2, 0.1), (3, 0.5)), hist((4, 0.1), (2, 0.2), (5, 0.6), (2, 0.7))], [None] * 3,
+    ).hist
     g_u = g_h = None
     if use_gumbel:
         g_u = rng.gumbel(size=(3, k))

@@ -214,11 +214,12 @@ def test_load_trailing_garbage_errors(tmp_path):
     lambda h: h.pop("node_count"),
     lambda h: h["hyper"].update(bogus=1),
     lambda h: h.update(node_count="3"),
-], ids=["no-hyper", "no-node-count", "unknown-field", "text-node-count"])
+    lambda h: h["hyper"].update(dim=2.5),
+], ids=["no-hyper", "no-node-count", "unknown-field", "text-node-count", "float-dim"])
 def test_load_malformed_header_errors(tmp_path, edit):
     """A header without ``hyper`` or ``node_count``, with an unknown
-    hyperparameter or with a node count that is not an integer, is a
-    ModelFileError, not a KeyError or TypeError."""
+    hyperparameter or one of the wrong type, or with a node count that is
+    not an integer, is a ModelFileError, not a KeyError or TypeError."""
     p = init_params(hyper(), 3, np.random.default_rng(0))
     path = tmp_path / "model.bin"
     save_params(p, path)
@@ -272,6 +273,20 @@ def test_hyperparams_validation():
 def test_hyperparams_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
     with pytest.raises(ValueError, match="lr"):
         HyperParams(lr=lr)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 2.5), ("seed", "1"), ("dim", True), ("history_len", None),
+    ("use_attention", 1), ("use_gumbel", "yes"), ("lr", "0.1"),
+])
+def test_hyperparams_rejects_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=field):
+        HyperParams(**{field: value})
+
+
+def test_hyperparams_accepts_numpy_scalars_and_an_integer_learning_rate():
+    hp = HyperParams(epochs=np.int64(2), seed=np.uint32(3), lr=1, use_gumbel=False)
+    assert (hp.epochs, hp.seed, hp.lr) == (2, 3, 1)
 
 
 def test_hyperparams_rejects_a_negative_seed():

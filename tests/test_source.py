@@ -7,9 +7,9 @@ import pytest
 
 import hawkmix
 
-MODULES = sorted(
-    p for p in Path(hawkmix.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = Path(hawkmix.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list:
@@ -25,6 +25,41 @@ def unused_imports(source: str) -> list:
     return sorted(imported - read)
 
 
+def references(tree, outside=None) -> set:
+    """Names that ``tree`` reads, accesses as attributes or imports, leaving
+    out the subtree ``outside``."""
+    skip = {id(node) for node in ast.walk(outside)} if outside is not None else set()
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name.split(".")[-1] for a in node.names}
+    return found
+
+
+def unreferenced(package: dict, others: dict) -> list:
+    """``module:name`` of each top-level function or class of the ``package``
+    sources (name -> text) that no file of ``package`` or ``others`` refers
+    to outside its own definition."""
+    trees = {name: ast.parse(text) for name, text in {**package, **others}.items()}
+    used = {name: references(tree) for name, tree in trees.items()}
+    dead = []
+    for module in package:
+        tree = trees[module]
+        elsewhere = set().union(*(refs for name, refs in used.items() if name != module))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in elsewhere and node.name not in references(tree, outside=node):
+                dead.append(f"{module}:{node.name}")
+    return dead
+
+
 def test_unused_imports_finds_an_unread_name():
     source = "from __future__ import annotations\nimport os, os.path\nfrom x import y as z\nz()\n"
     assert unused_imports(source) == ["os"]
@@ -33,3 +68,22 @@ def test_unused_imports_finds_an_unread_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unreferenced_finds_a_definition_only_itself_uses():
+    package = {
+        "a": "def f():\n    return f()\n\ndef g():\n    pass\n\nclass C:\n    pass\n\nh = g\n",
+        "b": "from a import C\n\ndef k():\n    pass\n",
+    }
+    others = {"t": "import b\nb.k()\n"}
+    assert unreferenced(package, others) == ["a:f"]
+
+
+def test_no_unreferenced_definitions():
+    """Every package definition is used by the package, the tests or the benchmark."""
+
+    def read(paths):
+        return {f"{p.parent.name}/{p.name}": p.read_text() for p in paths}
+
+    others = read([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+    assert unreferenced(read(PACKAGE.glob("*.py")), others) == []

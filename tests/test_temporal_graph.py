@@ -13,7 +13,7 @@ from hawkmix import (
     network_from_edges,
     sample_negatives,
 )
-from hawkmix.temporal_graph import EdgeListParseError, history_windows
+from hawkmix.temporal_graph import EdgeListParseError
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -390,22 +390,30 @@ def test_csr_matches_per_node_lists(directed):
             w in nbrs[u] for w in range(n)
         ]
     assert net.pairs() == sorted(pairs) and net.static_edge_count == len(pairs)
-    # edge_pos points at each edge's own event in its source's run
-    lo, hi = net.indptr[net.sources], net.indptr[net.sources + 1]
-    assert np.all((lo <= net.edge_pos) & (net.edge_pos < hi))
-    assert np.array_equal(net.ev_nbr[net.edge_pos], net.targets)
-    assert np.array_equal(net.ev_time[net.edge_pos], net.times)
-    assert len(np.unique(net.edge_pos)) == net.n_edges
 
 
 @pytest.mark.parametrize("directed", [True, False])
-def test_history_windows_match_history(directed):
+def test_windows_match_a_plain_loop(directed):
+    """``net.windows`` against each node's events read by a plain loop over
+    the chronological edges, on a planted net with tied times and four nodes
+    with no events: at query times before the first event, at each event
+    time, between event times and after the last, for limits of 1, 3 and
+    more than any node's history."""
     sources, targets, times = tied_planted_truth()
-    net = network_from_edges(list(range(16)), sources, targets, times, directed=directed)
-    owner = np.repeat(np.arange(net.node_count), np.diff(net.indptr))
-    for limit in (1, 3):
-        start, stop = history_windows(net, np.arange(len(net.ev_time)), limit)
-        for p in range(len(net.ev_time)):
-            h = history(net, int(owner[p]), float(net.ev_time[p]), limit)
-            assert net.ev_nbr[start[p] : stop[p]].tolist() == [e.neighbor for e in h]
-            assert net.ev_time[start[p] : stop[p]].tolist() == [e.time for e in h]
+    n = 20
+    net = network_from_edges(list(range(n)), sources, targets, times, directed=directed)
+    events = [[] for _ in range(n)]
+    for s, v, tt in zip(net.sources.tolist(), net.targets.tolist(), net.times.tolist()):
+        events[s].append((v, tt))
+        if not directed:
+            events[v].append((s, tt))
+    assert not any(events[16:])
+    distinct = np.unique(net.times)
+    probes = np.r_[-0.5, distinct, (distinct[:-1] + distinct[1:]) / 2, 1.5]
+    u, t = np.repeat(np.arange(n), len(probes)), np.tile(probes, n)
+    for limit in (1, 3, max(map(len, events)) + 1):
+        start, stop = net.windows(u, t, limit)
+        for i in range(len(u)):
+            window = slice(start[i], stop[i])
+            got = list(zip(net.ev_nbr[window].tolist(), net.ev_time[window].tolist()))
+            assert got == [e for e in events[u[i]] if e[1] < t[i]][-limit:]
