@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eval import aspect_probe, precision_recall_at_k, probe_report, recommend
+from .eval import aspect_probe, check_probe_pairs, precision_recall_at_k, probe_report, recommend
 from .intensity import forward
 from .params import (
     HyperParams,
@@ -255,8 +255,7 @@ def _cmd_eval_link(cfg, variant=None) -> int:
     if variant is not None:
         hyper = ablation_config(hyper, variant)
     _echo_config(cfg, out)
-    rng = np.random.default_rng(cfg["seed"])
-    train_net, positives, negatives = mask_static_edges(net, cfg["mask_count"], rng)
+    train_net, positives, negatives = _mask(net, cfg)
     if cfg.get("save_pairs"):
         write_pairs(positives, out / "positives.txt")
         write_pairs(negatives, out / "negatives.txt")
@@ -268,6 +267,14 @@ def _cmd_eval_link(cfg, variant=None) -> int:
     (out / "metrics.json").write_text(report.to_json() + "\n")
     print(report.to_json())
     return 0
+
+
+def _mask(net, cfg):
+    """(training network, positives, negatives) of a probe run, checked
+    before any training."""
+    masked = mask_static_edges(net, cfg["mask_count"], np.random.default_rng(cfg["seed"]))
+    check_probe_pairs(*masked[1:])
+    return masked
 
 
 def _model_net_node(cfg):
@@ -287,13 +294,18 @@ def _model_net_node(cfg):
 
 def _cmd_recommend(cfg) -> int:
     _require(cfg, "model", "edges", "node")
-    if cfg["time"] is not None and not math.isfinite(cfg["time"]):
-        raise SystemExit2(f"--time must be a finite number, not {cfg['time']}")
+    k, time = cfg["k"], cfg["time"]
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise SystemExit2(f"--k must be a positive integer, not {k!r}")
+    if time is not None and (
+        isinstance(time, bool) or not isinstance(time, (int, float)) or not math.isfinite(time)
+    ):
+        raise SystemExit2(f"--time must be a finite number, not {time!r}")
     out = _outdir(cfg)
     _echo_config(cfg, out)
     params, net, u = _model_net_node(cfg)
-    t = float(net.times.max()) + 1e-9 if cfg["time"] is None else net.normalized_time(cfg["time"])
-    ranked = recommend(params, net, u, t, cfg["k"])
+    t = float(net.times.max()) + 1e-9 if time is None else net.normalized_time(time)
+    ranked = recommend(params, net, u, t, k)
     with open(out / "recommendations.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "node", "score"])
@@ -303,10 +315,10 @@ def _cmd_recommend(cfg) -> int:
         with open(cfg["truth"]) as fh:
             truth_labels = [line.strip() for line in fh if line.strip()]
         truth = {net.label_to_id[x] for x in truth_labels if x in net.label_to_id}
-        prec, rec = precision_recall_at_k(ranked, truth, cfg["k"])
+        prec, rec = precision_recall_at_k(ranked, truth, k)
         metrics = {
             "task": "temporal_node_recommendation",
-            "metrics": {f"precision_at_{cfg['k']}": prec, f"recall_at_{cfg['k']}": rec},
+            "metrics": {f"precision_at_{k}": prec, f"recall_at_{k}": rec},
             "seed": cfg["seed"],
         }
         (out / "metrics.json").write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
@@ -367,8 +379,7 @@ def _cmd_aspect_probe(cfg) -> int:
     net = load_edge_list(cfg["edges"], directed=cfg["directed"])
     hyper = _hyper_from(cfg, net.node_count)
     _echo_config(cfg, out)
-    rng = np.random.default_rng(cfg["seed"])
-    train_net, positives, negatives = mask_static_edges(net, cfg["mask_count"], rng)
+    train_net, positives, negatives = _mask(net, cfg)
     params = _train_to_dir(train_net, hyper, cfg, out)
     reports = {}
     for sl in slices[which]:

@@ -12,6 +12,7 @@ events; both go through ``intensity.forward``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,15 @@ def _embedding_slice(params: ModelParams, which):
     raise ValueError(f"unknown embedding slice {which!r}; use 'identity', 'concat', or an aspect index")
 
 
+def check_probe_pairs(positives, negatives) -> None:
+    """Raise ValueError unless the link probe has pairs of both labels."""
+    if not len(positives) or not len(negatives):
+        raise ValueError(
+            f"the link probe needs positive and negative pairs; got {len(positives)} "
+            f"positives and {len(negatives)} negatives"
+        )
+
+
 def probe_report(
     params: ModelParams,
     positives,
@@ -162,8 +172,10 @@ def probe_report(
     """Fit the logistic probe on half the labeled pairs, score the other half.
 
     Pairs are canonically sorted before the seeded shuffle, so the report does
-    not depend on the incoming pair order.
+    not depend on the incoming pair order. Raises ValueError if either list
+    is empty.
     """
+    check_probe_pairs(positives, negatives)
     emb = _embedding_slice(params, which)
     pairs = sorted(positives) + sorted(negatives)
     y = np.array([1] * len(positives) + [0] * len(negatives), dtype=np.int64)
@@ -200,25 +212,29 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
     """Top-k candidate targets for u at time t by raw mixed intensity.
 
     Candidates are all nodes except u and anyone u already shares a static
-    edge with before t. Deterministic aspect weights; ties broken by node id.
-    Returns (node, score) pairs, highest score first.
+    edge with before t. One forward pass scores every node, straight from the
+    node table, and the candidates' scores are kept. Deterministic aspect
+    weights; ties broken by node id. Returns (node, score) pairs, highest
+    score first.
     """
-    if k <= 0:
-        raise ValueError("k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, not {k!r}")
     if not 0 <= u < net.node_count:
         raise ValueError(f"node {u} out of range")
     if not np.isfinite(t):
         raise ValueError(f"query time {t} is not finite")
-    before = net.times < t
+    # the edges are chronological, so those before t are a prefix
+    before = slice(0, np.searchsorted(net.times, t))
+    src, dst = net.sources[before], net.targets[before]
     eligible = np.ones(net.node_count, dtype=bool)
     eligible[u] = False
-    eligible[net.targets[before & (net.sources == u)]] = False
-    eligible[net.sources[before & (net.targets == u)]] = False
+    eligible[dst[src == u]] = False
+    eligible[src[dst == u]] = False
     candidates = np.flatnonzero(eligible)
     if len(candidates) == 0:
         return []
     hist = net.histories([u], [t], params.hyper.history_len)
-    scores = forward(params, [u], hist, candidates[None, :]).lam[0]
+    scores = forward(params, [u], hist, None).lam[0][candidates]
     neg = -scores
     top = np.arange(len(candidates))
     if k < len(candidates):

@@ -11,6 +11,9 @@ similarities, optionally perturbed with fixed Gumbel noise during training.
 history, candidate targets) and is the only implementation of it: training,
 the loss, recommendation, aspect read-out and the CLI all call it, with the
 history windows that the network owns (``TemporalNetwork.histories``).
+Candidates ``None`` mean every node, in id order, for each query: then the
+candidate embeddings are views of the node table rather than gathered
+copies, which is how recommendation scores a whole network per query.
 ``Queries`` holds its arguments; ``assemble`` builds them from per-row event
 and Gumbel lists. ``build_context`` builds a one-row ``Queries``, and
 ``candidate_scores`` and ``mixed_intensity`` score one; only the benchmark and
@@ -65,11 +68,15 @@ class Forward:
     their pi-weighted mixture; apply exp() for a positive rate per unit time.
     ``ctx`` (B, K, m) holds the contexts, ``attn`` and ``kappa`` (B, L) the
     attention weights and kernel values, ``mu`` (B, C) the identity
-    similarity of source and candidate. With no candidates (C == 0) the
-    candidate terms and the attention are skipped: ``lam_k``, ``lam`` and
-    ``mu`` are empty, and ``attn``, ``z``, ``wu``, ``wh``, ``f_nc``, ``gam``,
-    ``w_nc`` and ``pi_w`` are None. Attention never feeds ``pi`` or ``ctx``,
-    so both are the same with or without candidates.
+    similarity of source and candidate. ``ic`` and ``ac`` hold the
+    candidates' identity and aspect embeddings: gathered copies for explicit
+    candidates, and read-only views of the node table, broadcast over the B
+    rows, when ``forward`` is called with ``cand=None`` (C == node count).
+    With no candidates (C == 0) the candidate terms and the attention are
+    skipped: ``lam_k``, ``lam`` and ``mu`` are empty, and ``attn``, ``z``,
+    ``wu``, ``wh``, ``f_nc``, ``gam``, ``w_nc`` and ``pi_w`` are None.
+    Attention never feeds ``pi`` or ``ctx``, so both are the same with or
+    without candidates.
     """
 
     pi: np.ndarray
@@ -115,6 +122,11 @@ def forward(
     targets ``cand`` (B, C), and fixed Gumbel noise ``g_u`` (B, K) and ``g_h``
     (B, L, K), or None for none (deterministic aspect weights).
 
+    ``cand=None`` means every node, in id order, for each of the B rows
+    (C == node count): the candidate blocks are then views of
+    ``params.identity`` and ``params.aspect`` instead of copies, and the
+    results are bitwise those of explicit ``np.arange(node_count)`` rows.
+
     Every squared distance, from a slot (source or history event) to a
     candidate or to a context, is in Gram form, |a - b|^2 = |a|^2 + |b|^2 -
     2 a.b: the cross terms are matrix products over the embedding dimension,
@@ -137,10 +149,8 @@ def forward(
     m, k = hyper.dim, hyper.n_aspects
     ident, aspect = params.identity, params.aspect
     u = np.asarray(u, dtype=np.int64)
-    cand = np.asarray(cand, dtype=np.int64)
     ids, mask = hist.ids, hist.mask
-    b, c = cand.shape
-    lmax = ids.shape[1]
+    b, lmax = ids.shape
     lens = mask.sum(axis=1)
     lens_safe = np.maximum(lens, 1.0)
 
@@ -149,8 +159,15 @@ def forward(
     a_n = aspect[nodes_n]                                            # (B, L+1, K, m)
     iu, ih = i_n[:, 0], i_n[:, 1:]
     au, ah = a_n[:, 0], a_n[:, 1:]
-    ic = ident[cand]                                                 # (B, C, m)
-    ac = aspect[cand]                                                # (B, C, K, m)
+    if cand is None:  # every node: views of the node table, not copies
+        c = params.node_count
+        ic = np.broadcast_to(ident, (b, c, m))                       # (B, C, m)
+        ac = np.broadcast_to(aspect, (b, c, k, m))                   # (B, C, K, m)
+    else:
+        cand = np.asarray(cand, dtype=np.int64)
+        c = cand.shape[1]
+        ic = ident[cand]
+        ac = aspect[cand]
 
     delta_u = softplus(params.rho[u])
     kappa = np.exp(-delta_u[:, None] * hist.dt) * mask               # (B, L)

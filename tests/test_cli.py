@@ -109,6 +109,43 @@ def test_nonfinite_time_is_a_usage_error(simulated, capsys, time):
     assert not (out / "recommendations.csv").exists()
 
 
+@pytest.mark.parametrize("cfg, flags, message", [
+    ({"k": 2.5}, [], "--k must be a positive integer, not 2.5"),
+    ({"k": "3"}, [], "--k must be a positive integer, not '3'"),
+    ({"k": True}, [], "--k must be a positive integer, not True"),
+    ({}, ["--k", "0"], "--k must be a positive integer, not 0"),
+    ({"time": "abc"}, [], "--time must be a finite number, not 'abc'"),
+    ({"time": False}, [], "--time must be a finite number, not False"),
+])
+def test_recommend_k_or_time_that_is_not_a_number_is_a_usage_error(
+    simulated, tmp_path, capsys, cfg, flags, message
+):
+    """Checked before the model is read or config.json is written."""
+    root, edges = simulated
+    config = tmp_path / "in.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["recommend", "--config", str(config), "--model", str(root / "train" / "model.bin"),
+                "--edges", str(edges), "--directed", "--node", "0", *flags,
+                "--out", str(out)]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eval-link", []),
+    ("ablate", ["--variant", "no_attn"]),
+    ("aspect-probe", ["--which", "all"]),
+])
+def test_zero_mask_count_is_an_error_before_training(simulated, capsys, command, extra):
+    root, edges = simulated
+    out = root / f"{command}-mask-zero"
+    assert run([command, "--edges", str(edges), "--directed", *TINY, *extra,
+                "--mask-count", "0", "--out", str(out)]) == 1
+    assert "got 0 positives and 0 negatives" in capsys.readouterr().err
+    assert not list(out.rglob("model.bin"))
+
+
 def test_negative_mask_count_is_an_error(simulated, capsys):
     root, edges = simulated
     out = root / "mask-negative"

@@ -58,6 +58,51 @@ def test_recommend_rejects_a_nonfinite_time(t):
         recommend(p, small_net(), 0, t, 3)
 
 
+@pytest.mark.parametrize("k", [0, -1, 2.5, "3", True, None])
+def test_recommend_rejects_a_k_that_is_not_a_positive_integer(k):
+    p = random_params(np.random.default_rng(1))
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        recommend(p, small_net(), 0, 0.5, k)
+
+
+def test_recommend_takes_a_numpy_integer_k():
+    p = random_params(np.random.default_rng(1))
+    assert recommend(p, small_net(), 0, 0.5, np.int64(2)) == recommend(p, small_net(), 0, 0.5, 2)
+
+
+def undirected_net():
+    """Undirected, raw times in [0, 1]: node 0's partners before t=0.5 are 1
+    (listed as the target) and 2 (listed as the source); 5 and 6 link with
+    it exactly at t=0.5; 3 links with it later."""
+    edges = [
+        (0, 1, 0.1), (2, 0, 0.2), (4, 3, 0.25), (7, 8, 0.3), (1, 4, 0.4),
+        (0, 5, 0.5), (6, 0, 0.5), (5, 6, 0.7), (3, 0, 0.8),
+    ]
+    s, t, tt = zip(*edges)
+    return network_from_edges(list(range(9)), s, t, tt, directed=False, normalize=False)
+
+
+def test_recommend_on_an_undirected_net_excludes_earlier_partners_of_either_role():
+    net = undirected_net()
+    p = random_params(np.random.default_rng(6))
+    assert {v for v, _ in recommend(p, net, 0, 0.5, k=10)} == {3, 4, 5, 6, 7, 8}
+    assert {v for v, _ in recommend(p, net, 4, 0.5, k=10)} == {0, 2, 5, 6, 7, 8}
+    # a partner whose only edge with u falls exactly at t is still eligible
+    assert {v for v, _ in recommend(p, net, 5, 0.5, k=10)} == set(range(9)) - {5}
+    assert {v for v, _ in recommend(p, net, 5, 0.50000001, k=10)} == set(range(9)) - {0, 5}
+
+
+def test_recommend_on_an_undirected_net_matches_the_oracle():
+    net = undirected_net()
+    p = random_params(np.random.default_rng(7))
+    for u, t in [(0, 0.5), (1, 0.45), (6, 0.75)]:
+        h = history(net, u, t, p.hyper.history_len)
+        ranked = recommend(p, net, u, t, k=10)
+        assert ranked
+        for v, s in ranked:
+            assert abs(s - ref_all(p, u, v, t, h, None)[4]) <= 1e-12
+
+
 def test_recommend_breaks_ties_by_id():
     net = small_net()
     p = random_params(np.random.default_rng(2))
@@ -99,6 +144,14 @@ def test_probe_report_does_not_depend_on_pair_order():
         p, [pos[i] for i in rng.permutation(30)], [neg[i] for i in rng.permutation(30)], seed=9
     )
     assert shuffled.to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("n_pos, n_neg", [(0, 0), (0, 3), (3, 0)])
+def test_probe_report_rejects_an_empty_pair_list(n_pos, n_neg):
+    p = random_params(np.random.default_rng(4), n_nodes=40)
+    pairs = [(a, a + 1) for a in range(6)]
+    with pytest.raises(ValueError, match=f"got {n_pos} positives and {n_neg} negatives"):
+        probe_report(p, pairs[:n_pos], pairs[3 : 3 + n_neg], seed=9)
 
 
 def test_precision_recall_at_k_edge_cases():

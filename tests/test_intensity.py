@@ -457,3 +457,56 @@ def test_read_out_aspect_weights_match_the_oracle_at_large_embeddings():
         assert fwd.attn is None
         for slot, node in enumerate([0] + nodes):
             assert np.allclose(fwd.pi[0, slot], ref_pis[node], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("use_attention", [True, False])
+@pytest.mark.parametrize("use_gumbel", [True, False])
+def test_forward_on_every_node_matches_explicit_candidates(use_attention, use_gumbel, batch):
+    """cand=None scores every node from views of the node table; it gives
+    bitwise the pi, lam_k, lam and mu of explicit np.arange(n) candidates,
+    on an empty, a ragged and a full history (history_len 4)."""
+    rng = np.random.default_rng(28)
+    p = random_params(rng, use_attention=use_attention, use_gumbel=use_gumbel)
+    k, n = p.hyper.n_aspects, p.node_count
+    u = [0, 6, 1][:batch]
+    events = [(), hist((2, 0.1), (3, 0.5)), hist((4, 0.1), (2, 0.2), (5, 0.6), (2, 0.7))]
+    hists = assemble(
+        k, u, np.empty((batch, 0)), [0.9, 0.8, 0.95][:batch], events[-batch:], [None] * batch,
+    ).hist
+    g_u = g_h = None
+    if use_gumbel:
+        g_u = rng.gumbel(size=(batch, k))
+        g_h = rng.gumbel(size=hists.mask.shape + (k,)) * hists.mask[:, :, None]
+    every = forward(p, u, hists, None, g_u, g_h)
+    explicit = forward(p, u, hists, np.tile(np.arange(n), (batch, 1)), g_u, g_h)
+    for name in ("pi", "lam_k", "lam", "mu"):
+        assert np.array_equal(getattr(every, name), getattr(explicit, name)), name
+    assert every.lam.shape == (batch, n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.01, 5.0),
+    n_hist=st.integers(0, 4),
+    use_attention=st.booleans(),
+    use_gumbel=st.booleans(),
+)
+@settings(max_examples=50, deadline=None)
+def test_intensities_on_every_node_are_never_positive(
+    seed, scale, n_hist, use_attention, use_gumbel
+):
+    """The sign cap holds for cand=None too: every node, the source and the
+    history nodes among them, gets lam_k and lam <= 0."""
+    rng = np.random.default_rng(seed)
+    p = random_params(rng, scale=scale, use_attention=use_attention, use_gumbel=use_gumbel)
+    nodes = rng.integers(0, p.node_count, size=n_hist)
+    h = hist(*zip(nodes.tolist(), np.sort(rng.uniform(0, 0.9, size=n_hist)).tolist()))
+    noise = None
+    if use_gumbel:
+        noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes.tolist()}
+    ctx = build_context(p, 0, 0, 0.9, h, noise=noise)
+    fwd = forward(p, [0], ctx.hist, None, ctx.g_u, ctx.g_h)
+    assert fwd.lam.shape == (1, p.node_count)
+    assert np.all(fwd.lam_k <= 0.0)
+    assert np.all(fwd.lam <= 0.0)

@@ -42,10 +42,26 @@ def references(tree, outside=None) -> set:
     return found
 
 
-def unreferenced(package: dict, others: dict) -> list:
+def script_targets(pyproject: str) -> set:
+    """``package/module.py:name`` of each ``[project.scripts]`` entry point of
+    a pyproject.toml text. The lines are read directly, since tomllib is new
+    in Python 3.11 and the package supports 3.10."""
+    targets, in_scripts = set(), False
+    for line in pyproject.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            in_scripts = line == "[project.scripts]"
+        elif in_scripts and "=" in line:
+            module, _, name = line.split("=", 1)[1].strip().strip("\"'").partition(":")
+            targets.add(f"{module.replace('.', '/')}.py:{name}")
+    return targets
+
+
+def unreferenced(package: dict, others: dict, scripts=frozenset()) -> list:
     """``module:name`` of each top-level function or class of the ``package``
     sources (name -> text) that no file of ``package`` or ``others`` refers
-    to outside its own definition."""
+    to outside its own definition, and that is not one of the entry points
+    ``scripts``."""
     trees = {name: ast.parse(text) for name, text in {**package, **others}.items()}
     used = {name: references(tree) for name, tree in trees.items()}
     dead = []
@@ -54,6 +70,8 @@ def unreferenced(package: dict, others: dict) -> list:
         elsewhere = set().union(*(refs for name, refs in used.items() if name != module))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if f"{module}:{node.name}" in scripts:
                 continue
             if node.name not in elsewhere and node.name not in references(tree, outside=node):
                 dead.append(f"{module}:{node.name}")
@@ -79,11 +97,24 @@ def test_unreferenced_finds_a_definition_only_itself_uses():
     assert unreferenced(package, others) == ["a:f"]
 
 
+def test_an_entry_point_counts_as_a_reference():
+    package = {"pkg/cli.py": "def main():\n    pass\n"}
+    pyproject = (
+        '[project]\nname = "pkg"\n\n[project.scripts]\ntool = "pkg.cli:main"\n'
+        '\n[tool.other]\nx = "pkg.cli:other"\n'
+    )
+    assert script_targets(pyproject) == {"pkg/cli.py:main"}
+    assert unreferenced(package, {}, script_targets(pyproject)) == []
+    assert unreferenced(package, {}) == ["pkg/cli.py:main"]
+
+
 def test_no_unreferenced_definitions():
-    """Every package definition is used by the package, the tests or the benchmark."""
+    """Every package definition is used by the package, the tests, the
+    benchmark or an entry point of pyproject.toml."""
 
     def read(paths):
         return {f"{p.parent.name}/{p.name}": p.read_text() for p in paths}
 
     others = read([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
-    assert unreferenced(read(PACKAGE.glob("*.py")), others) == []
+    scripts = script_targets((ROOT / "pyproject.toml").read_text())
+    assert unreferenced(read(PACKAGE.glob("*.py")), others, scripts) == []
