@@ -273,7 +273,7 @@ def _mask(net, cfg):
     """(training network, positives, negatives) of a probe run, checked
     before any training."""
     masked = mask_static_edges(net, cfg["mask_count"], np.random.default_rng(cfg["seed"]))
-    check_probe_pairs(*masked[1:])
+    check_probe_pairs(*masked[1:], cfg["seed"])
     return masked
 
 

@@ -151,13 +151,31 @@ def _embedding_slice(params: ModelParams, which):
     raise ValueError(f"unknown embedding slice {which!r}; use 'identity', 'concat', or an aspect index")
 
 
-def check_probe_pairs(positives, negatives) -> None:
-    """Raise ValueError unless the link probe has pairs of both labels."""
-    if not len(positives) or not len(negatives):
-        raise ValueError(
-            f"the link probe needs positive and negative pairs; got {len(positives)} "
-            f"positives and {len(negatives)} negatives"
-        )
+def _probe_split(n_pos: int, n_neg: int, seed: int):
+    """(labels, fit rows, test rows) of the probe's seeded half split of the
+    canonically sorted pairs, positives first; it depends only on the two
+    counts and the seed."""
+    y = np.array([1] * n_pos + [0] * n_neg, dtype=np.int64)
+    order = np.random.default_rng(seed).permutation(len(y))
+    n_train = len(y) // 2
+    return y, order[:n_train], order[n_train:]
+
+
+def check_probe_pairs(positives, negatives, seed: int) -> None:
+    """Raise ValueError unless the link probe has pairs of both labels and
+    its seeded split leaves both labels in the fit half and in the test
+    half (the fit and the AUC each need both)."""
+    n_pos, n_neg = len(positives), len(negatives)
+    got = f"got {n_pos} positives and {n_neg} negatives"
+    if not n_pos or not n_neg:
+        raise ValueError(f"the link probe needs positive and negative pairs; {got}")
+    y, tr, te = _probe_split(n_pos, n_neg, seed)
+    for half, rows in (("fit", tr), ("test", te)):
+        if len(np.unique(y[rows])) < 2:
+            raise ValueError(
+                f"the link probe's seeded split (seed {seed}) leaves its {half} half "
+                f"with one label; {got}; mask more edges"
+            )
 
 
 def probe_report(
@@ -173,17 +191,13 @@ def probe_report(
 
     Pairs are canonically sorted before the seeded shuffle, so the report does
     not depend on the incoming pair order. Raises ValueError if either list
-    is empty.
+    is empty or either half of the split lacks a label (``check_probe_pairs``).
     """
-    check_probe_pairs(positives, negatives)
+    check_probe_pairs(positives, negatives, seed)
     emb = _embedding_slice(params, which)
     pairs = sorted(positives) + sorted(negatives)
-    y = np.array([1] * len(positives) + [0] * len(negatives), dtype=np.int64)
+    y, tr, te = _probe_split(len(positives), len(negatives), seed)
     feats = np.stack([edge_feature(emb[a], emb[b]) for a, b in pairs])
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pairs))
-    n_train = len(pairs) // 2
-    tr, te = order[:n_train], order[n_train:]
     model = logistic_fit(feats[tr], y[tr])
     probs = logistic_predict(model, feats[te])
     report_config = dict(config or {})
@@ -215,10 +229,14 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
     edge with before t. One forward pass scores every node, straight from the
     node table, and the candidates' scores are kept. Deterministic aspect
     weights; ties broken by node id. Returns (node, score) pairs, highest
-    score first.
+    score first. Raises ValueError for a ``u`` or ``k`` that is not an
+    integer (a bool included), a ``u`` out of range, a ``k`` < 1 or a
+    non-finite ``t``.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, not {k!r}")
+    if isinstance(u, bool) or not isinstance(u, numbers.Integral):
+        raise ValueError(f"u must be an integer node id, not {u!r}")
     if not 0 <= u < net.node_count:
         raise ValueError(f"node {u} out of range")
     if not np.isfinite(t):

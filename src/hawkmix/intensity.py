@@ -13,7 +13,8 @@ the loss, recommendation, aspect read-out and the CLI all call it, with the
 history windows that the network owns (``TemporalNetwork.histories``).
 Candidates ``None`` mean every node, in id order, for each query: then the
 candidate embeddings are views of the node table rather than gathered
-copies, which is how recommendation scores a whole network per query.
+copies, and only the mixed intensity is computed, which is how
+recommendation scores a whole network per query.
 ``Queries`` holds its arguments; ``assemble`` builds them from per-row event
 and Gumbel lists. ``build_context`` builds a one-row ``Queries``, and
 ``candidate_scores`` and ``mixed_intensity`` score one; only the benchmark and
@@ -23,7 +24,10 @@ Every squared distance in ``forward`` is in Gram form, |a|^2 + |b|^2 - 2 a.b,
 so no array of differences over the embedding dimension is built. With no
 candidates (the aspect read-out) ``forward`` computes only the contexts and
 the aspect weights: attention weights just the history terms toward
-candidates, so it is skipped too.
+candidates, so it is skipped too. On every node the squared aspect distance
+is expanded inside the mixture's sum over aspects, so no per-aspect
+(K, L+1, C) array is built; its ``lam`` differs from that of explicit
+candidates in the last bits only.
 """
 
 from __future__ import annotations
@@ -72,15 +76,17 @@ class Forward:
     candidates' identity and aspect embeddings: gathered copies for explicit
     candidates, and read-only views of the node table, broadcast over the B
     rows, when ``forward`` is called with ``cand=None`` (C == node count).
-    With no candidates (C == 0) the candidate terms and the attention are
-    skipped: ``lam_k``, ``lam`` and ``mu`` are empty, and ``attn``, ``z``,
-    ``wu``, ``wh``, ``f_nc``, ``gam``, ``w_nc`` and ``pi_w`` are None.
-    Attention never feeds ``pi`` or ``ctx``, so both are the same with or
-    without candidates.
+    With ``cand=None`` only the mixture ``lam`` is computed: ``lam_k``,
+    ``gam``, ``w_nc`` and ``pi_w`` are None, so such a result cannot feed the
+    backward pass. With no candidates (C == 0) the candidate terms and the
+    attention are skipped: ``lam_k``, ``lam`` and ``mu`` are empty, and
+    ``attn``, ``z``, ``wu``, ``wh``, ``f_nc``, ``gam``, ``w_nc`` and ``pi_w``
+    are None. Attention never feeds ``pi`` or ``ctx``, so both are the same
+    with or without candidates.
     """
 
     pi: np.ndarray
-    lam_k: np.ndarray
+    lam_k: Optional[np.ndarray]
     lam: np.ndarray
     ctx: np.ndarray
     attn: Optional[np.ndarray]
@@ -124,8 +130,24 @@ def forward(
 
     ``cand=None`` means every node, in id order, for each of the B rows
     (C == node count): the candidate blocks are then views of
-    ``params.identity`` and ``params.aspect`` instead of copies, and the
-    results are bitwise those of explicit ``np.arange(node_count)`` rows.
+    ``params.identity`` and ``params.aspect`` instead of copies, and only the
+    mixture is computed. With the slot weight s (1 for the source, attn *
+    kappa for an event) and pi_w (1 for the source, the event's pi), the
+    weight of slot n's aspect-k term in the mixture is W[n, k] = pi_u[k] *
+    pi_w[n, k] * s[n], and expanding gam inside the sum over k gives
+
+        lam[c] = sum_n f_nc[n, c] * (sum_k W[n, k] |a_nk|^2
+                                    + (S @ W^T)[c, n] - 2 (A @ Z)[c, n]),
+
+    where S (C, K) holds every node's per-aspect squared norms, A (C, K*m)
+    is the table's aspect block and column n of Z (K*m, L+1) stacks W[n, k]
+    a_nk over k. So two products over the table replace the (K, L+1, C)
+    chain; ``pi``, ``mu`` and ``ctx`` are bitwise those of explicit
+    ``np.arange(node_count)`` rows, and ``lam`` agrees with theirs up to the
+    order of its sums. ``f_nc`` keeps its einsum even here: that gives a
+    node's distance to itself as exactly zero, so the expanded aspect
+    distance of a slot to its own node, which rounds to a tiny value of
+    either sign, is multiplied by an exact 0 and the sign cap below holds.
 
     Every squared distance, from a slot (source or history event) to a
     candidate or to a context, is in Gram form, |a - b|^2 = |a|^2 + |b|^2 -
@@ -218,23 +240,38 @@ def forward(
     # Per-aspect intensities: each slot adds its identity similarity to the
     # candidate times its aspect distance to it, weighted by 1 for the source
     # and by pi * attn * kappa for a history event.
-    mu, lam_k = np.zeros((b, c)), np.zeros((b, c, k))
+    mu, lam, lam_k = np.zeros((b, c)), np.zeros((b, c)), np.zeros((b, c, k))
     f_nc = gam = w_nc = pi_w = None
     if c:
         f_nc = 2.0 * np.einsum("bnm,bcm->bnc", i_n, ic)
         f_nc -= i_sq[:, :, None]
         f_nc -= np.einsum("bcm,bcm->bc", ic, ic)[:, None]                # (B, L+1, C)
+        mu = f_nc[:, 0]
+        slot_w = np.concatenate([np.ones((b, 1)), attn * kappa], axis=1)  # (B, L+1)
+    if c and cand is None:
+        # every node: the mixture alone, from the expanded aspect distance
+        # (see the docstring); W[b, n, k] weights slot n's aspect-k term
+        w = pi.copy()
+        w[:, 0] = 1.0
+        w *= pi_u[:, None, :] * slot_w[:, :, None]                       # (B, L+1, K)
+        rows = b * (lmax + 1)
+        z_n = ((-2.0 * w)[:, :, :, None] * a_n).reshape(rows, k * m)
+        g = z_n @ aspect.reshape(c, k * m).T                             # (B(L+1), C)
+        g += w.reshape(rows, k) @ np.einsum("ckm,ckm->ck", aspect, aspect).T
+        g += np.einsum("bnk,bnkm,bnkm->bn", w, a_n, a_n).reshape(rows, 1)
+        lam = np.einsum("bnc,bnc->bc", f_nc, g.reshape(b, lmax + 1, c))  # (B, C)
+        lam_k = None
+    elif c:
         gam = (
             np.einsum("bnkm,bnkm->bkn", a_n, a_n)[:, :, :, None]
             + np.einsum("bckm,bckm->bkc", ac, ac)[:, :, None]
         )
         gam -= 2.0 * (a_n.transpose(0, 2, 1, 3) @ ac.transpose(0, 2, 3, 1))  # (B, K, L+1, C)
-        w_nc = f_nc * np.concatenate([np.ones((b, 1)), attn * kappa], axis=1)[:, :, None]
+        w_nc = f_nc * slot_w[:, :, None]
         pi_w = pi.transpose(0, 2, 1).copy()
         pi_w[:, :, 0] = 1.0                                              # (B, K, L+1)
         lam_k = np.einsum("bkn,bknc->bck", pi_w, gam * w_nc[:, None])    # (B, C, K)
-        mu = f_nc[:, 0]
-    lam = np.einsum("bck,bk->bc", lam_k, pi_u)                       # (B, C)
+        lam = np.einsum("bck,bk->bc", lam_k, pi_u)                       # (B, C)
 
     return Forward(
         pi, lam_k, lam, ctx, attn, kappa, mu,

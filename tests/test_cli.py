@@ -146,6 +146,27 @@ def test_zero_mask_count_is_an_error_before_training(simulated, capsys, command,
     assert not list(out.rglob("model.bin"))
 
 
+@pytest.mark.parametrize("mask_count", ["1", "2"])
+@pytest.mark.parametrize("command, extra", [
+    ("eval-link", []),
+    ("ablate", ["--variant", "no_attn"]),
+    ("aspect-probe", ["--which", "all"]),
+])
+def test_mask_count_whose_probe_split_lacks_a_label_is_an_error_before_training(
+    simulated, capsys, command, extra, mask_count
+):
+    """At seed 1 the probe's seeded split of 2 or 4 pairs leaves its fit half
+    with one label; that is rejected before any training."""
+    root, edges = simulated
+    out = root / f"{command}-mask-{mask_count}"
+    assert run([command, "--edges", str(edges), "--directed", *TINY, *extra,
+                "--mask-count", mask_count, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "leaves its fit half with one label" in err
+    assert f"got {mask_count} positives and {mask_count} negatives" in err
+    assert not list(out.rglob("model.bin"))
+
+
 def test_negative_mask_count_is_an_error(simulated, capsys):
     root, edges = simulated
     out = root / "mask-negative"

@@ -6,6 +6,7 @@ from scipy.cluster.vq import kmeans2
 from hawkmix import (
     build_context,
     candidate_scores,
+    forward,
     history,
     infer_aspect_labels,
     network_from_edges,
@@ -14,6 +15,7 @@ from hawkmix import (
     recommend,
     recovery_score,
 )
+from hawkmix.eval import check_probe_pairs
 
 from oracle import ref_all
 from util import random_params
@@ -68,6 +70,19 @@ def test_recommend_rejects_a_k_that_is_not_a_positive_integer(k):
 def test_recommend_takes_a_numpy_integer_k():
     p = random_params(np.random.default_rng(1))
     assert recommend(p, small_net(), 0, 0.5, np.int64(2)) == recommend(p, small_net(), 0, 0.5, 2)
+
+
+@pytest.mark.parametrize("u", [1.7, 2.0, True, "3", None])
+def test_recommend_rejects_a_u_that_is_not_an_integer(u):
+    """A float or a string is not a node id, and True is not node 1."""
+    p = random_params(np.random.default_rng(1))
+    with pytest.raises(ValueError, match="u must be an integer node id"):
+        recommend(p, small_net(), u, 0.5, 3)
+
+
+def test_recommend_takes_a_numpy_integer_u():
+    p = random_params(np.random.default_rng(1))
+    assert recommend(p, small_net(), np.int64(1), 0.5, 3) == recommend(p, small_net(), 1, 0.5, 3)
 
 
 def undirected_net():
@@ -154,6 +169,26 @@ def test_probe_report_rejects_an_empty_pair_list(n_pos, n_neg):
         probe_report(p, pairs[:n_pos], pairs[3 : 3 + n_neg], seed=9)
 
 
+def test_probe_report_rejects_a_split_with_one_label_in_a_half():
+    """check_probe_pairs replays the probe's seeded split: a report either
+    comes out or the split is rejected by name, never a failure in the fit
+    or the AUC; one pair of each label always leaves the fit half with one."""
+    p = random_params(np.random.default_rng(4), n_nodes=40)
+    pairs = [(a, a + 1) for a in range(8)]
+    scored = 0
+    for n_pos in range(1, 5):
+        for n_neg in range(1, 5):
+            for seed in range(8):
+                try:
+                    probe_report(p, pairs[:n_pos], pairs[4 : 4 + n_neg], seed=seed)
+                    scored += 1
+                except ValueError as err:
+                    assert "seeded split" in str(err)
+    assert 0 < scored < 4 * 4 * 8
+    with pytest.raises(ValueError, match="leaves its fit half with one label"):
+        check_probe_pairs([(0, 1)], [(2, 3)], seed=0)
+
+
 def test_precision_recall_at_k_edge_cases():
     ranked = [(3, 0.9), (1, 0.5), (4, 0.1)]
     # k beyond the list: precision still divides by k
@@ -199,7 +234,7 @@ def test_recommend_top_k_matches_a_full_sort_with_ties_at_the_cut():
     p.table[21:23] = p.table[20]  # three more
     ctx = build_context(p, 0, 0, 0.5, history(net, 0, 0.5, p.hyper.history_len))
     cands = [v for v in range(n) if v not in (0, 1, 2, 5)]
-    scores = candidate_scores(p, ctx, cands).tolist()
+    scores = forward(p, [0], ctx.hist, None).lam[0][cands].tolist()
     full = sorted(zip(cands, scores), key=lambda vs: (-vs[1], vs[0]))
     tied = [i for i, (v, _) in enumerate(full) if 10 <= v <= 15]
     assert tied == list(range(tied[0], tied[0] + 6))

@@ -464,25 +464,60 @@ def test_read_out_aspect_weights_match_the_oracle_at_large_embeddings():
 @pytest.mark.parametrize("use_gumbel", [True, False])
 def test_forward_on_every_node_matches_explicit_candidates(use_attention, use_gumbel, batch):
     """cand=None scores every node from views of the node table; it gives
-    bitwise the pi, lam_k, lam and mu of explicit np.arange(n) candidates,
-    on an empty, a ragged and a full history (history_len 4)."""
+    bitwise the pi and mu of explicit np.arange(n) candidates, and a lam
+    within 1e-12 of theirs and of the oracle (it sums the mixture in another
+    order), on an empty, a ragged and a full history (history_len 4). It
+    computes the mixture only: lam_k and gam are None."""
     rng = np.random.default_rng(28)
     p = random_params(rng, use_attention=use_attention, use_gumbel=use_gumbel)
     k, n = p.hyper.n_aspects, p.node_count
     u = [0, 6, 1][:batch]
+    t = [0.9, 0.8, 0.95][:batch]
     events = [(), hist((2, 0.1), (3, 0.5)), hist((4, 0.1), (2, 0.2), (5, 0.6), (2, 0.7))]
-    hists = assemble(
-        k, u, np.empty((batch, 0)), [0.9, 0.8, 0.95][:batch], events[-batch:], [None] * batch,
-    ).hist
-    g_u = g_h = None
+    hists = assemble(k, u, np.empty((batch, 0)), t, events[-batch:], [None] * batch).hist
+    g_u = g_h = noise = None
     if use_gumbel:
-        g_u = rng.gumbel(size=(batch, k))
-        g_h = rng.gumbel(size=hists.mask.shape + (k,)) * hists.mask[:, :, None]
+        noise = rng.gumbel(size=(n, k))  # one draw per node, as the oracle takes it
+        g_u = noise[u]
+        g_h = noise[hists.ids] * hists.mask[:, :, None]
     every = forward(p, u, hists, None, g_u, g_h)
     explicit = forward(p, u, hists, np.tile(np.arange(n), (batch, 1)), g_u, g_h)
-    for name in ("pi", "lam_k", "lam", "mu"):
+    for name in ("pi", "mu"):
         assert np.array_equal(getattr(every, name), getattr(explicit, name)), name
     assert every.lam.shape == (batch, n)
+    assert np.allclose(every.lam, explicit.lam, atol=1e-12, rtol=0)
+    assert every.lam_k is None and every.gam is None
+    for row, (src, when, events_row) in enumerate(zip(u, t, events[-batch:])):
+        for v in range(n):
+            ref_lam = ref_all(p, src, v, when, events_row, noise)[4]
+            assert every.lam[row, v] == pytest.approx(ref_lam, abs=1e-12)
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+@pytest.mark.parametrize("use_gumbel", [True, False])
+def test_every_node_intensities_match_the_oracle_at_large_embeddings(use_attention, use_gumbel):
+    """cand=None expands each squared aspect distance inside the mixture,
+    |a_n|^2 + |a_c|^2 - 2 a_n.a_c; at embedding scale 5 those terms are ~70
+    times those at scale 0.6, so a cancellation would show. Every node's lam
+    of three rows (an empty history, a ragged one holding the source, and a
+    full one with a repeated node) agrees with the oracle to 1e-12 relative."""
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        p = random_params(rng, scale=5.0, use_attention=use_attention, use_gumbel=use_gumbel)
+        k, n = p.hyper.n_aspects, p.node_count
+        u, t = [3, 0, 7], [0.9, 0.8, 0.95]
+        events = [(), hist((0, 0.3), (5, 0.5)), hist((4, 0.1), (8, 0.2), (1, 0.6), (8, 0.7))]
+        hists = assemble(k, u, np.empty((3, 0)), t, events, [None] * 3).hist
+        g_u = g_h = noise = None
+        if use_gumbel:
+            noise = rng.gumbel(size=(n, k))
+            g_u = noise[u]
+            g_h = noise[hists.ids] * hists.mask[:, :, None]
+        lam = forward(p, u, hists, None, g_u, g_h).lam
+        for row in range(3):
+            for v in range(n):
+                ref_lam = ref_all(p, u[row], v, t[row], events[row], noise)[4]
+                assert lam[row, v] == pytest.approx(ref_lam, rel=1e-12, abs=1e-12)
 
 
 @given(
@@ -497,7 +532,8 @@ def test_intensities_on_every_node_are_never_positive(
     seed, scale, n_hist, use_attention, use_gumbel
 ):
     """The sign cap holds for cand=None too: every node, the source and the
-    history nodes among them, gets lam_k and lam <= 0."""
+    history nodes among them, gets lam <= 0 (and lam_k <= 0 as an explicit
+    candidate)."""
     rng = np.random.default_rng(seed)
     p = random_params(rng, scale=scale, use_attention=use_attention, use_gumbel=use_gumbel)
     nodes = rng.integers(0, p.node_count, size=n_hist)
@@ -507,6 +543,7 @@ def test_intensities_on_every_node_are_never_positive(
         noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes.tolist()}
     ctx = build_context(p, 0, 0, 0.9, h, noise=noise)
     fwd = forward(p, [0], ctx.hist, None, ctx.g_u, ctx.g_h)
+    explicit = forward(p, [0], ctx.hist, np.arange(p.node_count)[None], ctx.g_u, ctx.g_h)
     assert fwd.lam.shape == (1, p.node_count)
-    assert np.all(fwd.lam_k <= 0.0)
+    assert np.all(explicit.lam_k <= 0.0)
     assert np.all(fwd.lam <= 0.0)
