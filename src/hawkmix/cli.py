@@ -277,7 +277,15 @@ def _mask(net, cfg):
     return masked
 
 
-def _model_net_node(cfg):
+def _node_label(node) -> str:
+    """The edge-list token of a ``--node``. Labels are the file's string
+    tokens, so an integer from a config file names the token it spells."""
+    if isinstance(node, bool) or not isinstance(node, (str, int)):
+        raise SystemExit2(f"--node must be a label or an integer, not {node!r}")
+    return str(node)
+
+
+def _model_net_node(cfg, node: str):
     """(params, network, node id) of a query; the model must fit the network."""
     params = load_params(cfg["model"])
     net = load_edge_list(cfg["edges"], directed=cfg["directed"])
@@ -286,7 +294,6 @@ def _model_net_node(cfg):
             f"the model has {params.node_count} nodes but the edge list has "
             f"{net.node_count}; use the edge list the model was trained on"
         )
-    node = cfg["node"]
     if node not in net.label_to_id:
         raise ValueError(f"node {node!r} does not appear in the edge list")
     return params, net, net.label_to_id[node]
@@ -294,6 +301,7 @@ def _model_net_node(cfg):
 
 def _cmd_recommend(cfg) -> int:
     _require(cfg, "model", "edges", "node")
+    node = _node_label(cfg["node"])
     k, time = cfg["k"], cfg["time"]
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise SystemExit2(f"--k must be a positive integer, not {k!r}")
@@ -303,7 +311,7 @@ def _cmd_recommend(cfg) -> int:
         raise SystemExit2(f"--time must be a finite number, not {time!r}")
     out = _outdir(cfg)
     _echo_config(cfg, out)
-    params, net, u = _model_net_node(cfg)
+    params, net, u = _model_net_node(cfg, node)
     t = float(net.times.max()) + 1e-9 if time is None else net.normalized_time(time)
     ranked = recommend(params, net, u, t, k)
     with open(out / "recommendations.csv", "w", newline="") as fh:
@@ -351,9 +359,10 @@ def _cmd_simulate(cfg) -> int:
 
 def _cmd_intensity(cfg) -> int:
     _require(cfg, "model", "edges", "node")
+    node = _node_label(cfg["node"])
     out = _outdir(cfg)
     _echo_config(cfg, out)
-    params, net, u = _model_net_node(cfg)
+    params, net, u = _model_net_node(cfg, node)
     nbrs, ts = net.events(u)
     src = np.full(len(ts), u)
     fwd = forward(params, src, net.histories(src, ts, params.hyper.history_len), nbrs[:, None])
@@ -434,3 +443,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

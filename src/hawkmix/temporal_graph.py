@@ -16,6 +16,8 @@ finds them with ``TemporalNetwork.windows`` or ``histories``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, filterfalse, islice
+from operator import eq, itemgetter, methodcaller
 from typing import NamedTuple
 
 import numpy as np
@@ -166,10 +168,27 @@ def _contains(sorted_keys: np.ndarray, keys) -> np.ndarray:
     return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
 
 
+def _unique_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending: ``np.unique`` by a sort."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def _build_network(labels, label_to_id, sources, targets, times, directed, normalize,
                    t_range=(0.0, 1.0)):
-    """``t_range`` is the raw (tmin, tmax) of already normalized ``times``;
-    with ``normalize`` it is measured from ``times`` instead."""
+    """The network of parallel edge arrays in any time order.
+
+    ``t_range`` is the raw (tmin, tmax) of already normalized ``times``;
+    with ``normalize`` it is measured from ``times`` instead. The edges are
+    sorted by time with a stable sort, so equal times keep input order. The
+    events are sorted by owner with a stable sort too; an undirected edge's
+    two events are interleaved first (source side, then target side), so
+    within each owner they stay in edge order. The static keys are
+    deduplicated by a sort: NumPy 2.4's ``np.unique`` hashes integer keys,
+    which is many times slower on key arrays like these.
+    """
     n = len(labels)
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -178,22 +197,20 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, norma
     if normalize and len(times):
         tmin, tmax = float(times.min()), float(times.max())
         times = (times - tmin) / (tmax - tmin) if tmax > tmin else np.zeros_like(times)
-    # Stable sort keeps input order as the tie-break for equal timestamps.
     order = np.argsort(times, kind="stable")
     sources, targets, times = sources[order], targets[order], times[order]
 
-    # Events: one per edge for its source, plus one for its target when
-    # undirected; grouped by owner, in edge order within each owner.
-    owner, other = sources, targets
-    if not directed:
-        owner, other = np.concatenate([sources, targets]), np.concatenate([targets, sources])
-    edge_of = np.arange(len(owner)) % max(len(times), 1)
-    perm = np.lexsort((edge_of, owner))
+    if directed:
+        owner, other = sources, targets
+    else:
+        owner = np.column_stack([sources, targets]).ravel()
+        other = np.column_stack([targets, sources]).ravel()
+    perm = np.argsort(owner, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-    ev_time = times[edge_of[perm]]
+    ev_time = times[perm if directed else perm >> 1]
 
-    adj_keys = np.unique(np.concatenate([sources * n + targets, targets * n + sources]))
+    adj_keys = _unique_sorted(np.concatenate([sources * n + targets, targets * n + sources]))
     return TemporalNetwork(
         node_count=n,
         labels=list(labels),
@@ -207,7 +224,7 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, norma
         ev_time=ev_time,
         ev_key=owner[perm] + 1j * ev_time,
         adj_keys=adj_keys,
-        pair_keys=np.unique(_pair_keys(sources, targets, n, directed)),
+        pair_keys=_unique_sorted(_pair_keys(sources, targets, n, directed)),
         degrees=np.bincount(adj_keys // max(n, 1), minlength=n),
         tmin=tmin,
         tmax=tmax,
@@ -220,51 +237,101 @@ def network_from_edges(labels, sources, targets, times, directed, normalize=True
     return _build_network(labels, label_to_id, sources, targets, times, directed, normalize)
 
 
+# Characters of text read per block of lines. The parse holds one block's
+# lines and fields at a time, whatever the file's size. Blocks this small
+# parse as fast as larger ones, and their short-lived objects fit in memory
+# the process reuses, where larger blocks raised its peak RSS.
+_BLOCK_CHARS = 1 << 14
+
+
 def load_edge_list(path, directed: bool) -> TemporalNetwork:
     """Parse a `src dst time` text file into a TemporalNetwork.
 
     Node tokens are remapped to dense integers in order of first appearance;
     self-loops are dropped; duplicate temporal edges are kept as distinct
-    events. Lines starting with '#' are ignored.
+    events. Lines that are blank or whose first token starts with '#' are
+    ignored. The first bad line in file order raises EdgeListParseError:
+    a field count other than three, a timestamp that ``float`` rejects, or
+    a non-finite one (a self-loop's timestamp is checked too).
+
+    The file is read in blocks of about ``_BLOCK_CHARS`` characters, split
+    into lines as iterating over the file splits them, and each block is
+    parsed with array operations, so memory beyond the edge arrays is
+    bounded by the block, not by the file.
     """
     labels = []
     label_to_id = {}
-    sources, targets, times = [], [], []
-
-    def node_id(tok):
-        nid = label_to_id.get(tok)
-        if nid is None:
-            nid = len(labels)
-            label_to_id[tok] = nid
-            labels.append(tok)
-        return nid
-
+    parts = []
+    lineno = 1
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise EdgeListParseError(
-                    f"{path}:{lineno}: expected 'source target timestamp', got {len(parts)} fields"
-                )
-            try:
-                t = float(parts[2])
-            except ValueError:
-                raise EdgeListParseError(
-                    f"{path}:{lineno}: timestamp {parts[2]!r} is not a number"
-                ) from None
-            if not np.isfinite(t):
-                raise EdgeListParseError(f"{path}:{lineno}: timestamp {parts[2]!r} is not finite")
-            if parts[0] == parts[1]:
-                continue  # self-loop
-            sources.append(node_id(parts[0]))
-            targets.append(node_id(parts[1]))
-            times.append(t)
-    if not times:
+        while block := fh.readlines(_BLOCK_CHARS):
+            parts.append(_parse_block(path, block, lineno, labels, label_to_id))
+            lineno += len(block)
+    if not any(len(times) for _, _, times in parts):
         raise EdgeListParseError(f"{path}: no usable edges (empty file or self-loops only)")
+    sources, targets, times = map(np.concatenate, zip(*parts))
+    del parts  # the blocks' arrays, copied into the three above
     return _build_network(labels, label_to_id, sources, targets, times, directed, normalize=True)
+
+
+def _parse_block(path, lines, first_lineno, labels, label_to_id):
+    """(source ids, target ids, times) of the edges among ``lines``, the
+    file's lines from number ``first_lineno`` on. Labels seen for the first
+    time are appended to ``labels`` and ``label_to_id``, in the order they
+    appear."""
+    rows = list(map(str.split, lines))
+    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    keep = n_fields > 0  # not blank, and below: not a comment
+    if "#" in "".join(lines):  # the per-row comment test only where it can match
+        heads = map(itemgetter(0), compress(rows, keep))
+        keep[keep] = ~np.fromiter(map(methodcaller("startswith", "#"), heads), dtype=bool,
+                                  count=int(keep.sum()))
+    lineno = np.flatnonzero(keep) + first_lineno
+    n_fields = n_fields[keep]
+    if not keep.all():
+        rows = list(compress(rows, keep))
+
+    # The first bad line in file order wins: a bad field count ends the
+    # rows whose timestamps count, a non-number ends the finite check.
+    error = None
+    good = len(rows)
+    if (n_fields != 3).any():
+        good = int(np.argmax(n_fields != 3))
+        error = (f"expected 'source target timestamp', got {n_fields[good]} fields", good)
+    ends = list(chain.from_iterable(islice(rows, good)))
+    stamps = ends[2::3]
+    del ends[2::3]  # source, target, source, target, ...
+    try:
+        times = np.fromiter(map(float, stamps), dtype=np.float64, count=good)
+    except ValueError:
+        good = _first_non_number(stamps)
+        error = (f"timestamp {stamps[good]!r} is not a number", good)
+        times = np.fromiter(map(float, stamps[:good]), dtype=np.float64, count=good)
+    finite = np.isfinite(times)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        error = (f"timestamp {stamps[i]!r} is not finite", i)
+    if error is not None:
+        message, i = error
+        raise EdgeListParseError(f"{path}:{lineno[i]}: {message}")
+
+    link = ~np.fromiter(map(eq, ends[0::2], ends[1::2]), dtype=bool, count=good)
+    if not link.all():
+        ends, times = list(compress(ends, np.repeat(link, 2))), times[link]
+    fresh = dict.fromkeys(filterfalse(label_to_id.__contains__, ends))
+    label_to_id.update(zip(fresh, range(len(labels), len(labels) + len(fresh))))
+    labels.extend(fresh)
+    ids = np.fromiter(map(label_to_id.__getitem__, ends), dtype=np.int64, count=len(ends))
+    return ids[0::2], ids[1::2], times
+
+
+def _first_non_number(tokens) -> int:
+    """Index of the first token that ``float`` rejects."""
+    for i, tok in enumerate(tokens):
+        try:
+            float(tok)
+        except ValueError:
+            return i
 
 
 def history(net: TemporalNetwork, u: int, t: float, limit: int):
@@ -363,43 +430,48 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
     masked pairs, negatives an equal-sized uniform sample of non-edges. Node
     ids and timestamps are preserved; the training network is rebuilt from the
     surviving edges without re-normalizing time, and keeps the raw time range.
+
+    A non-edge attempt draws (a, b) uniformly and is rejected when a == b,
+    when the pair is a static edge or when it is already a negative; after
+    ``1000 * count + 10000`` attempts the graph counts as too dense. The
+    attempts run in rounds of array draws, each no larger than the number
+    of negatives still missing: every attempt of a round is one the
+    one-at-a-time loop would make too, and numpy's array ``integers`` takes
+    the same values from the generator as its scalar calls, so the result
+    and the generator's state afterwards are those of that loop.
     """
     n_pairs = net.static_edge_count
     if count < 0:
         raise ValueError(f"cannot mask {count} edges; the count must be >= 0")
     if count > n_pairs:
         raise ValueError(f"cannot mask {count} edges; only {n_pairs} static edges exist")
-    t_range = (net.tmin, net.tmax)
+    n = net.node_count
     chosen = np.sort(rng.choice(n_pairs, size=count, replace=False))
-    pairs = net.pairs()
-    positives = [pairs[i] for i in chosen]
-    edge_keys = _pair_keys(net.sources, net.targets, net.node_count, net.directed)
+    a, b = np.divmod(net.pair_keys[chosen], n)
+    positives = list(zip(a.tolist(), b.tolist()))
+    edge_keys = _pair_keys(net.sources, net.targets, n, net.directed)
     keep = ~_contains(net.pair_keys[chosen], edge_keys)
     train = _build_network(
         net.labels, net.label_to_id, net.sources[keep], net.targets[keep],
-        net.times[keep], net.directed, normalize=False, t_range=t_range,
+        net.times[keep], net.directed, normalize=False, t_range=(net.tmin, net.tmax),
     )
 
-    n = net.node_count
-    static = set(net.pair_keys.tolist())
-    negatives = []
-    seen = set()
-    budget = 1000 * count + 10000
-    while len(negatives) < count:
+    found = np.empty(0, dtype=np.int64)  # keys of the negatives, in draw order
+    budget = 1000 * count + 10000        # (a, b) draws before giving up
+    while len(found) < count:
         if budget <= 0:
             raise RuntimeError("could not find enough non-edges; graph too dense")
-        budget -= 1
-        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if a == b:
-            continue
-        if not net.directed and a > b:
-            a, b = b, a
-        key = a * n + b
-        if key in static or key in seen:
-            continue
-        seen.add(key)
-        negatives.append((a, b))
-    return train, positives, negatives
+        size = min(count - len(found), budget)
+        budget -= size
+        a, b = rng.integers(0, n, size=(size, 2)).T
+        if not net.directed:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        keys = (a * n + b)[a != b]
+        keys = keys[~_contains(net.pair_keys, keys) & ~_contains(np.sort(found), keys)]
+        _, first = np.unique(keys, return_index=True)
+        found = np.concatenate([found, keys[np.sort(first)]])
+    a, b = np.divmod(found, n)
+    return train, positives, list(zip(a.tolist(), b.tolist()))
 
 
 def write_pairs(pairs, path) -> None:

@@ -148,3 +148,75 @@ def ref_auc(y_true, scores):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def ref_load_edge_list(path):
+    """The edge-list parse, one line at a time: (labels, label_to_id,
+    sources, targets, raw times) of the usable edges, or ValueError with the
+    loader's message for the first bad line."""
+    labels = []
+    label_to_id = {}
+    sources, targets, times = [], [], []
+
+    def node_id(tok):
+        nid = label_to_id.get(tok)
+        if nid is None:
+            nid = len(labels)
+            label_to_id[tok] = nid
+            labels.append(tok)
+        return nid
+
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'source target timestamp', got {len(parts)} fields"
+                )
+            try:
+                t = float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: timestamp {parts[2]!r} is not a number") from None
+            if not math.isfinite(t):
+                raise ValueError(f"{path}:{lineno}: timestamp {parts[2]!r} is not finite")
+            if parts[0] == parts[1]:
+                continue  # self-loop
+            sources.append(node_id(parts[0]))
+            targets.append(node_id(parts[1]))
+            times.append(t)
+    if not times:
+        raise ValueError(f"{path}: no usable edges (empty file or self-loops only)")
+    return labels, label_to_id, sources, targets, times
+
+
+def ref_mask_static_edges(sources, targets, n, directed, count, rng):
+    """Masking by explicit pair lists: (indices of the kept edges, positives,
+    negatives). Draws from ``rng`` one call at a time: a choice of the masked
+    pairs, then two scalar integers per non-edge attempt."""
+    def pair(a, b):
+        return (a, b) if directed or a < b else (b, a)
+
+    pairs = sorted({pair(a, b) for a, b in zip(sources, targets)})
+    chosen = sorted(rng.choice(len(pairs), size=count, replace=False).tolist())
+    positives = [pairs[i] for i in chosen]
+    masked = set(positives)
+    keep = [i for i, (a, b) in enumerate(zip(sources, targets)) if pair(a, b) not in masked]
+
+    static = set(pairs)
+    negatives = []
+    budget = 1000 * count + 10000
+    while len(negatives) < count:
+        if budget <= 0:
+            raise RuntimeError("could not find enough non-edges; graph too dense")
+        budget -= 1
+        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if a == b:
+            continue
+        p = pair(a, b)
+        if p in static or p in negatives:
+            continue
+        negatives.append(p)
+    return keep, positives, negatives

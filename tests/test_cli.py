@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hawkmix import load_params
+import hawkmix
+from hawkmix import load_edge_list, load_params
 from hawkmix.cli import run
 from hawkmix.params import MODEL_MAGIC
 
@@ -81,6 +86,58 @@ def test_recommend_and_intensity(simulated):
     rows = read_csv(out / "intensity.csv")
     assert rows[0] == ["time", "aspect", "lambda"] and len(rows) > 1
     assert all(float(r[2]) > 0 for r in rows[1:])
+
+
+@pytest.mark.parametrize("command", ["recommend", "intensity"])
+def test_integer_node_in_a_config_names_its_label(simulated, tmp_path, command):
+    """``{"node": 0}`` in a config file queries the node whose token is "0",
+    as ``--node 0`` does, and writes the same file."""
+    root, edges = simulated
+    config = tmp_path / "in.json"
+    config.write_text(json.dumps({"node": 0}))
+    name = "recommendations.csv" if command == "recommend" else "intensity.csv"
+    common = [command, "--model", str(root / "train" / "model.bin"), "--edges", str(edges),
+              "--directed"]
+    assert run([*common, "--node", "0", "--out", str(tmp_path / "flag")]) == 0
+    assert run([*common, "--config", str(config), "--out", str(tmp_path / "cfg")]) == 0
+    assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["recommend", "intensity"])
+@pytest.mark.parametrize("node", [True, 0.0, [0], {"id": 0}])
+def test_node_of_another_type_in_a_config_is_a_usage_error(
+    simulated, tmp_path, capsys, command, node
+):
+    """Checked before the model is read or config.json is written."""
+    root, edges = simulated
+    config = tmp_path / "in.json"
+    config.write_text(json.dumps({"node": node}))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(config), "--model", str(tmp_path / "no-model.bin"),
+                "--edges", str(edges), "--directed", "--out", str(out)]) == 2
+    assert f"usage error: --node must be a label or an integer, not {node!r}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_the_package_and_the_cli_module_run_as_scripts(tmp_path):
+    """``python -m hawkmix`` runs a command and ``python -m hawkmix.cli``
+    rejects an unknown one, outside an installed package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(hawkmix.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+    def python_m(*args):
+        return subprocess.run([sys.executable, "-m", *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    out = tmp_path / "sim"
+    proc = python_m("hawkmix", "simulate", "--aspects", "2", "--nodes-per", "4",
+                    "--horizon", "4", "--seed", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert load_edge_list(out / "edges.txt", directed=True).n_edges > 0
+    proc = python_m("hawkmix.cli", "bogus")
+    assert proc.returncode == 2
+    assert "invalid choice: 'bogus'" in proc.stderr
 
 
 def test_missing_out_is_a_usage_error(simulated, capsys):

@@ -1,7 +1,10 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import ref_load_edge_list, ref_mask_static_edges
 
 from hawkmix import (
     NegativeSampler,
@@ -13,6 +16,7 @@ from hawkmix import (
     network_from_edges,
     sample_negatives,
 )
+from hawkmix import temporal_graph
 from hawkmix.temporal_graph import EdgeListParseError
 
 
@@ -417,3 +421,154 @@ def test_windows_match_a_plain_loop(directed):
             window = slice(start[i], stop[i])
             got = list(zip(net.ev_nbr[window].tolist(), net.ev_time[window].tolist()))
             assert got == [e for e in events[u[i]] if e[1] < t[i]][-limit:]
+
+
+def network_state(net) -> dict:
+    """Every field of a network, arrays as (dtype, shape, bytes), so that
+    equal states mean bitwise-equal networks."""
+    out = {}
+    for name, value in vars(net).items():
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, dict):
+            value = list(value.items())  # the insertion order too
+        out[name] = value
+    return out
+
+
+LABELS = st.sampled_from(["a", "b", "c", "10", "a#b", "#x", "\u00e9"])
+SEPS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0c", "\u2028"])
+GOOD_TIMES = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.sampled_from(["1_000", "+7", "3.5", "1E3", "-0.0"]),
+)
+BAD_TIMES = st.sampled_from(["nan", "inf", "-Infinity", "1e400", "abc", "0x10", "1.5.2", "1__0"])
+BLANKS = st.sampled_from(["", " ", "\t", "\x0c", " \u2028 "])
+
+
+@st.composite
+def edge_line(draw, times=GOOD_TIMES):
+    src, dst, t = draw(LABELS), draw(LABELS), draw(times)
+    return draw(BLANKS) + draw(SEPS).join([src, dst, t]) + draw(BLANKS)
+
+
+@st.composite
+def field_count_line(draw):
+    tokens = draw(st.lists(st.one_of(LABELS, GOOD_TIMES), min_size=1, max_size=5).filter(
+        lambda ts: len(ts) != 3 and not ts[0].startswith("#")))
+    return draw(SEPS).join(tokens)
+
+
+COMMENTS = st.tuples(BLANKS, st.text("ab #\t", max_size=6)).map(lambda p: p[0] + "#" + p[1])
+GOOD_LINES = st.one_of(edge_line(), edge_line(), edge_line(), COMMENTS, BLANKS)
+BAD_LINES = st.one_of(
+    edge_line(BAD_TIMES),
+    field_count_line(),
+    st.tuples(LABELS, BAD_TIMES).map(lambda p: f"{p[0]} {p[0]} {p[1]}"),  # a bad self-loop
+)
+
+
+@st.composite
+def edge_files(draw):
+    """Text of an edge file: good lines with up to two bad ones inserted, each
+    line ending in LF, CRLF or CR, the last one maybe in nothing."""
+    lines = draw(st.lists(GOOD_LINES, max_size=30))
+    for pos, bad in draw(st.lists(st.tuples(st.integers(0, 30), BAD_LINES), max_size=2)):
+        lines.insert(pos, bad)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text
+
+
+def assert_loads_like_the_reference(path, directed):
+    try:
+        labels, _, sources, targets, times = ref_load_edge_list(path)
+    except ValueError as exc:
+        with pytest.raises(EdgeListParseError) as got:
+            load_edge_list(path, directed)
+        assert str(got.value) == str(exc)
+        return
+    expect = network_from_edges(labels, sources, targets, times, directed)
+    assert network_state(load_edge_list(path, directed)) == network_state(expect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edge_files(), directed=st.booleans())
+def test_load_matches_the_reference_loop(tmp_path_factory, text, directed):
+    """The loader against the per-line reference on generated files: the
+    same network, labels and time range, or the same error message; also
+    when the file is read in blocks of a line or two."""
+    path = tmp_path_factory.getbasetemp() / "differential.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert_loads_like_the_reference(path, directed)
+    with patch.object(temporal_graph, "_BLOCK_CHARS", 12):
+        assert_loads_like_the_reference(path, directed)
+
+
+def test_first_bad_line_wins_across_kinds(tmp_path):
+    path = write(tmp_path, "a b 1\na b x\nb c\n")
+    with pytest.raises(EdgeListParseError, match=":2: timestamp 'x' is not a number"):
+        load_edge_list(path, directed=True)
+    path = write(tmp_path, "a b 1\na a nan\nb c x\n")
+    with pytest.raises(EdgeListParseError, match=":2: timestamp 'nan' is not finite"):
+        load_edge_list(path, directed=True)
+
+
+def test_lines_split_as_file_iteration_splits_them(tmp_path):
+    """A form feed or a line separator is whitespace inside a line, where
+    ``str.splitlines`` would start a new one; CR and CRLF end lines."""
+    path = tmp_path / "edges.txt"
+    path.write_bytes("a\x0cb 1\r\nb\u2028c 2\rc d\t3".encode("utf-8"))
+    net = load_edge_list(path, directed=True)
+    assert net.labels == ["a", "b", "c", "d"] and net.n_edges == 3
+
+
+small_nets = st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=40),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(net_edges=small_nets, directed=st.booleans(), frac=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_mask_matches_the_reference_loop(net_edges, directed, frac, seed):
+    """``mask_static_edges`` against per-pair lists and per-draw scalar
+    integers: the same training network, positives and negatives, and the
+    generator left in the same state. The count stays within the non-edges,
+    so every call succeeds."""
+    n, edges = net_edges
+    sources, targets = map(list, zip(*edges))
+    times = np.random.default_rng(seed).uniform(0, 1, len(edges)).round(1)
+    net = network_from_edges(list(range(n)), sources, targets, times, directed, normalize=False)
+    non_edges = (n * (n - 1) // (1 if directed else 2)) - sum(
+        a != b for a, b in net.pairs())
+    count = min(round(frac * net.static_edge_count), non_edges)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    train, positives, negatives = mask_static_edges(net, count, rng)
+    keep, ref_positives, ref_negatives = ref_mask_static_edges(
+        net.sources.tolist(), net.targets.tolist(), n, directed, count, ref_rng)
+    expect = network_from_edges(list(range(n)), net.sources[keep], net.targets[keep],
+                                net.times[keep], directed, normalize=False)
+    assert network_state(train) == network_state(expect)
+    assert (positives, negatives) == (ref_positives, ref_negatives)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_mask_on_a_complete_graph_is_too_dense(directed):
+    """No non-edge exists: both give up after the same number of draws."""
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    net = network_from_edges(list(range(4)), *zip(*pairs), np.arange(len(pairs)) / 11,
+                             directed, normalize=False)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(RuntimeError, match="too dense"):
+        mask_static_edges(net, 2, rng)
+    with pytest.raises(RuntimeError, match="too dense"):
+        ref_mask_static_edges(net.sources.tolist(), net.targets.tolist(), 4, directed, 2, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
