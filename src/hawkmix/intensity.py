@@ -12,9 +12,10 @@ history, candidate targets) and is the only implementation of it: training,
 the loss, recommendation, aspect read-out and the CLI all call it, with the
 history windows that the network owns (``TemporalNetwork.histories``).
 Candidates ``None`` mean every node, in id order, for each query: then the
-candidate embeddings are views of the node table rather than gathered
-copies, and only the mixed intensity is computed, which is how
-recommendation scores a whole network per query.
+candidate embeddings are the node table's blocks rather than gathered
+copies, their squared norms come from ``ModelParams.node_terms`` (computed
+once per read-only model), and only the mixed intensity is computed, which
+is how recommendation scores a whole network per query.
 ``Queries`` holds its arguments; ``assemble`` builds them from per-row event
 and Gumbel lists. ``build_context`` builds a one-row ``Queries``, and
 ``candidate_scores`` and ``mixed_intensity`` score one; only the benchmark and
@@ -74,8 +75,10 @@ class Forward:
     attention weights and kernel values, ``mu`` (B, C) the identity
     similarity of source and candidate. ``ic`` and ``ac`` hold the
     candidates' identity and aspect embeddings: gathered copies for explicit
-    candidates, and read-only views of the node table, broadcast over the B
-    rows, when ``forward`` is called with ``cand=None`` (C == node count).
+    candidates, and read-only views of the identity block of
+    ``params.node_terms()`` and of the table's aspect block, broadcast over
+    the B rows, when ``forward`` is called with ``cand=None`` (C == node
+    count).
     With ``cand=None`` only the mixture ``lam`` is computed: ``lam_k``,
     ``gam``, ``w_nc`` and ``pi_w`` are None, so such a result cannot feed the
     backward pass. With no candidates (C == 0) the candidate terms and the
@@ -129,12 +132,18 @@ def forward(
     (B, L, K), or None for none (deterministic aspect weights).
 
     ``cand=None`` means every node, in id order, for each of the B rows
-    (C == node count): the candidate blocks are then views of
-    ``params.identity`` and ``params.aspect`` instead of copies, and only the
-    mixture is computed. With the slot weight s (1 for the source, attn *
-    kappa for an event) and pi_w (1 for the source, the event's pi), the
-    weight of slot n's aspect-k term in the mixture is W[n, k] = pi_u[k] *
-    pi_w[n, k] * s[n], and expanding gam inside the sum over k gives
+    (C == node count): the candidate blocks are then the contiguous identity
+    block of ``params.node_terms()`` and a view of ``params.aspect`` instead
+    of copies, the candidates' |i_c|^2 and per-aspect squared norms S come
+    from ``node_terms`` too, and only the mixture is computed. A read-only
+    model (every trained or loaded one) computes those node terms on its
+    first such call and reuses them; a writable one recomputes them on
+    every call, with the same expressions, so both give the same bits.
+
+    With the slot weight s (1 for the source, attn * kappa for an event)
+    and pi_w (1 for the source, the event's pi), the weight of slot n's
+    aspect-k term in the mixture is W[n, k] = pi_u[k] * pi_w[n, k] * s[n],
+    and expanding gam inside the sum over k gives
 
         lam[c] = sum_n f_nc[n, c] * (sum_k W[n, k] |a_nk|^2
                                     + (S @ W^T)[c, n] - 2 (A @ Z)[c, n]),
@@ -181,15 +190,17 @@ def forward(
     a_n = aspect[nodes_n]                                            # (B, L+1, K, m)
     iu, ih = i_n[:, 0], i_n[:, 1:]
     au, ah = a_n[:, 0], a_n[:, 1:]
-    if cand is None:  # every node: views of the node table, not copies
+    if cand is None:  # every node: the table and its norms, not copies
         c = params.node_count
-        ic = np.broadcast_to(ident, (b, c, m))                       # (B, C, m)
+        ident_c, ic_sq, aspect_sq = params.node_terms()
+        ic = np.broadcast_to(ident_c, (b, c, m))                     # (B, C, m)
         ac = np.broadcast_to(aspect, (b, c, k, m))                   # (B, C, K, m)
     else:
         cand = np.asarray(cand, dtype=np.int64)
         c = cand.shape[1]
         ic = ident[cand]
         ac = aspect[cand]
+        ic_sq = np.einsum("bcm,bcm->bc", ic, ic)[:, None] if c else None  # (B, 1, C)
 
     delta_u = softplus(params.rho[u])
     kappa = np.exp(-delta_u[:, None] * hist.dt) * mask               # (B, L)
@@ -245,7 +256,7 @@ def forward(
     if c:
         f_nc = 2.0 * np.einsum("bnm,bcm->bnc", i_n, ic)
         f_nc -= i_sq[:, :, None]
-        f_nc -= np.einsum("bcm,bcm->bc", ic, ic)[:, None]                # (B, L+1, C)
+        f_nc -= ic_sq                                                    # (B, L+1, C)
         mu = f_nc[:, 0]
         slot_w = np.concatenate([np.ones((b, 1)), attn * kappa], axis=1)  # (B, L+1)
     if c and cand is None:
@@ -257,7 +268,7 @@ def forward(
         rows = b * (lmax + 1)
         z_n = ((-2.0 * w)[:, :, :, None] * a_n).reshape(rows, k * m)
         g = z_n @ aspect.reshape(c, k * m).T                             # (B(L+1), C)
-        g += w.reshape(rows, k) @ np.einsum("ckm,ckm->ck", aspect, aspect).T
+        g += w.reshape(rows, k) @ aspect_sq.T
         g += np.einsum("bnk,bnkm,bnkm->bn", w, a_n, a_n).reshape(rows, 1)
         lam = np.einsum("bnc,bnc->bc", f_nc, g.reshape(b, lmax + 1, c))  # (B, C)
         lam_k = None

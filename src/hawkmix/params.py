@@ -6,6 +6,11 @@ through a softplus so they stay strictly positive under gradient updates.
 A node's parameters are one row of a node table, laid out as identity |
 aspect | rho | theta; the training gradients and the optimizer's moments use
 the same row layout.
+
+The models that ``train`` and ``load_params`` return are read-only: their
+node table, its field views and the attention arrays refuse writes. To edit
+one, wrap copies of its arrays: ``ModelParams.from_table(p.hyper,
+p.table.copy(), p.attn_w.copy(), p.attn_a.copy())``.
 """
 
 from __future__ import annotations
@@ -115,6 +120,10 @@ class _NodeField:
 
     def __set__(self, params, value):
         view = params._fields[self.name]
+        if not view.flags.writeable:
+            raise ValueError(
+                f"cannot assign {self.name}: the model is read-only; edit a copy of its table"
+            )
         if np.shape(value) != view.shape:
             raise ValueError(f"{self.name} must have shape {view.shape}, not {np.shape(value)}")
         view[...] = value
@@ -135,6 +144,11 @@ class ModelParams:
     a write through one is a write to the table, and assigning one copies the
     values into its columns. The constructor packs the four arrays into a new
     table; ``from_table`` wraps an existing table without a copy.
+
+    ``freeze`` makes a model read-only; ``train`` and ``load_params`` return
+    frozen models. A model whose table is read-only is taken to be constant:
+    ``node_terms`` then computes its per-node terms once and keeps them. To
+    edit a frozen model, wrap copies of its arrays with ``from_table``.
     """
 
     identity = _NodeField()
@@ -164,6 +178,43 @@ class ModelParams:
         self._fields = dict(
             zip(("identity", "aspect", "rho", "theta"), node_fields(table, hyper.dim))
         )
+        self._norms = None
+
+    def freeze(self) -> "ModelParams":
+        """Make this model read-only, in place, and return it.
+
+        The table and the attention arrays refuse writes from here on, and
+        the field views are taken again from the read-only table. A view
+        taken before the call stays writable, so a caller that kept one must
+        not write through it.
+        """
+        for arr in (self._table, self.attn_w, self.attn_a):
+            arr.flags.writeable = False
+        self._bind(self.hyper, self._table, self.attn_w, self.attn_a)
+        return self
+
+    def node_terms(self):
+        """(identity (n, m) as a contiguous array, |identity|^2 (n,), the
+        per-aspect squared norms of the aspect embeddings (n, K)).
+
+        These are the terms of every node that scoring every node needs. A
+        read-only model computes them on the first call and keeps them, as
+        read-only arrays; a writable one computes them on every call, so
+        they follow its edits.
+        """
+        if self._norms is not None:
+            return self._norms
+        ident = np.ascontiguousarray(self.identity)
+        norms = (
+            ident,
+            np.einsum("cm,cm->c", ident, ident),
+            np.einsum("ckm,ckm->ck", self.aspect, self.aspect),
+        )
+        if not self._table.flags.writeable:
+            for arr in norms:
+                arr.flags.writeable = False
+            self._norms = norms
+        return norms
 
     @property
     def table(self) -> np.ndarray:
@@ -245,7 +296,8 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    """Read a file written by ``save_params``; raw arrays round-trip bitwise."""
+    """Read a file written by ``save_params``; raw arrays round-trip bitwise.
+    The model is read-only (see ``ModelParams.freeze``)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MODEL_MAGIC) or data[: len(MODEL_MAGIC)] != MODEL_MAGIC:
@@ -290,7 +342,7 @@ def load_params(path) -> ModelParams:
         view[...] = arrays[name]
     return ModelParams.from_table(
         hyper, table, arrays["attn_w"].copy(), arrays["attn_a"].copy()
-    )
+    ).freeze()
 
 
 def export_embeddings(params: ModelParams, path, labels=None) -> None:

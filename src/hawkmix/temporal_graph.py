@@ -15,7 +15,7 @@ finds them with ``TemporalNetwork.windows`` or ``histories``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, islice
 from operator import eq, itemgetter, methodcaller
 from typing import NamedTuple
@@ -428,8 +428,9 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
 
     Returns (train_network, positive_pairs, negative_pairs): positives are the
     masked pairs, negatives an equal-sized uniform sample of non-edges. Node
-    ids and timestamps are preserved; the training network is rebuilt from the
-    surviving edges without re-normalizing time, and keeps the raw time range.
+    ids and timestamps are preserved; the training network holds the
+    surviving edges, without re-normalizing time, and keeps the raw time
+    range. It is the parent's arrays filtered (see ``_without_pairs``).
 
     A non-edge attempt draws (a, b) uniformly and is rejected when a == b,
     when the pair is a static edge or when it is already a negative; after
@@ -449,12 +450,7 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
     chosen = np.sort(rng.choice(n_pairs, size=count, replace=False))
     a, b = np.divmod(net.pair_keys[chosen], n)
     positives = list(zip(a.tolist(), b.tolist()))
-    edge_keys = _pair_keys(net.sources, net.targets, n, net.directed)
-    keep = ~_contains(net.pair_keys[chosen], edge_keys)
-    train = _build_network(
-        net.labels, net.label_to_id, net.sources[keep], net.targets[keep],
-        net.times[keep], net.directed, normalize=False, t_range=(net.tmin, net.tmax),
-    )
+    train = _without_pairs(net, chosen)
 
     found = np.empty(0, dtype=np.int64)  # keys of the negatives, in draw order
     budget = 1000 * count + 10000        # (a, b) draws before giving up
@@ -472,6 +468,47 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
         found = np.concatenate([found, keys[np.sort(first)]])
     a, b = np.divmod(found, n)
     return train, positives, list(zip(a.tolist(), b.tolist()))
+
+
+def _without_pairs(net: TemporalNetwork, chosen) -> TemporalNetwork:
+    """``net`` without the static edges ``pair_keys[chosen]`` (ascending
+    positions) and all their temporal occurrences.
+
+    Every array is the parent's filtered, so no sort runs: dropping edges
+    keeps the chronological order and each node's event order, so the
+    result is the network ``_build_network`` makes of the kept edges. A
+    linked pair stays in ``adj_keys`` while a static edge in either
+    direction is left.
+    """
+    n = net.node_count
+    gone = net.pair_keys[chosen]
+    keep = ~_contains(gone, _pair_keys(net.sources, net.targets, n, net.directed))
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(net.indptr))
+    keep_ev = ~_contains(gone, _pair_keys(owner, net.ev_nbr, n, net.directed))
+    kept_before = np.zeros(len(keep_ev) + 1, dtype=np.int64)  # kept events before each
+    np.cumsum(keep_ev, out=kept_before[1:])
+    pair_keys = np.delete(net.pair_keys, chosen)
+    # a dropped pair leaves adj_keys unless its reverse is still a static edge
+    a, b = np.divmod(gone, n)
+    reverse = b * n + a
+    unlinked = ~_contains(pair_keys, reverse)
+    drop = np.sort(np.concatenate([gone[unlinked], reverse[unlinked]]))
+    adj_keys = np.delete(net.adj_keys, np.searchsorted(net.adj_keys, drop))
+    return replace(
+        net,
+        labels=list(net.labels),
+        label_to_id=dict(net.label_to_id),
+        sources=net.sources[keep],
+        targets=net.targets[keep],
+        times=net.times[keep],
+        indptr=kept_before[net.indptr],
+        ev_nbr=net.ev_nbr[keep_ev],
+        ev_time=net.ev_time[keep_ev],
+        ev_key=net.ev_key[keep_ev],
+        adj_keys=adj_keys,
+        pair_keys=pair_keys,
+        degrees=np.bincount(adj_keys // max(n, 1), minlength=n),
+    )
 
 
 def write_pairs(pairs, path) -> None:

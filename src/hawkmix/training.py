@@ -545,6 +545,7 @@ def train(
     TrainingDiverged naming the epoch, the batch and the nodes involved,
     before its update is applied. With ``checkpoint_every`` n (>= 1) and a
     ``checkpoint_dir``, the parameters are saved after every n-th epoch.
+    The returned model is read-only (see ``ModelParams.freeze``).
     """
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, not {checkpoint_every}")
@@ -552,7 +553,7 @@ def train(
         raise ValueError("cannot train on an empty network")
     params = init_params(hyper, net.node_count, np.random.default_rng(hyper.seed))
     if hyper.epochs == 0:
-        return params
+        return params.freeze()
     master = np.random.default_rng(hyper.seed)
     sampler = _BatchSampler(net, hyper)
     adam = _LazyAdam(params, hyper.lr)
@@ -576,4 +577,4 @@ def train(
             on_epoch(epoch, mean_loss, wall)
         if checkpoint_every and checkpoint_dir is not None and (epoch + 1) % checkpoint_every == 0:
             save_params(params, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.bin")
-    return params
+    return params.freeze()

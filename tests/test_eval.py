@@ -18,7 +18,14 @@ from hawkmix import (
 from hawkmix.eval import check_probe_pairs
 
 from oracle import ref_all
-from util import random_params
+from util import random_params, read_only_copy, writable_copy
+
+
+def maybe_read_only(params, read_only):
+    return read_only_copy(params) if read_only else params
+
+
+READ_ONLY = pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read-only"])
 
 
 def small_net():
@@ -41,9 +48,10 @@ def test_recommend_excludes_self_and_earlier_partners():
     assert {v for v, _ in recommend(p, net, 0, 0.05, k=10)} == set(range(1, 9))
 
 
-def test_recommend_sorted_by_score_matching_the_oracle():
+@READ_ONLY
+def test_recommend_sorted_by_score_matching_the_oracle(read_only):
     net = small_net()
-    p = random_params(np.random.default_rng(1))
+    p = maybe_read_only(random_params(np.random.default_rng(1)), read_only)
     ranked = recommend(p, net, 0, 0.5, k=10)
     scores = [s for _, s in ranked]
     assert scores == sorted(scores, reverse=True)
@@ -107,9 +115,10 @@ def test_recommend_on_an_undirected_net_excludes_earlier_partners_of_either_role
     assert {v for v, _ in recommend(p, net, 5, 0.50000001, k=10)} == set(range(9)) - {0, 5}
 
 
-def test_recommend_on_an_undirected_net_matches_the_oracle():
+@READ_ONLY
+def test_recommend_on_an_undirected_net_matches_the_oracle(read_only):
     net = undirected_net()
-    p = random_params(np.random.default_rng(7))
+    p = maybe_read_only(random_params(np.random.default_rng(7)), read_only)
     for u, t in [(0, 0.5), (1, 0.45), (6, 0.75)]:
         h = history(net, u, t, p.hyper.history_len)
         ranked = recommend(p, net, u, t, k=10)
@@ -129,6 +138,38 @@ def test_recommend_breaks_ties_by_id():
     assert tied == [5, 6, 7, 8]
     ctx = build_context(p, 0, 0, 0.5, history(net, 0, 0.5, p.hyper.history_len))
     assert len(set(candidate_scores(p, ctx, [5, 6, 7, 8]).tolist())) == 1
+
+
+def test_recommend_on_a_read_only_model_is_bitwise_that_of_its_writable_copy():
+    """A read-only model keeps its node terms after the first query; its lists
+    and scores are bitwise those of a writable copy, which computes them
+    afresh, on the first query and on later ones, twins included."""
+    net = small_net()
+    p = random_params(np.random.default_rng(2))
+    for v in (6, 7, 8):  # twins of node 5, as in test_recommend_breaks_ties_by_id
+        p.identity[v] = p.identity[5]
+        p.aspect[v] = p.aspect[5]
+    frozen = read_only_copy(p)
+    for u, t in [(0, 0.5), (5, 0.95), (6, 0.5), (0, 0.5), (3, 1.0)]:
+        got, want = recommend(frozen, net, u, t, k=10), recommend(p, net, u, t, k=10)
+        assert [(v, s.hex()) for v, s in got] == [(v, s.hex()) for v, s in want]
+        assert all(s <= 0.0 for _, s in got)
+
+
+def test_a_writable_copy_of_a_trained_model_scores_its_edits(trained_planted):
+    """Editing a writable copy of a trained (read-only) model moves the copy's
+    scores, and leaves those of the trained model as they were."""
+    p, net = trained_planted["params"], trained_planted["train_net"]
+    u, t = int(net.sources[-1]), float(net.times[-1])
+    before = recommend(p, net, u, t, k=5)
+    q = writable_copy(p)
+    assert recommend(q, net, u, t, k=5) == before
+    top, low = before[0][0], before[-1][0]
+    q.table[low] = q.table[top]  # low becomes a twin of the top candidate
+    after = dict(recommend(q, net, u, t, k=5))
+    assert after[low] == pytest.approx(after[top], rel=1e-12)
+    assert after[low] > dict(before)[low]
+    assert recommend(p, net, u, t, k=5) == before
 
 
 def test_infer_aspect_labels_matches_oracle():

@@ -16,7 +16,7 @@ from hawkmix.intensity import assemble, gumbel_noise
 from hawkmix.params import softplus_inv
 
 from oracle import ref_all, softmax as ref_softmax
-from util import random_params
+from util import random_params, read_only_copy
 
 
 def hist(*pairs):
@@ -547,3 +547,35 @@ def test_intensities_on_every_node_are_never_positive(
     assert fwd.lam.shape == (1, p.node_count)
     assert np.all(explicit.lam_k <= 0.0)
     assert np.all(fwd.lam <= 0.0)
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_a_read_only_model_scores_every_node_bitwise_as_its_writable_copy(use_attention):
+    """cand=None on a read-only model reads the node terms it keeps; its lam
+    and f_nc are bitwise those of a writable copy, which computes them
+    afresh, on the first call and on a second that reuses them, for one row
+    and for three. Nodes 6-8 are twins of node 5 and node 2 of node 0: f_nc
+    is exactly 0 at each real slot's own node and at that node's twins, and
+    every lam is <= 0."""
+    rng = np.random.default_rng(30)
+    p = random_params(rng, use_attention=use_attention, use_gumbel=False)
+    p.table[[6, 7, 8]] = p.table[5]
+    p.table[2] = p.table[0]
+    frozen = read_only_copy(p)
+    k = p.hyper.n_aspects
+    u, t = [0, 5, 3], [0.9, 0.8, 0.95]
+    events = [(), hist((5, 0.1), (2, 0.5)), hist((6, 0.1), (0, 0.2), (8, 0.6), (5, 0.7))]
+    for rows in ([0], [1], [2], [0, 1, 2], [2]):
+        hists = assemble(k, [u[r] for r in rows], np.empty((len(rows), 0)),
+                         [t[r] for r in rows], [events[r] for r in rows],
+                         [None] * len(rows)).hist
+        got = forward(frozen, [u[r] for r in rows], hists, None)
+        want = forward(p, [u[r] for r in rows], hists, None)
+        assert got.lam.tobytes() == want.lam.tobytes()
+        assert got.f_nc.tobytes() == want.f_nc.tobytes()
+        assert np.all(got.lam <= 0.0)
+        slots = np.concatenate([np.array([u[r] for r in rows])[:, None], hists.ids], axis=1)
+        real = np.concatenate([np.ones((len(rows), 1)), hists.mask], axis=1) > 0
+        for b, n in zip(*np.nonzero(real)):
+            twins = np.flatnonzero((p.table == p.table[slots[b, n]]).all(axis=1))
+            assert np.all(got.f_nc[b, n, twins] == 0.0), (rows, b, n)

@@ -16,6 +16,8 @@ from hawkmix import (
 )
 from hawkmix.params import MODEL_MAGIC, ModelFileError, all_embeddings, export_embeddings
 
+from util import assert_read_only, writable_copy
+
 
 def hyper(m=4, k=2, **kw):
     return HyperParams(n_aspects=k, dim=m, **kw)
@@ -297,3 +299,52 @@ def test_hyperparams_rejects_a_negative_seed():
 
 def test_total_dim():
     assert HyperParams(n_aspects=4, dim=20).total_dim == 100
+
+
+def test_a_frozen_model_refuses_every_write():
+    p = init_params(hyper(m=3, k=2), 4, np.random.default_rng(0))
+    table = p.table.copy()
+    assert p.freeze() is p
+    assert_read_only(p)
+    assert p.table.tobytes() == table.tobytes()
+
+
+def test_load_params_returns_a_read_only_model(tmp_path):
+    p = init_params(hyper(m=3, k=2), 4, np.random.default_rng(0))
+    save_params(p, tmp_path / "model.bin")
+    q = load_params(tmp_path / "model.bin")
+    assert_read_only(q)
+    assert q.table.tobytes() == p.table.tobytes()
+    p.identity[0, 0] = 5.0  # the model that was saved stays writable
+    assert p.table[0, 0] == 5.0
+
+
+def test_a_writable_copy_of_a_frozen_model_can_be_edited():
+    p = init_params(hyper(m=3, k=2), 4, np.random.default_rng(0)).freeze()
+    q = writable_copy(p)
+    q.identity[1] = 2.0
+    q.rho = np.zeros(4)
+    q.attn_w[0, 0] = 3.0
+    assert np.all(q.identity[1] == 2.0) and q.attn_w[0, 0] == 3.0
+    assert p.identity[1, 0] != 2.0 and p.attn_w[0, 0] != 3.0
+
+
+def test_node_terms_are_kept_only_by_a_read_only_model():
+    """A read-only model computes its node terms once and keeps them, read-only;
+    a writable one computes them on every call, so they follow its edits."""
+    p = init_params(hyper(m=3, k=2), 5, np.random.default_rng(1))
+    ident, ident_sq, aspect_sq = p.node_terms()
+    assert ident.flags.c_contiguous and np.array_equal(ident, p.identity)
+    assert np.array_equal(ident_sq, np.einsum("cm,cm->c", p.identity, p.identity))
+    assert np.array_equal(aspect_sq, np.einsum("ckm,ckm->ck", p.aspect, p.aspect))
+    p.identity[2] = 1.0
+    p.aspect[2] = 1.0
+    ident, ident_sq, aspect_sq = p.node_terms()
+    assert np.all(ident[2] == 1.0) and ident_sq[2] == 3.0 and np.all(aspect_sq[2] == 3.0)
+    assert p.node_terms()[0] is not ident
+    p.freeze()
+    kept = p.node_terms()
+    assert all(a is b for a, b in zip(p.node_terms(), kept))
+    assert all(not arr.flags.writeable for arr in kept)
+    for got, expect in zip(kept, (ident, ident_sq, aspect_sq)):
+        assert got.tobytes() == expect.tobytes()

@@ -78,6 +78,49 @@ def unreferenced(package: dict, others: dict, scripts=frozenset()) -> list:
     return dead
 
 
+def write_enables(source: str) -> list:
+    """Line numbers where ``source`` makes an array writable again: an
+    assignment to a ``writeable`` attribute or a ``setflags`` call whose
+    write flag is anything but the constant False."""
+
+    def enables(value) -> bool:
+        return not (isinstance(value, ast.Constant) and value.value is False)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "writeable" for t in targets):
+                if node.value is None or enables(node.value):
+                    found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setflags"):
+            write = [kw.value for kw in node.keywords if kw.arg == "write"] + node.args[:1]
+            if any(map(enables, write)):
+                found.append(node.lineno)
+    return found
+
+
+def test_write_enables_finds_each_form():
+    source = (
+        "a.flags.writeable = False\n"
+        "a.flags.writeable = True\n"
+        "b.flags.writeable = flag\n"
+        "a.setflags(write=False)\n"
+        "a.setflags(write=True)\n"
+        "a.setflags(1)\n"
+        "a.setflags(align=True)\n"
+    )
+    assert write_enables(source) == [2, 3, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: p.name)
+def test_no_source_file_makes_an_array_writable_again(path):
+    """Trained and loaded models are read-only, and a read-only model keeps
+    its node terms for good; that is sound only while nothing unfreezes one."""
+    assert write_enables(path.read_text()) == []
+
+
 def test_unused_imports_finds_an_unread_name():
     source = "from __future__ import annotations\nimport os, os.path\nfrom x import y as z\nz()\n"
     assert unused_imports(source) == ["os"]

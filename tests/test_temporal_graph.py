@@ -572,3 +572,41 @@ def test_mask_on_a_complete_graph_is_too_dense(directed):
     with pytest.raises(RuntimeError, match="too dense"):
         ref_mask_static_edges(net.sources.tolist(), net.targets.tolist(), 4, directed, 2, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def rebuilt_without(net, gone_keys):
+    """``_build_network`` of the edges of ``net`` whose pair key is not in
+    ``gone_keys``, on the raw time range of ``net``."""
+    n = net.node_count
+    keys = temporal_graph._pair_keys(net.sources, net.targets, n, net.directed)
+    keep = ~np.isin(keys, gone_keys)
+    return temporal_graph._build_network(
+        net.labels, net.label_to_id, net.sources[keep], net.targets[keep],
+        net.times[keep], net.directed, normalize=False, t_range=(net.tmin, net.tmax))
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_mask_filters_to_the_network_a_rebuild_makes(directed, seed):
+    """The training network is the parent's arrays filtered, and it equals,
+    field by field and bit for bit, ``_build_network`` of the kept edges. The
+    net has duplicate temporal edges, equal times, pairs linked in both
+    directions and a raw time range that must be kept."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    sources = rng.integers(0, n, 60)
+    targets = (sources + rng.integers(1, n, 60)) % n
+    sources, targets = (np.concatenate([sources, sources[:15], targets[15:25]]),
+                        np.concatenate([targets, targets[:15], sources[15:25]]))
+    times = rng.integers(0, 25, len(sources)) * 4.0 + 100.0
+    net = network_from_edges([f"n{i}" for i in range(n)], sources, targets, times, directed)
+    n_pairs = net.static_edge_count
+    for chosen in ([], [0], np.sort(rng.choice(n_pairs, n_pairs // 3, replace=False)),
+                   range(n_pairs)):
+        chosen = np.asarray(chosen, dtype=np.int64)
+        got = temporal_graph._without_pairs(net, chosen)
+        assert network_state(got) == network_state(rebuilt_without(net, net.pair_keys[chosen]))
+    train, positives, _ = mask_static_edges(net, 4, np.random.default_rng(seed))
+    gone = [a * n + b for a, b in positives]
+    assert network_state(train) == network_state(rebuilt_without(net, gone))
+    assert (train.tmin, train.tmax) == (net.tmin, net.tmax) == (100.0, 196.0)

@@ -28,7 +28,7 @@ from hawkmix import training as training_mod
 from hawkmix.params import node_fields
 
 from oracle import ref_sample_loss
-from util import fd_max_rel_error, random_params, random_sample
+from util import assert_read_only, fd_max_rel_error, random_params, random_sample
 
 
 def zero_lambda_sample(n_neg=1):
@@ -250,6 +250,12 @@ def test_train_zero_epochs_returns_init():
     ref = init_params(hyper, net.node_count, np.random.default_rng(5))
     assert np.array_equal(params.identity, ref.identity)
     assert np.array_equal(params.aspect, ref.aspect)
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_returns_a_read_only_model(epochs):
+    hyper = HyperParams(n_aspects=2, dim=4, epochs=epochs, batch_size=8, seed=5)
+    assert_read_only(train(tiny_net(), hyper))
 
 
 def test_train_deterministic_given_seed():

@@ -1,6 +1,7 @@
 """Shared builders for random model/sample fixtures."""
 
 import numpy as np
+import pytest
 
 from hawkmix import HyperParams, LossSample, ModelParams, NeighborEvent, TemporalEdge
 from hawkmix.intensity import gumbel_noise
@@ -104,3 +105,32 @@ def fd_max_rel_error(params, sample, loss_fn, step=1e-5):
     for i in range(2 * m):
         probe(params.attn_a, (i,), gs.d_attn_a[i])
     return worst
+
+
+def writable_copy(params):
+    """A writable model over copies of the arrays of ``params``."""
+    return ModelParams.from_table(
+        params.hyper, params.table.copy(), params.attn_w.copy(), params.attn_a.copy()
+    )
+
+
+def read_only_copy(params):
+    """A read-only model over copies of the arrays of ``params``, as ``train``
+    and ``load_params`` return them."""
+    return writable_copy(params).freeze()
+
+
+def assert_read_only(params):
+    """Every write into the arrays of ``params`` raises ValueError, and so does
+    assigning a field."""
+    arrays = {name: getattr(params, name)
+              for name in ("table", "identity", "aspect", "rho", "theta", "attn_w", "attn_a")}
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+    for name in ("identity", "aspect", "rho", "theta"):
+        with pytest.raises(ValueError, match=f"cannot assign {name}: the model is read-only"):
+            setattr(params, name, np.zeros_like(arrays[name]))
