@@ -365,8 +365,14 @@ def _cmd_intensity(cfg) -> int:
     params, net, u = _model_net_node(cfg, node)
     nbrs, ts = net.events(u)
     src = np.full(len(ts), u)
-    fwd = forward(params, src, net.histories(src, ts, params.hyper.history_len), nbrs[:, None])
-    rates = np.exp(fwd.lam_k[:, 0, :])                               # (events, K)
+    # One event per call (a single slot rounds up to one query): no window
+    # is padded to another's, and the attention's products over the batch,
+    # which round a row differently with the batch's size, see that row
+    # alone, so each event's rate depends on that event only.
+    lam_k = np.empty((len(ts), params.hyper.n_aspects))
+    for idx, hist in net.history_chunks(src, ts, params.hyper.history_len, slots=1):
+        lam_k[idx] = forward(params, src[idx], hist, nbrs[idx, None]).lam_k[:, 0, :]
+    rates = np.exp(lam_k)                                            # (events, K)
     with open(out / "intensity.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "aspect", "lambda"])

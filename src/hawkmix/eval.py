@@ -21,7 +21,7 @@ from scipy.stats import rankdata
 
 from .intensity import forward
 from .params import ModelParams, all_embeddings
-from .temporal_graph import TemporalNetwork, window_histories
+from .temporal_graph import TemporalNetwork
 
 
 @dataclass
@@ -282,9 +282,14 @@ def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray
     no events of their own; in an undirected network both endpoints of an
     edge own its event).
 
-    Every (node, event time) query runs through the forward pass in chunks of
-    ``batch_size`` queries, with no candidate targets; the histories are
-    windows of the network's CSR events.
+    Every (node, event time) query runs through the forward pass with no
+    candidate targets; the histories are windows of the network's CSR
+    events. The queries are grouped by window length
+    (``TemporalNetwork.history_chunks``), so no history is padded: each
+    call holds a single length and at most ``batch_size * (history_len +
+    1)`` node slots, as many as one fully padded batch of ``batch_size``
+    queries. The aspect weights are summed in query order, so the grouping
+    does not change the order of the sums.
     """
     hyper = params.hyper
     n, k = net.node_count, hyper.n_aspects
@@ -294,13 +299,11 @@ def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray
     lone = np.flatnonzero(counts == 0)
     nodes = np.insert(np.repeat(np.arange(n), counts), net.indptr[lone], lone)
     times = np.insert(net.ev_time, net.indptr[lone], 1.0)
-    start, stop = net.windows(nodes, times, hyper.history_len)
     pi_u = np.empty((len(nodes), k))
-    for lo in range(0, len(nodes), hyper.batch_size):
-        sl = slice(lo, lo + hyper.batch_size)
-        hist = window_histories(times[sl], net.ev_nbr, net.ev_time, start[sl], stop[sl])
-        no_cand = np.empty((len(hist.ids), 0), dtype=np.int64)
-        pi_u[sl] = forward(params, nodes[sl], hist, no_cand).pi_u
+    slots = hyper.batch_size * (hyper.history_len + 1)
+    for idx, hist in net.history_chunks(nodes, times, hyper.history_len, slots):
+        no_cand = np.empty((len(idx), 0), dtype=np.int64)
+        pi_u[idx] = forward(params, nodes[idx], hist, no_cand).pi_u
     acc = np.bincount(
         (nodes[:, None] * k + np.arange(k)).ravel(), weights=pi_u.ravel(), minlength=n * k
     )

@@ -251,9 +251,10 @@ def forward(
     # Per-aspect intensities: each slot adds its identity similarity to the
     # candidate times its aspect distance to it, weighted by 1 for the source
     # and by pi * attn * kappa for a history event.
-    mu, lam, lam_k = np.zeros((b, c)), np.zeros((b, c)), np.zeros((b, c, k))
     f_nc = gam = w_nc = pi_w = None
-    if c:
+    if not c:
+        mu, lam, lam_k = np.zeros((b, 0)), np.zeros((b, 0)), np.zeros((b, 0, k))
+    else:
         f_nc = 2.0 * np.einsum("bnm,bcm->bnc", i_n, ic)
         f_nc -= i_sq[:, :, None]
         f_nc -= ic_sq                                                    # (B, L+1, C)

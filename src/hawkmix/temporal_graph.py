@@ -10,7 +10,8 @@ converted back to the input's units.
 
 The network owns the history windows: a query (u, t) sees u's
 at-most-``limit`` most recent events strictly before t, and every caller
-finds them with ``TemporalNetwork.windows`` or ``histories``.
+finds them with ``TemporalNetwork.windows``, ``histories`` or
+``history_chunks``.
 """
 
 from __future__ import annotations
@@ -134,6 +135,31 @@ class TemporalNetwork:
         """The padded history windows of queries (u[i], t[i]); see ``windows``."""
         start, stop = self.windows(u, t, limit)
         return window_histories(t, self.ev_nbr, self.ev_time, start, stop)
+
+    def history_chunks(self, u, t, limit: int, slots: int):
+        """Yield (idx, Histories) pairs that split the queries (u[i], t[i])
+        into chunks of a single window length each, so no history is padded;
+        ``idx`` holds a chunk's query positions, and its histories are the
+        windows of ``windows``.
+
+        A chunk of length-L windows holds at most ``slots // (L + 1)``
+        queries (at least one), so it spans at most ``slots`` node slots:
+        each query's source and its L events. Chunks come by ascending
+        length, and each keeps its queries in their given order.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        start, stop = self.windows(u, t, limit)
+        lens = stop - start
+        order = np.argsort(lens, kind="stable")
+        lo = 0
+        for length, hi in enumerate(np.cumsum(np.bincount(lens)).tolist()):
+            size = max(1, slots // (length + 1))
+            for a in range(lo, hi, size):
+                idx = order[a : min(a + size, hi)]
+                yield idx, window_histories(
+                    t[idx], self.ev_nbr, self.ev_time, start[idx], stop[idx]
+                )
+            lo = hi
 
     def neighbors(self, u: int) -> np.ndarray:
         """Distinct static neighbors of u in either direction, ascending."""
@@ -366,8 +392,19 @@ class NegativeSampler:
         self._rng = np.random.default_rng(seed)
 
     def nodes(self, uniforms) -> np.ndarray:
-        """The nodes that uniform [0, 1) variates select, elementwise."""
-        return np.searchsorted(self.cum, uniforms, side="right")
+        """The nodes that uniform [0, 1) variates select, elementwise.
+
+        The variates are looked up in ascending order, where ``searchsorted``
+        starts each search at the previous result and reads ``cum`` in
+        order; on a large ``cum`` that is about twice as fast as lookups in
+        random order, sort included. The result is the same.
+        """
+        uniforms = np.asarray(uniforms)
+        flat = uniforms.ravel()
+        order = np.argsort(flat)
+        out = np.empty(flat.shape, dtype=np.intp)
+        out[order] = np.searchsorted(self.cum, flat[order], side="right")
+        return out.reshape(uniforms.shape)
 
     def draw(self, size: int, rng=None) -> np.ndarray:
         rng = rng if rng is not None else self._rng

@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hawkmix
-from hawkmix import load_edge_list, load_params
+from hawkmix import forward, load_edge_list, load_params, save_params
 from hawkmix.cli import run
 from hawkmix.params import MODEL_MAGIC
+
+from util import random_params
 
 TINY = ["--aspects", "2", "--dim-per", "4", "--history", "3", "--negatives", "2",
         "--epochs", "1", "--batch", "16", "--seed", "1"]
@@ -86,6 +89,32 @@ def test_recommend_and_intensity(simulated):
     rows = read_csv(out / "intensity.csv")
     assert rows[0] == ["time", "aspect", "lambda"] and len(rows) > 1
     assert all(float(r[2]) > 0 for r in rows[1:])
+
+
+def test_intensity_rows_are_each_events_one_row_forward(simulated, tmp_path):
+    """Each intensity.csv row holds exp of its event's per-aspect rate from a
+    one-row forward, bitwise, for every node: no event's window is padded
+    to another's and no event shares a call."""
+    _, edges = simulated
+    net = load_edge_list(edges, directed=True)
+    model = tmp_path / "model.bin"
+    save_params(random_params(np.random.default_rng(0), n_nodes=net.node_count, m=8, k=2,
+                              history_len=3), model)
+    params = load_params(model)
+    lens = set()
+    for u, label in enumerate(net.labels):
+        out = tmp_path / f"node-{label}"
+        assert run(["intensity", "--model", str(model), "--edges", str(edges), "--directed",
+                    "--node", label, "--out", str(out)]) == 0
+        expect = []
+        for v, t in zip(*map(np.ndarray.tolist, net.events(u))):
+            hist = net.histories([u], [t], params.hyper.history_len)
+            lens.add(hist.ids.shape[1])
+            rates = np.exp(forward(params, [u], hist, [[v]]).lam_k[0, 0])
+            raw = format(float(net.raw_time(t)), ".17g")
+            expect += [[raw, str(k), format(r, ".17g")] for k, r in enumerate(rates.tolist())]
+        assert read_csv(out / "intensity.csv")[1:] == expect, label
+    assert lens == set(range(params.hyper.history_len + 1))
 
 
 @pytest.mark.parametrize("command", ["recommend", "intensity"])

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 
 import pytest
 from scipy.cluster.vq import kmeans2
 
 from hawkmix import (
+    ModelParams,
     build_context,
     candidate_scores,
     forward,
@@ -15,10 +18,12 @@ from hawkmix import (
     recommend,
     recovery_score,
 )
+from hawkmix import eval as eval_mod
 from hawkmix.eval import check_probe_pairs
+from hawkmix.temporal_graph import Histories
 
 from oracle import ref_all
-from util import random_params, read_only_copy, writable_copy
+from util import random_params, read_only_copy, spy_forward, writable_copy
 
 
 def maybe_read_only(params, read_only):
@@ -188,6 +193,75 @@ def test_infer_aspect_labels_matches_oracle():
                 acc += pis[u]
             expect.append(int(np.argmax(acc)))
         assert infer_aspect_labels(p, net).tolist() == expect
+
+
+def mixed_net():
+    """Directed, 10 nodes, 40 random edges from sources 0-7, no self-loops:
+    at history length 2 the read-out's windows mix lengths 0, 1 and 2, and
+    8 and 9, never sources, get one empty-window query each."""
+    rng = np.random.default_rng(8)
+    s = rng.integers(0, 8, 40)
+    t = (s + rng.integers(1, 10, 40)) % 10
+    return network_from_edges(list(range(10)), s, t, rng.uniform(0, 1, 40), directed=True)
+
+
+def with_batch_size(params, batch_size):
+    return ModelParams.from_table(
+        replace(params.hyper, batch_size=batch_size), params.table, params.attn_w, params.attn_a
+    )
+
+
+def oracle_labels(params, net):
+    """Argmax of the summed oracle pi_u over each node's events, or of one
+    empty-history query at t=1 for a node without events."""
+    limit = params.hyper.history_len
+    labels = []
+    for u in range(net.node_count):
+        acc = np.zeros(params.hyper.n_aspects)
+        for t in net.events(u)[1].tolist() or [1.0]:
+            acc += ref_all(params, u, u, t, history(net, u, t, limit), None)[2][u]
+        labels.append(int(np.argmax(acc)))
+    return labels
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 200])
+def test_read_out_calls_hold_one_window_length_and_a_padded_batch_of_slots(
+    monkeypatch, batch_size
+):
+    """Each read-out call holds windows of a single length, so none is
+    padded, and at most batch_size * (history_len + 1) node slots; together
+    the calls hold every query once, and each row's aspect weights are
+    bitwise those of its query alone. Below 200, a length spans several
+    calls."""
+    net = mixed_net()
+    p = with_batch_size(random_params(np.random.default_rng(5), n_nodes=10, history_len=2),
+                        batch_size)
+    calls = spy_forward(monkeypatch, eval_mod)
+    infer_aspect_labels(p, net)
+    lens = []
+    for u, hist, cand, result in calls:
+        b, length = hist.mask.shape
+        assert np.all(hist.mask == 1.0) and cand.shape == (b, 0)
+        assert b * (length + 1) <= batch_size * 3
+        lens.append(length)
+        for i in range(b):
+            row = Histories(hist.ids[i : i + 1], hist.dt[i : i + 1], hist.mask[i : i + 1])
+            alone = forward(p, u[i : i + 1], row, cand[i : i + 1]).pi_u
+            assert np.array_equal(result.pi_u[i : i + 1], alone)
+    assert sum(len(c[0]) for c in calls) == np.maximum(np.diff(net.indptr), 1).sum()
+    assert sorted(set(lens)) == [0, 1, 2]
+    assert (len(lens) > len(set(lens))) == (batch_size < 200)
+
+
+def test_read_out_matches_the_oracle_at_every_batch_size():
+    """Labels at batch sizes 1, 3 and 200 equal each other and the oracle's,
+    with one window length split across calls at the smaller sizes."""
+    net = mixed_net()
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        p = random_params(rng, n_nodes=10, history_len=2)
+        labels = [infer_aspect_labels(with_batch_size(p, bs), net).tolist() for bs in (1, 3, 200)]
+        assert labels == [oracle_labels(p, net)] * 3
 
 
 def test_probe_report_does_not_depend_on_pair_order():

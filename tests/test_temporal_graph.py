@@ -255,6 +255,55 @@ def test_sampler_single_eligible_node():
     assert np.all(draws == 1)
 
 
+def test_sampler_nodes_equal_a_plain_search():
+    """``nodes`` looks the uniforms up in sorted order; the nodes are those
+    of a plain ``searchsorted``, for uniforms equal to a ``cum`` entry too,
+    where zero-degree nodes repeat the previous entry, and in any shape."""
+    net = network_from_edges(
+        list(range(8)), [0, 0, 3, 3, 6], [3, 6, 6, 0, 3], [0.0, 1.0, 2.0, 3.0, 4.0],
+        directed=True, normalize=False,
+    )
+    s = NegativeSampler(net)
+    assert (net.degrees == 0).sum() == 5 and len(np.unique(s.cum)) == 3
+    inner = s.cum[s.cum < 1.0]  # the entries a uniform in [0, 1) can equal
+    uniforms = np.concatenate([
+        [0.0], inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+        np.random.default_rng(3).random(381),
+    ])
+    uniforms = np.random.default_rng(4).permutation(uniforms)
+    for u in (uniforms, uniforms.reshape(20, -1), uniforms.reshape(-1, 20)[:, 3:17]):
+        got = s.nodes(u)
+        expect = np.searchsorted(s.cum, u, side="right")
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect)
+    assert set(np.unique(s.nodes(uniforms)).tolist()) == {0, 3, 6}
+
+
+@pytest.mark.parametrize("slots", [1, 4, 7, 1000])
+def test_history_chunks_split_the_queries_by_window_length(slots):
+    """The chunks hold every query once, each in a single window length with
+    at most ``slots`` node slots (one query when even that is more), in
+    their given order, and their histories are the rows of ``histories``."""
+    _, truth = generate(PlantedSpec(2, 6, 1.0, 0.3, 1.0, 6.0, 0.1), np.random.default_rng(2))
+    net = network_from_edges(list(range(12)), truth.sources, truth.targets, truth.times,
+                             directed=True)
+    rng = np.random.default_rng(5)
+    u, t = rng.integers(0, 12, 300), rng.uniform(0, 1.1, 300)
+    seen, lens = [], []
+    for idx, hist in net.history_chunks(u, t, 3, slots):
+        b, length = hist.ids.shape
+        lens.append(length)
+        assert np.all(hist.mask == 1.0)
+        assert b * (length + 1) <= slots or b == 1
+        assert np.all(np.diff(idx) > 0)
+        whole = net.histories(u[idx], t[idx], 3)
+        for f in ("ids", "dt", "mask"):
+            assert np.array_equal(getattr(hist, f), getattr(whole, f))
+        seen.append(idx)
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(300))
+    assert lens == sorted(lens) and set(lens) == {0, 1, 2, 3}
+
+
 def test_sampler_rejection_cap():
     net = network_from_edges(
         [0, 1, 2], [0, 0, 1], [1, 2, 2], [0.0, 1.0, 2.0], directed=True, normalize=False

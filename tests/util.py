@@ -134,3 +134,20 @@ def assert_read_only(params):
     for name in ("identity", "aspect", "rho", "theta"):
         with pytest.raises(ValueError, match=f"cannot assign {name}: the model is read-only"):
             setattr(params, name, np.zeros_like(arrays[name]))
+
+
+def spy_forward(monkeypatch, module):
+    """Record the calls ``module`` makes to ``forward``, which still run.
+
+    Returns the list that each call appends its (u, hist, cand, result) to.
+    """
+    calls = []
+    real = module.forward
+
+    def spy(params, u, hist, cand, *noise):
+        result = real(params, u, hist, cand, *noise)
+        calls.append((np.asarray(u), hist, cand, result))
+        return result
+
+    monkeypatch.setattr(module, "forward", spy)
+    return calls
