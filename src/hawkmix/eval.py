@@ -3,7 +3,8 @@
 Link prediction follows the mask-edges / train / probe recipe: pair features
 are element-wise absolute differences of node embeddings, a from-scratch
 logistic regression is fit on half of the balanced pair set, and macro-F1
-plus rank-based AUC are reported on the rest. Temporal recommendation ranks
+plus rank-based AUC (Mann-Whitney, from average ranks computed here with a
+stable sort) are reported on the rest. Temporal recommendation ranks
 candidate targets by the deterministic mixed intensity at the query time, and
 aspect read-out averages each node's deterministic aspect weights over its
 events; both go through ``intensity.forward``.
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .intensity import forward
 from .params import ModelParams, all_embeddings
@@ -133,8 +133,28 @@ def auc_roc(y_true, scores) -> float:
     n_neg = int(np.sum(y_true == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc_roc needs both classes present")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     return float((ranks[y_true == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D float array, each run of equal values sharing
+    the mean of its positions; any NaN makes every rank NaN. These are
+    ``scipy.stats.rankdata(values, method="average")``, bit for bit: a run
+    over sorted positions [start, end) ranks (start + end + 1) / 2, a
+    multiple of 0.5 and so exact."""
+    n = len(values)
+    if np.isnan(values).any():
+        return np.full(n, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new_run = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def _embedding_slice(params: ModelParams, which):

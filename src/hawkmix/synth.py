@@ -10,10 +10,10 @@ can be scored against truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .temporal_graph import TemporalNetwork, network_from_edges
 
@@ -140,7 +140,8 @@ def recovery_score(predicted, truth: PlantedTruth) -> float:
     """Best mean label agreement over all aspect relabelings, in [0, 1].
 
     The best one-to-one matching of predicted to planted labels is a linear
-    assignment on their confusion matrix (Hungarian method), so any K works.
+    assignment on their integer confusion matrix, solved exactly by the
+    Hungarian method (``_best_matching``, O(K^3)), so any K works.
     """
     predicted = np.asarray(predicted, dtype=np.int64)
     if predicted.shape != truth.labels.shape:
@@ -149,5 +150,53 @@ def recovery_score(predicted, truth: PlantedTruth) -> float:
         raise ValueError("recovery_score needs at least one node")
     k = int(max(predicted.max(), truth.labels.max())) + 1
     confusion = np.bincount(predicted * k + truth.labels, minlength=k * k).reshape(k, k)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    return float(confusion[rows, cols].sum() / len(predicted))
+    cols = _best_matching(confusion)
+    return float(confusion[np.arange(k), cols].sum() / len(predicted))
+
+
+def _best_matching(weights: np.ndarray) -> np.ndarray:
+    """Column matched to each row in a one-to-one matching of largest total
+    weight, for a square integer matrix.
+
+    The Hungarian method (Kuhn 1955) in its shortest-augmenting-path form:
+    rows join one at a time, each by a Dijkstra-like search over the reduced
+    costs ``cost - u[row] - v[col]`` with ``cost = -weights``, then the
+    potentials move by the search's steps. Python integers keep them exact.
+    """
+    k = len(weights)
+    cost = [[0] + [-w for w in row] for row in weights.tolist()]  # 1-based columns
+    u = [0] * (k + 1)      # row potentials, 1-based
+    v = [0] * (k + 1)      # column potentials; column 0 is the search's root
+    owner = [0] * (k + 1)  # row matched to each column (0: none)
+    for row in range(1, k + 1):
+        owner[0] = row
+        col = 0
+        reach = [math.inf] * (k + 1)  # least reduced cost to each column so far
+        via = [0] * (k + 1)       # column before each on the shortest path
+        done = [False] * (k + 1)
+        while owner[col]:
+            done[col] = True
+            r = owner[col]
+            step, nxt = math.inf, 0
+            for j in range(1, k + 1):
+                if done[j]:
+                    continue
+                d = cost[r - 1][j] - u[r] - v[j]
+                if d < reach[j]:
+                    reach[j], via[j] = d, col
+                if reach[j] < step:
+                    step, nxt = reach[j], j
+            for j in range(k + 1):
+                if done[j]:
+                    u[owner[j]] += step
+                    v[j] -= step
+                else:
+                    reach[j] -= step
+            col = nxt
+        while col:  # augment along the path back to the root
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    cols = np.empty(k, dtype=np.int64)
+    cols[np.array(owner[1:]) - 1] = np.arange(k)
+    return cols

@@ -4,6 +4,7 @@ import numpy as np
 
 import pytest
 from scipy.cluster.vq import kmeans2
+from scipy.stats import rankdata
 
 from hawkmix import (
     ModelParams,
@@ -355,3 +356,37 @@ def test_recommend_top_k_matches_a_full_sort_with_ties_at_the_cut():
     assert tied == list(range(tied[0], tied[0] + 6))
     for k in range(1, len(cands) + 4):
         assert recommend(p, net, 0, 0.5, k) == full[:k]
+
+
+RANK_INPUTS = [
+    [3.0],
+    [2.0, 1.0, 2.0, 3.0, 1.0, 2.0],
+    [0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300],
+    [np.inf, -np.inf, np.inf, 0.0, -np.inf, np.inf, 5.0],
+    [7.5] * 9,
+]
+
+
+@pytest.mark.parametrize("values", RANK_INPUTS + [
+    np.random.default_rng(3).integers(-3, 4, 500).astype(float),
+    np.random.default_rng(4).normal(size=300),
+], ids=range(len(RANK_INPUTS) + 2))
+def test_average_ranks_are_scipys_bitwise(values):
+    values = np.asarray(values, dtype=np.float64)
+    expect = rankdata(values, method="average")
+    assert eval_mod._average_ranks(values).tobytes() == expect.tobytes()
+
+
+def test_auc_roc_is_bitwise_that_of_scipys_ranks():
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 2, 400)
+    scores = rng.integers(0, 20, 400) / 7.0  # many ties
+    n_pos = int(y.sum())
+    ranks = rankdata(scores, method="average")
+    expect = float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * (400 - n_pos)))
+    assert eval_mod.auc_roc(y, scores) == expect
+
+
+def test_auc_roc_is_nan_when_a_score_is_nan():
+    assert np.isnan(eval_mod.auc_roc([0, 1, 0, 1], [0.1, np.nan, 0.3, 0.9]))
+    assert np.isnan(eval_mod._average_ranks(np.array([1.0, np.nan, 1.0]))).all()

@@ -2,9 +2,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import kstest
 
 from hawkmix import PlantedTruth, recovery_score, thinning_times
+from hawkmix.synth import _best_matching
 
 
 def truth_of(labels):
@@ -27,6 +29,36 @@ def test_recovery_score_matches_brute_force(k):
                              rng.integers(0, k, size=40))
         score = recovery_score(predicted, truth_of(labels))
         assert score == pytest.approx(brute_force(predicted, labels, k), abs=1e-12)
+
+
+def assert_best_matching(weights):
+    cols = _best_matching(weights)
+    k = len(weights)
+    assert sorted(cols.tolist()) == list(range(k))
+    rows, best = linear_sum_assignment(weights, maximize=True)
+    assert weights[np.arange(k), cols].sum() == weights[rows, best].sum()
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_best_matching_reaches_linear_sum_assignments_optimum(k):
+    rng = np.random.default_rng(100 + k)
+    assert_best_matching(np.zeros((k, k), dtype=np.int64))
+    assert_best_matching(np.full((k, k), 7, dtype=np.int64))
+    for high in (2, 3, 10, 1000, 10**12):  # small ranges tie heavily
+        for _ in range(4):
+            assert_best_matching(rng.integers(0, high, size=(k, k)))
+
+
+def test_best_matching_at_a_k_no_permutation_search_could_finish():
+    rng = np.random.default_rng(30)
+    assert_best_matching(rng.integers(0, 50, size=(30, 30)))
+    labels = rng.integers(0, 30, size=3000)
+    perm = rng.permutation(30)
+    predicted = np.where(rng.random(3000) < 0.7, perm[labels], rng.integers(0, 30, size=3000))
+    confusion = np.zeros((30, 30), dtype=np.int64)
+    np.add.at(confusion, (predicted, labels), 1)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    assert recovery_score(predicted, truth_of(labels)) == confusion[rows, cols].sum() / 3000
 
 
 def test_recovery_score_relabeled_truth_is_perfect():

@@ -659,3 +659,34 @@ def test_mask_filters_to_the_network_a_rebuild_makes(directed, seed):
     gone = [a * n + b for a, b in positives]
     assert network_state(train) == network_state(rebuilt_without(net, gone))
     assert (train.tmin, train.tmax) == (net.tmin, net.tmax) == (100.0, 196.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("directed", [True, False])
+def test_dropping_pairs_matches_a_plain_isin(directed, seed):
+    """The mask's kept edges and events are those whose pair is not ``np.isin``
+    the dropped keys, searched over every key: the search of only the pairs
+    at a node that a dropped pair starts at misses none."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    size = int(rng.integers(1, 400))
+    sources, targets = rng.integers(0, n, size), rng.integers(0, n, size)
+    net = network_from_edges(list(range(n)), sources, targets, rng.uniform(0, 1, size),
+                             directed, normalize=False)
+    count = int(rng.integers(0, net.static_edge_count + 1))
+    chosen = np.sort(rng.choice(net.static_edge_count, size=count, replace=False))
+    gone = net.pair_keys[chosen]
+
+    def kept(a, b):
+        if not directed:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        return ~np.isin(a * n + b, gone)
+
+    train = temporal_graph._without_pairs(net, chosen)
+    keep = kept(net.sources, net.targets)
+    owner = np.repeat(np.arange(n), np.diff(net.indptr))
+    keep_ev = kept(owner, net.ev_nbr)
+    for name, mask in [("sources", keep), ("targets", keep), ("times", keep),
+                       ("ev_nbr", keep_ev), ("ev_time", keep_ev), ("ev_key", keep_ev)]:
+        assert getattr(train, name).tobytes() == getattr(net, name)[mask].tobytes(), name
+    assert np.array_equal(np.diff(train.indptr), np.bincount(owner[keep_ev], minlength=n))
