@@ -2,7 +2,6 @@
 
 from .eval import (
     EvalReport,
-    aspect_probe,
     auc_roc,
     edge_feature,
     infer_aspect_labels,

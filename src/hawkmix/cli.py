@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eval import aspect_probe, check_probe_pairs, precision_recall_at_k, probe_report, recommend
+from .eval import check_probe_pairs, precision_recall_at_k, probe_report, recommend
 from .intensity import forward
 from .params import (
     HyperParams,
@@ -398,7 +398,8 @@ def _cmd_aspect_probe(cfg) -> int:
     params = _train_to_dir(train_net, hyper, cfg, out)
     reports = {}
     for sl in slices[which]:
-        rep = aspect_probe(params, positives, negatives, sl, cfg["seed"])
+        rep = probe_report(params, positives, negatives, cfg["seed"], which=sl,
+                           task="aspect_probe")
         key = sl if isinstance(sl, str) else f"aspect_{sl}"
         reports[key] = rep.metrics
     payload = {

@@ -237,11 +237,6 @@ def probe_report(
     )
 
 
-def aspect_probe(params: ModelParams, positives, negatives, which, seed: int) -> EvalReport:
-    """Link prediction restricted to one embedding slice (identity, aspect k, or concat)."""
-    return probe_report(params, positives, negatives, seed, which=which, task="aspect_probe")
-
-
 def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: int):
     """Top-k candidate targets for u at time t by raw mixed intensity.
 
@@ -250,8 +245,8 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
     node table, and the candidates' scores are kept. Deterministic aspect
     weights; ties broken by node id. Returns (node, score) pairs, highest
     score first. Raises ValueError for a ``u`` or ``k`` that is not an
-    integer (a bool included), a ``u`` out of range, a ``k`` < 1 or a
-    non-finite ``t``.
+    integer (a bool included), a ``t`` that is not a real number (a bool
+    included), a ``u`` out of range, a ``k`` < 1 or a non-finite ``t``.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, not {k!r}")
@@ -259,6 +254,8 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
         raise ValueError(f"u must be an integer node id, not {u!r}")
     if not 0 <= u < net.node_count:
         raise ValueError(f"node {u} out of range")
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise ValueError(f"query time must be a real number, not {t!r}")
     if not np.isfinite(t):
         raise ValueError(f"query time {t} is not finite")
     # the edges are chronological, so those before t are a prefix

@@ -13,22 +13,23 @@ the loss, recommendation, aspect read-out and the CLI all call it, with the
 history windows that the network owns (``TemporalNetwork.histories``).
 Candidates ``None`` mean every node, in id order, for each query: then the
 candidate embeddings are the node table's blocks rather than gathered
-copies, their squared norms come from ``ModelParams.node_terms`` (computed
-once per read-only model), and only the mixed intensity is computed, which
-is how recommendation scores a whole network per query.
+copies, and their squared norms come from ``ModelParams.node_terms``
+(computed once per read-only model), which is how recommendation scores a
+whole network per query. Where the candidate rows come from is the only
+difference: the same code computes the mixture for both, and its result
+feeds the backward pass either way.
 ``Queries`` holds its arguments; ``assemble`` builds them from per-row event
 and Gumbel lists. ``build_context`` builds a one-row ``Queries``, and
 ``candidate_scores`` and ``mixed_intensity`` score one; only the benchmark and
 the tests call these three. Everything here is pure in (params, inputs).
 
 Every squared distance in ``forward`` is in Gram form, |a|^2 + |b|^2 - 2 a.b,
-so no array of differences over the embedding dimension is built. With no
-candidates (the aspect read-out) ``forward`` computes only the contexts and
-the aspect weights: attention weights just the history terms toward
-candidates, so it is skipped too. On every node the squared aspect distance
-is expanded inside the mixture's sum over aspects, so no per-aspect
-(K, L+1, C) array is built; its ``lam`` differs from that of explicit
-candidates in the last bits only.
+so no array of differences over the embedding dimension is built. The
+squared aspect distance is expanded inside the mixture's sum over aspects,
+so no per-aspect (K, L+1, C) array is built either; ``Forward.lam_k`` builds
+one only when it is read. With no candidates (the aspect read-out)
+``forward`` computes only the contexts and the aspect weights: attention
+weights just the history terms toward candidates, so it is skipped too.
 """
 
 from __future__ import annotations
@@ -69,27 +70,26 @@ class Forward:
 
     A query's node slots are its source (slot 0) and its L history events
     (slots 1..L). The outputs are ``pi`` (B, L+1, K) aspect weights of every
-    slot, ``lam_k`` (B, C, K) raw per-aspect intensities and ``lam`` (B, C)
-    their pi-weighted mixture; apply exp() for a positive rate per unit time.
-    ``ctx`` (B, K, m) holds the contexts, ``attn`` and ``kappa`` (B, L) the
-    attention weights and kernel values, ``mu`` (B, C) the identity
-    similarity of source and candidate. ``ic`` and ``ac`` hold the
-    candidates' identity and aspect embeddings: gathered copies for explicit
-    candidates, and read-only views of the identity block of
-    ``params.node_terms()`` and of the table's aspect block, broadcast over
-    the B rows, when ``forward`` is called with ``cand=None`` (C == node
-    count).
-    With ``cand=None`` only the mixture ``lam`` is computed: ``lam_k``,
-    ``gam``, ``w_nc`` and ``pi_w`` are None, so such a result cannot feed the
-    backward pass. With no candidates (C == 0) the candidate terms and the
-    attention are skipped: ``lam_k``, ``lam`` and ``mu`` are empty, and
-    ``attn``, ``z``, ``wu``, ``wh``, ``f_nc``, ``gam``, ``w_nc`` and ``pi_w``
-    are None. Attention never feeds ``pi`` or ``ctx``, so both are the same
-    with or without candidates.
+    slot and ``lam`` (B, C) the raw mixed intensities; apply exp() for a
+    positive rate per unit time. ``ctx`` (B, K, m) holds the contexts,
+    ``attn`` and ``kappa`` (B, L) the attention weights and kernel values,
+    ``mu`` (B, C) the identity similarity of source and candidate. ``ic``,
+    ``ac`` and ``ac_sq`` hold the candidates' identity and aspect embeddings
+    and per-aspect squared norms: gathered copies for explicit candidates,
+    and read-only views of ``params.node_terms()`` and of the table's aspect
+    block, broadcast over the B rows, when ``forward`` is called with
+    ``cand=None`` (C == node count). Either way the result feeds the
+    backward pass. The per-aspect intensities ``lam_k`` (B, C, K) are not
+    kept: the property computes them on access, and builds a (B, L+1, C, K)
+    array then.
+    With no candidates (C == 0) the candidate terms and the attention are
+    skipped: ``lam_k``, ``lam`` and ``mu`` are empty, and ``attn``, ``z``,
+    ``wu``, ``wh`` and the candidate terms from ``f_nc`` on are None.
+    Attention never feeds ``pi`` or ``ctx``, so both are the same with or
+    without candidates.
     """
 
     pi: np.ndarray
-    lam_k: Optional[np.ndarray]
     lam: np.ndarray
     ctx: np.ndarray
     attn: Optional[np.ndarray]
@@ -110,13 +110,28 @@ class Forward:
     theta_n: Optional[np.ndarray]
     tau_n: Optional[np.ndarray]
     f_nc: Optional[np.ndarray]    # (B, L+1, C) identity similarity, slot to candidate
-    gam: Optional[np.ndarray]     # (B, K, L+1, C) squared aspect distance, slot to candidate
-    w_nc: Optional[np.ndarray]    # (B, L+1, C) f_nc times the slot weight (1, attn * kappa)
-    pi_w: Optional[np.ndarray]    # (B, K, L+1) pi of each slot's term: 1 for the source
+    a_sq: Optional[np.ndarray]    # (B, L+1, K) |a_nk|^2
+    ac_sq: Optional[np.ndarray]   # (B, C, K) |ac_ck|^2
+    w: Optional[np.ndarray]       # (B, L+1, K) weight of slot n's aspect-k term in lam
+    wa: Optional[np.ndarray]      # (B, L+1, K*m) -2 w a_n
+    g: Optional[np.ndarray]       # (B, L+1, C) w-weighted aspect distance, slot to candidate
 
     @property
     def pi_u(self) -> np.ndarray:
         return self.pi[:, 0, :]
+
+    @property
+    def lam_k(self) -> np.ndarray:
+        """(B, C, K) raw per-aspect intensities; ``lam`` is their pi_u-weighted sum."""
+        b, _, k = self.pi.shape
+        if self.f_nc is None:
+            return np.zeros((b, 0, k))
+        pw = self.pi.copy()
+        pw[:, 0] = 1.0
+        pw[:, 1:] *= (self.attn * self.kappa)[:, :, None]
+        gam = self.a_sq[:, :, None] + self.ac_sq[:, None]                # (B, L+1, C, K)
+        gam -= 2.0 * np.einsum("bnkm,bckm->bnck", self.a_n, self.ac)
+        return np.einsum("bnk,bnc,bnck->bck", pw, self.f_nc, gam)
 
 
 def forward(
@@ -134,29 +149,30 @@ def forward(
     ``cand=None`` means every node, in id order, for each of the B rows
     (C == node count): the candidate blocks are then the contiguous identity
     block of ``params.node_terms()`` and a view of ``params.aspect`` instead
-    of copies, the candidates' |i_c|^2 and per-aspect squared norms S come
-    from ``node_terms`` too, and only the mixture is computed. A read-only
-    model (every trained or loaded one) computes those node terms on its
-    first such call and reuses them; a writable one recomputes them on
-    every call, with the same expressions, so both give the same bits.
+    of copies, and the candidates' |i_c|^2 and per-aspect squared norms
+    |a_ck|^2 come from ``node_terms`` too. A read-only model (every trained
+    or loaded one) computes those node terms on its first such call and
+    reuses them; a writable one recomputes them on every call, with the same
+    expressions as a gather does, so both give the same bits, and so does a
+    call with explicit ``np.arange(node_count)`` rows. Only where the
+    candidate rows come from differs; everything after is one computation.
 
     With the slot weight s (1 for the source, attn * kappa for an event)
     and pi_w (1 for the source, the event's pi), the weight of slot n's
-    aspect-k term in the mixture is W[n, k] = pi_u[k] * pi_w[n, k] * s[n],
-    and expanding gam inside the sum over k gives
+    aspect-k term in the mixture is w[n, k] = pi_u[k] * pi_w[n, k] * s[n],
+    and expanding the squared aspect distance inside the sum over k gives
 
-        lam[c] = sum_n f_nc[n, c] * (sum_k W[n, k] |a_nk|^2
-                                    + (S @ W^T)[c, n] - 2 (A @ Z)[c, n]),
+        lam[c] = sum_n f_nc[n, c] * g[n, c],
+        g[n, c] = sum_k w[n, k] |a_nk|^2 + (w @ S^T)[n, c] - 2 (W_a @ A^T)[n, c],
 
-    where S (C, K) holds every node's per-aspect squared norms, A (C, K*m)
-    is the table's aspect block and column n of Z (K*m, L+1) stacks W[n, k]
-    a_nk over k. So two products over the table replace the (K, L+1, C)
-    chain; ``pi``, ``mu`` and ``ctx`` are bitwise those of explicit
-    ``np.arange(node_count)`` rows, and ``lam`` agrees with theirs up to the
-    order of its sums. ``f_nc`` keeps its einsum even here: that gives a
-    node's distance to itself as exactly zero, so the expanded aspect
-    distance of a slot to its own node, which rounds to a tiny value of
-    either sign, is multiplied by an exact 0 and the sign cap below holds.
+    where S (C, K) holds the candidates' per-aspect squared norms, A
+    (C, K*m) their aspect embeddings and row n of W_a (L+1, K*m) stacks
+    w[n, k] a_nk over k. So each row takes two batched products over the
+    K*m columns, and no (K, L+1, C) array is built. ``f_nc`` keeps its
+    einsum: that gives a node's distance to itself as exactly zero, so the
+    expanded aspect distance of a slot to its own node, which rounds to a
+    tiny value of either sign, is multiplied by an exact 0 and the sign cap
+    below holds.
 
     Every squared distance, from a slot (source or history event) to a
     candidate or to a context, is in Gram form, |a - b|^2 = |a|^2 + |b|^2 -
@@ -171,7 +187,7 @@ def forward(
     the intensities and to every gradient path that reaches node arrays.
 
     Every ``lam_k`` and ``lam`` is <= 0: each term is an identity similarity
-    f_nc = -|i - c|^2 <= 0 times a squared aspect distance gam >= 0, and the
+    f_nc = -|i - c|^2 <= 0 times a squared aspect distance >= 0, and the
     weights (1 for the source, pi * attn * kappa for an event) and the
     mixture's pi are >= 0. So sigmoid(lam) <= 1/2, and each positive in the
     training loss -log sigmoid(lam_pos) costs at least ln 2.
@@ -190,17 +206,18 @@ def forward(
     a_n = aspect[nodes_n]                                            # (B, L+1, K, m)
     iu, ih = i_n[:, 0], i_n[:, 1:]
     au, ah = a_n[:, 0], a_n[:, 1:]
-    if cand is None:  # every node: the table and its norms, not copies
+    if cand is None:  # every node: the table and its kept terms, not copies
         c = params.node_count
-        ident_c, ic_sq, aspect_sq = params.node_terms()
+        ident_c, ic_sq, ac_sq = params.node_terms()
         ic = np.broadcast_to(ident_c, (b, c, m))                     # (B, C, m)
         ac = np.broadcast_to(aspect, (b, c, k, m))                   # (B, C, K, m)
+        ac_sq = np.broadcast_to(ac_sq, (b, c, k))                    # (B, C, K)
     else:
         cand = np.asarray(cand, dtype=np.int64)
         c = cand.shape[1]
-        ic = ident[cand]
-        ac = aspect[cand]
-        ic_sq = np.einsum("bcm,bcm->bc", ic, ic)[:, None] if c else None  # (B, 1, C)
+        ic, ac = ident[cand], aspect[cand]
+        ic_sq = np.einsum("bcm,bcm->bc", ic, ic)[:, None]            # (B, 1, C)
+        ac_sq = np.einsum("bckm,bckm->bck", ac, ac)
 
     delta_u = softplus(params.rho[u])
     kappa = np.exp(-delta_u[:, None] * hist.dt) * mask               # (B, L)
@@ -248,47 +265,32 @@ def forward(
     pi = exp_l / exp_l.sum(axis=2, keepdims=True)                    # (B, L+1, K)
     pi_u = pi[:, 0, :]
 
-    # Per-aspect intensities: each slot adds its identity similarity to the
-    # candidate times its aspect distance to it, weighted by 1 for the source
-    # and by pi * attn * kappa for a history event.
-    f_nc = gam = w_nc = pi_w = None
+    # The mixture: each slot adds its identity similarity to the candidate
+    # times the w-weighted sum of its aspect distances to it, expanded (see
+    # the docstring); w[b, n, k] weights slot n's aspect-k term.
+    f_nc = a_sq = w = wa = g = None
     if not c:
-        mu, lam, lam_k = np.zeros((b, 0)), np.zeros((b, 0)), np.zeros((b, 0, k))
+        mu, lam = np.zeros((b, 0)), np.zeros((b, 0))
     else:
         f_nc = 2.0 * np.einsum("bnm,bcm->bnc", i_n, ic)
         f_nc -= i_sq[:, :, None]
         f_nc -= ic_sq                                                    # (B, L+1, C)
         mu = f_nc[:, 0]
-        slot_w = np.concatenate([np.ones((b, 1)), attn * kappa], axis=1)  # (B, L+1)
-    if c and cand is None:
-        # every node: the mixture alone, from the expanded aspect distance
-        # (see the docstring); W[b, n, k] weights slot n's aspect-k term
         w = pi.copy()
         w[:, 0] = 1.0
-        w *= pi_u[:, None, :] * slot_w[:, :, None]                       # (B, L+1, K)
-        rows = b * (lmax + 1)
-        z_n = ((-2.0 * w)[:, :, :, None] * a_n).reshape(rows, k * m)
-        g = z_n @ aspect.reshape(c, k * m).T                             # (B(L+1), C)
-        g += w.reshape(rows, k) @ aspect_sq.T
-        g += np.einsum("bnk,bnkm,bnkm->bn", w, a_n, a_n).reshape(rows, 1)
-        lam = np.einsum("bnc,bnc->bc", f_nc, g.reshape(b, lmax + 1, c))  # (B, C)
-        lam_k = None
-    elif c:
-        gam = (
-            np.einsum("bnkm,bnkm->bkn", a_n, a_n)[:, :, :, None]
-            + np.einsum("bckm,bckm->bkc", ac, ac)[:, :, None]
-        )
-        gam -= 2.0 * (a_n.transpose(0, 2, 1, 3) @ ac.transpose(0, 2, 3, 1))  # (B, K, L+1, C)
-        w_nc = f_nc * slot_w[:, :, None]
-        pi_w = pi.transpose(0, 2, 1).copy()
-        pi_w[:, :, 0] = 1.0                                              # (B, K, L+1)
-        lam_k = np.einsum("bkn,bknc->bck", pi_w, gam * w_nc[:, None])    # (B, C, K)
-        lam = np.einsum("bck,bk->bc", lam_k, pi_u)                       # (B, C)
+        w[:, 1:] *= (attn * kappa)[:, :, None]
+        w *= pi_u[:, None, :]                                            # (B, L+1, K)
+        a_sq = np.einsum("bnkm,bnkm->bnk", a_n, a_n)                     # (B, L+1, K)
+        wa = ((-2.0 * w)[:, :, :, None] * a_n).reshape(b, lmax + 1, k * m)
+        g = wa @ ac.reshape(b, c, k * m).transpose(0, 2, 1)              # (B, L+1, C)
+        g += w @ ac_sq.transpose(0, 2, 1)
+        g += np.einsum("bnk,bnk->bn", w, a_sq)[:, :, None]
+        lam = np.einsum("bnc,bnc->bc", f_nc, g)                          # (B, C)
 
     return Forward(
-        pi, lam_k, lam, ctx, attn, kappa, mu,
+        pi, lam, ctx, attn, kappa, mu,
         i_n, a_n, ic, ac, z, wu, wh, lens_safe, w_ex, w_self,
-        fg_n, theta_n, tau_n, f_nc, gam, w_nc, pi_w,
+        fg_n, theta_n, tau_n, f_nc, a_sq, ac_sq, w, wa, g,
     )
 
 

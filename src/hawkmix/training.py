@@ -8,8 +8,11 @@ attention softmax, contexts, kernels, and the softplus reparameterizations of
 the per-node decay and temperature.
 
 Samples are padded into one batch whose forward pass is ``intensity.forward``;
-the backward pass here reuses the values that forward saved. The gradients
-are tested against finite differences, the loss against the loop-only oracle.
+the backward pass here reuses the values that forward saved. It is derived
+from the forward's expanded aspect distance, so its sums over candidates are
+batched products over the K*m aspect columns, and no per-aspect (slot x
+candidate) array is built. The gradients are tested against finite
+differences, the loss against the loop-only oracle.
 The trainer draws its batches straight into the engine's arrays from the
 network's CSR events and counter-based random streams; it and
 ``batch_gradients`` share one checked step, which raises ``TrainingDiverged``
@@ -323,6 +326,12 @@ def _backward(params: ModelParams, batch: Queries, fwd: Forward) -> GradientSet:
     """Gradients of the summed batch loss, from the values ``fwd`` saved.
 
     Gradients are sums over the batch; ``_step`` rescales them to a mean.
+    With v = dL/dlam * f_nc (B, L+1, C), every sum over candidates of v times
+    the squared aspect distance gam_k expands as in ``forward``:
+    sum_c v gam_k = |a_nk|^2 sum_c v + v @ |ac_k|^2 - 2 a_nk . (v @ ac_k).
+    So the aspect weights' gradient (which feeds the aspect softmax), the
+    slot weights' (which feeds attention and kappa) and those of a_n and ac
+    are products over the K*m columns, and no (B, K, L+1, C) array is built.
     """
     hyper = params.hyper
     m, k = hyper.dim, hyper.n_aspects
@@ -331,29 +340,34 @@ def _backward(params: ModelParams, batch: Queries, fwd: Forward) -> GradientSet:
     b, c = cand.shape
     lmax = hist.shape[1]
     pi, attn, kappa = fwd.pi, fwd.attn, fwd.kappa
-    f_nc, gam, w_nc, pi_w = fwd.f_nc, fwd.gam, fwd.w_nc, fwd.pi_w
+    f_nc, w, wa, g = fwd.f_nc, fwd.w, fwd.wa, fwd.g
     i_n, a_n, ic, ac = fwd.i_n, fwd.a_n, fwd.ic, fwd.ac
     iu, ih = i_n[:, 0], i_n[:, 1:]
     w_ex, w_self, lens_safe = fwd.w_ex, fwd.w_self, fwd.lens_safe
     tau_n, theta_n = fwd.tau_n, fwd.theta_n
     z, wu, wh = fwd.z, fwd.wu, fwd.wh
+    pi_u = pi[:, 0]
 
     wc = expit(fwd.lam)
     wc[:, 0] -= 1.0                                                  # dL/dlam
 
-    # intensity backward over the slots (source, then history events); the
-    # source's pi weights the mixture, an event's pi its own term
-    dlam_k = pi[:, 0, :, None] * wc[:, None, :]                      # (B, K, C)
-    dpi = np.einsum("bknc,bkc->bnk", gam * w_nc[:, None], dlam_k)    # (B, L+1, K)
-    dpi[:, 0] = np.einsum("bc,bck->bk", wc, fwd.lam_k)
-    pd = pi_w[:, :, :, None] * dlam_k[:, :, None, :]                 # (B, K, L+1, C)
-    dw_nc = np.einsum("bknc,bknc->bnc", pd, gam)                     # (B, L+1, C)
-    dgam2 = 2.0 * pd * w_nc[:, None]                                 # 2 dL/dgam
-    e0 = np.einsum("blc,blc->bl", dw_nc[:, 1:], f_nc[:, 1:])         # dL/d(attn * kappa)
+    # intensity backward: q[n, k] = sum_c v[n, c] gam_k[n, c], expanded
+    v = f_nc * wc[:, None]                                           # (B, L+1, C)
+    v_sum = np.einsum("bnc->bn", v)
+    da_n = (v @ ac.reshape(b, c, k * m)).reshape(b, lmax + 1, k, m)  # v @ ac; dL/da_n below
+    q = fwd.a_sq * v_sum[:, :, None]
+    q += v @ fwd.ac_sq
+    q -= 2.0 * np.einsum("bnkm,bnkm->bnk", a_n, da_n)                # (B, L+1, K)
+    # the source's pi weights the mixture, an event's pi its own term, and
+    # the slot weight (attn * kappa) every aspect of it
+    sq = q[:, 1:] * (attn * kappa)[:, :, None]
+    dpi = np.empty_like(pi)
+    dpi[:, 0] = q[:, 0] + np.einsum("blk,blk->bk", pi[:, 1:], sq)
+    dpi[:, 1:] = sq * pi_u[:, None]
+    e0 = np.einsum("blk,blk,bk->bl", pi[:, 1:], q[:, 1:], pi_u)     # dL/d(attn * kappa)
     dattn = e0 * kappa
     dkappa = e0 * attn
-    df2_nc = 2.0 * dw_nc                                             # 2 dL/df_nc
-    df2_nc[:, 1:] *= (attn * kappa)[:, :, None]
+    df2_nc = 2.0 * g * wc[:, None]                                   # 2 dL/df_nc
 
     # aspect-softmax backward (linear in dpi, so per-event rows of duplicated
     # nodes sum to the correct node gradient on scatter)
@@ -376,13 +390,19 @@ def _backward(params: ModelParams, batch: Queries, fwd: Forward) -> GradientSet:
     dctx = df2_n.transpose(0, 2, 1) @ i_n                            # (B, K, m)
     dctx -= np.einsum("bnk->bk", df2_n)[:, :, None] * fwd.ctx
 
+    # aspect-distance backward: 2 dL/dgam_k[n, c] = 2 w[n, k] v[n, c], so
+    # da_n = 2 w (a_n sum_c v - v @ ac) and dac = (v^T @ 2w) ac + v^T @ wa
+    dac = (v.transpose(0, 2, 1) @ wa).reshape(b, c, k, m)
+    dac += (v.transpose(0, 2, 1) @ (2.0 * w))[:, :, :, None] * ac
+    da_n *= (-2.0 * w)[:, :, :, None]
+    da_n -= (v_sum[:, :, None] * wa).reshape(b, lmax + 1, k, m)
+
     # context backward
-    da_n = np.zeros((b, lmax + 1, k, m))
-    da_n[:, 0] = w_self[:, None, None] * dctx
+    da_n[:, 0] += w_self[:, None, None] * dctx
     dhsum = (w_ex / lens_safe)[:, None, None] * dctx
     if lmax:
         dkappa += np.einsum("bkm,blkm->bl", dhsum, a_n[:, 1:])
-        da_n[:, 1:] = dhsum[:, None] * kappa[:, :, None, None]
+        da_n[:, 1:] += dhsum[:, None] * kappa[:, :, None, None]
 
     # kernel / decay backward
     ddelta = -np.sum(dkappa * hist_dt * kappa, axis=1)
@@ -409,10 +429,6 @@ def _backward(params: ModelParams, batch: Queries, fwd: Forward) -> GradientSet:
     di_n -= np.einsum("bnc->bn", df2_nc)[:, :, None] * i_n
     dic = df2_nc.transpose(0, 2, 1) @ i_n
     dic -= np.einsum("bnc->bc", df2_nc)[:, :, None] * ic
-    da_n += np.einsum("bknc->bnk", dgam2)[:, :, :, None] * a_n
-    da_n -= (dgam2 @ ac.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-    dac = np.einsum("bknc->bck", dgam2)[:, :, :, None] * ac
-    dac -= (dgam2.transpose(0, 1, 3, 2) @ a_n.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
 
     # scatter per-role rows onto the unique touched nodes with one sorted
     # segment sum, a product with a 0/1 selector matrix (it adds each node's

@@ -74,6 +74,19 @@ def test_recommend_rejects_a_nonfinite_time(t):
         recommend(p, small_net(), 0, t, 3)
 
 
+@pytest.mark.parametrize("t", [True, np.True_, "0.5", None, 0.5 + 0j, np.array([0.5])])
+def test_recommend_rejects_a_time_that_is_not_a_real_number(t):
+    p = random_params(np.random.default_rng(1))
+    with pytest.raises(ValueError, match="query time must be a real number"):
+        recommend(p, small_net(), 0, t, 3)
+
+
+@pytest.mark.parametrize("t", [1, np.float64(0.5), np.float32(0.5), np.int64(1)])
+def test_recommend_takes_python_and_numpy_real_times(t):
+    p = random_params(np.random.default_rng(1))
+    assert recommend(p, small_net(), 0, t, 3) == recommend(p, small_net(), 0, float(t), 3)
+
+
 @pytest.mark.parametrize("k", [0, -1, 2.5, "3", True, None])
 def test_recommend_rejects_a_k_that_is_not_a_positive_integer(k):
     p = random_params(np.random.default_rng(1))

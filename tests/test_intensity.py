@@ -464,10 +464,9 @@ def test_read_out_aspect_weights_match_the_oracle_at_large_embeddings():
 @pytest.mark.parametrize("use_gumbel", [True, False])
 def test_forward_on_every_node_matches_explicit_candidates(use_attention, use_gumbel, batch):
     """cand=None scores every node from views of the node table; it gives
-    bitwise the pi and mu of explicit np.arange(n) candidates, and a lam
-    within 1e-12 of theirs and of the oracle (it sums the mixture in another
-    order), on an empty, a ragged and a full history (history_len 4). It
-    computes the mixture only: lam_k and gam are None."""
+    bitwise the pi, mu and lam of explicit np.arange(n) candidates, and a lam
+    within 1e-12 of the oracle, on an empty, a ragged and a full history
+    (history_len 4). Its lam_k matches theirs too."""
     rng = np.random.default_rng(28)
     p = random_params(rng, use_attention=use_attention, use_gumbel=use_gumbel)
     k, n = p.hyper.n_aspects, p.node_count
@@ -485,8 +484,8 @@ def test_forward_on_every_node_matches_explicit_candidates(use_attention, use_gu
     for name in ("pi", "mu"):
         assert np.array_equal(getattr(every, name), getattr(explicit, name)), name
     assert every.lam.shape == (batch, n)
-    assert np.allclose(every.lam, explicit.lam, atol=1e-12, rtol=0)
-    assert every.lam_k is None and every.gam is None
+    assert np.array_equal(every.lam, explicit.lam)
+    assert np.array_equal(every.lam_k, explicit.lam_k)
     for row, (src, when, events_row) in enumerate(zip(u, t, events[-batch:])):
         for v in range(n):
             ref_lam = ref_all(p, src, v, when, events_row, noise)[4]
