@@ -310,6 +310,16 @@ class Queries:
         """This one-row query with ``v`` as its only candidate."""
         return replace(self, cand=np.array([[v]], dtype=np.int64))
 
+    def take(self, rows) -> "Queries":
+        """Rows ``rows`` of these queries, in that order, with their histories
+        padded only to the longest window among them."""
+        hist = self.hist
+        length = int(hist.mask[rows].sum(axis=1).max(initial=0))
+        cut = Histories(hist.ids[rows, :length], hist.dt[rows, :length], hist.mask[rows, :length])
+        g_u = None if self.g_u is None else self.g_u[rows]
+        g_h = None if self.g_h is None else self.g_h[rows, :length]
+        return Queries(self.u[rows], self.cand[rows], cut, g_u, g_h)
+
 
 def assemble(k: int, u, cand, t, histories, noises) -> Queries:
     """Queries from per-row lists: ``histories[i]`` holds the (neighbor, time)

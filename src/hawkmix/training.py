@@ -8,7 +8,11 @@ attention softmax, contexts, kernels, and the softplus reparameterizations of
 the per-node decay and temperature.
 
 Samples are padded into one batch whose forward pass is ``intensity.forward``;
-the backward pass here reuses the values that forward saved. It is derived
+the backward pass here reuses the values that forward saved. A batch whose
+history-less rows would fill more padded window slots than it has rows runs
+through the engine in two parts, those rows at L = 0 and the rest padded to
+their own longest window, and both parts' gradient rows are scattered
+together (see ``_step``). The backward is derived
 from the forward's expanded aspect distance, so its sums over candidates are
 batched products over the K*m aspect columns, and no per-aspect (slot x
 candidate) array is built. The gradients are tested against finite
@@ -19,8 +23,9 @@ network's CSR events and counter-based random streams; it and
 on a non-finite intensity, loss or gradient.
 
 Per-node state keeps one row layout, identity | aspect | rho | theta, from
-the backward scatter to the optimizer: ``GradientSet.rows`` holds a touched
-node's gradient as one row of ``ModelParams.table``, clipping scales it
+the backward scatter to the optimizer: the scatter marks the touched nodes
+over the node ids instead of sorting them, ``GradientSet.rows`` holds a
+touched node's gradient as one row of ``ModelParams.table``, clipping scales it
 whole, and ``_LazyAdam`` updates the gathered rows of the table and of its
 two moment tables together.
 """
@@ -37,7 +42,6 @@ from scipy.special import expit
 
 from .intensity import (
     LEAKY_SLOPE,
-    Forward,
     Queries,
     assemble,
     forward,
@@ -322,10 +326,19 @@ def _checked_forward(params: ModelParams, batch: Queries, where: str):
     return fwd, losses
 
 
-def _backward(params: ModelParams, batch: Queries, fwd: Forward) -> GradientSet:
+def _backward(params: ModelParams, batch, fwd) -> GradientSet:
     """Gradients of the summed batch loss, from the values ``fwd`` saved.
 
+    ``batch`` and ``fwd`` are a ``Queries`` and its ``Forward``, or lists of
+    the parts of one batch that ``_step`` ran through the engine apart and
+    their ``Forward``s. Each part's per-role rows (sources, candidates, real
+    history slots, in the layout of ``ModelParams.table``) are staged in one
+    buffer, part after part, and ``_scatter`` sums them onto the touched
+    nodes once, while the last part's temporaries are still alive: freed
+    before the scatter, they let glibc trim the heap and fault it back in on
+    every batch.
     Gradients are sums over the batch; ``_step`` rescales them to a mean.
+
     With v = dL/dlam * f_nc (B, L+1, C), every sum over candidates of v times
     the squared aspect distance gam_k expands as in ``forward``:
     sum_c v gam_k = |a_nk|^2 sum_c v + v @ |ac_k|^2 - 2 a_nk . (v @ ac_k).
@@ -335,136 +348,190 @@ def _backward(params: ModelParams, batch: Queries, fwd: Forward) -> GradientSet:
     """
     hyper = params.hyper
     m, k = hyper.dim, hyper.n_aspects
-    u, cand, hist = batch.u, batch.cand, batch.hist.ids
-    mask, hist_dt = batch.hist.mask, batch.hist.dt
-    b, c = cand.shape
-    lmax = hist.shape[1]
-    pi, attn, kappa = fwd.pi, fwd.attn, fwd.kappa
-    f_nc, w, wa, g = fwd.f_nc, fwd.w, fwd.wa, fwd.g
-    i_n, a_n, ic, ac = fwd.i_n, fwd.a_n, fwd.ic, fwd.ac
-    iu, ih = i_n[:, 0], i_n[:, 1:]
-    w_ex, w_self, lens_safe = fwd.w_ex, fwd.w_self, fwd.lens_safe
-    tau_n, theta_n = fwd.tau_n, fwd.theta_n
-    z, wu, wh = fwd.z, fwd.wu, fwd.wh
-    pi_u = pi[:, 0]
-
-    wc = expit(fwd.lam)
-    wc[:, 0] -= 1.0                                                  # dL/dlam
-
-    # intensity backward: q[n, k] = sum_c v[n, c] gam_k[n, c], expanded
-    v = f_nc * wc[:, None]                                           # (B, L+1, C)
-    v_sum = np.einsum("bnc->bn", v)
-    da_n = (v @ ac.reshape(b, c, k * m)).reshape(b, lmax + 1, k, m)  # v @ ac; dL/da_n below
-    q = fwd.a_sq * v_sum[:, :, None]
-    q += v @ fwd.ac_sq
-    q -= 2.0 * np.einsum("bnkm,bnkm->bnk", a_n, da_n)                # (B, L+1, K)
-    # the source's pi weights the mixture, an event's pi its own term, and
-    # the slot weight (attn * kappa) every aspect of it
-    sq = q[:, 1:] * (attn * kappa)[:, :, None]
-    dpi = np.empty_like(pi)
-    dpi[:, 0] = q[:, 0] + np.einsum("blk,blk->bk", pi[:, 1:], sq)
-    dpi[:, 1:] = sq * pi_u[:, None]
-    e0 = np.einsum("blk,blk,bk->bl", pi[:, 1:], q[:, 1:], pi_u)     # dL/d(attn * kappa)
-    dattn = e0 * kappa
-    dkappa = e0 * attn
-    df2_nc = 2.0 * g * wc[:, None]                                   # 2 dL/df_nc
-
-    # aspect-softmax backward (linear in dpi, so per-event rows of duplicated
-    # nodes sum to the correct node gradient on scatter)
-    dlogits = pi * (dpi - np.sum(dpi * pi, axis=2, keepdims=True))
-    if hyper.use_gumbel:
-        df_n = dlogits / tau_n[:, :, None]
-        # tau_n**2 can underflow to 0 (0/0): every caller raises on the
-        # non-finite gradient, so it is not also warned about
-        with np.errstate(invalid="ignore"):
-            dtau_n = -np.sum(dlogits * fwd.fg_n, axis=2) / tau_n**2
-        dtheta_n = dtau_n * expit(theta_n)
-    else:
-        df_n = dlogits
-        dtheta_n = np.zeros((b, lmax + 1))
-    # f_n = 2 i_n.ctx_k - |i_n|^2 - |ctx_k|^2, so its pair sums are in Gram
-    # form too
-    df2_n = 2.0 * df_n
-    di_n = df2_n @ fwd.ctx                                           # (B, L+1, m)
-    di_n -= np.einsum("bnk->bn", df2_n)[:, :, None] * i_n
-    dctx = df2_n.transpose(0, 2, 1) @ i_n                            # (B, K, m)
-    dctx -= np.einsum("bnk->bk", df2_n)[:, :, None] * fwd.ctx
-
-    # aspect-distance backward: 2 dL/dgam_k[n, c] = 2 w[n, k] v[n, c], so
-    # da_n = 2 w (a_n sum_c v - v @ ac) and dac = (v^T @ 2w) ac + v^T @ wa
-    dac = (v.transpose(0, 2, 1) @ wa).reshape(b, c, k, m)
-    dac += (v.transpose(0, 2, 1) @ (2.0 * w))[:, :, :, None] * ac
-    da_n *= (-2.0 * w)[:, :, :, None]
-    da_n -= (v_sum[:, :, None] * wa).reshape(b, lmax + 1, k, m)
-
-    # context backward
-    da_n[:, 0] += w_self[:, None, None] * dctx
-    dhsum = (w_ex / lens_safe)[:, None, None] * dctx
-    if lmax:
-        dkappa += np.einsum("bkm,blkm->bl", dhsum, a_n[:, 1:])
-        da_n[:, 1:] += dhsum[:, None] * kappa[:, :, None, None]
-
-    # kernel / decay backward
-    ddelta = -np.sum(dkappa * hist_dt * kappa, axis=1)
-    drho_u = ddelta * expit(params.rho[u])
-
-    # attention backward
-    d_attn_w = np.zeros((m, m))
-    d_attn_a = np.zeros(2 * m)
-    if hyper.use_attention and lmax > 0:
-        a1, a2 = params.attn_a[:m], params.attn_a[m:]
-        de = attn * (dattn - np.sum(dattn * attn, axis=1, keepdims=True))
-        dz = de * np.where(z >= 0, 1.0, LEAKY_SLOPE)
-        dz_row = dz.sum(axis=1)
-        d_attn_a[:m] = dz_row @ wu
-        d_attn_a[m:] = np.einsum("bl,blm->m", dz, wh)
-        d_attn_w = np.outer(a1, dz_row @ iu) + np.outer(a2, np.einsum("bl,blm->m", dz, ih))
-        di_n[:, 0] += dz_row[:, None] * (params.attn_w.T @ a1)
-        di_n[:, 1:] += dz[:, :, None] * (params.attn_w.T @ a2)
-
-    # similarity-term backward: a pair sum is in Gram form,
-    # sum_j g_j (a - b_j) = (sum_j g_j) a - g @ b, so no slot x candidate
-    # difference array is built
-    di_n += df2_nc @ ic
-    di_n -= np.einsum("bnc->bn", df2_nc)[:, :, None] * i_n
-    dic = df2_nc.transpose(0, 2, 1) @ i_n
-    dic -= np.einsum("bnc->bc", df2_nc)[:, :, None] * ic
-
-    # scatter per-role rows onto the unique touched nodes with one sorted
-    # segment sum, a product with a 0/1 selector matrix (it adds each node's
-    # rows in batch order, as np.add.at did); padded history slots are
-    # excluded so they neither appear as touched nor receive zeros. The rows
-    # are in the layout of ModelParams.table.
-    valid = mask.reshape(-1) > 0
-    ids_all = np.concatenate([u, cand.reshape(-1), hist.reshape(-1)[valid]])
+    parts, fwds = ([batch], [fwd]) if isinstance(batch, Queries) else (batch, fwd)
+    # padded history slots are left out, so they are neither touched nor
+    # sent zeros
+    valids = [part.hist.mask.reshape(-1) > 0 for part in parts]
+    ids_all = np.concatenate([
+        ids
+        for part, valid in zip(parts, valids)
+        for ids in (part.u, part.cand.reshape(-1), part.hist.ids.reshape(-1)[valid])
+    ])
     rows = np.zeros((len(ids_all), hyper.row_width))
     r_ident, r_aspect, r_rho, r_theta = node_fields(rows, m)
-    r_ident[:b], r_aspect[:b] = di_n[:, 0], da_n[:, 0]
-    r_rho[:b], r_theta[:b] = drho_u, dtheta_n[:, 0]
-    r_ident[b : b + b * c], r_aspect[b : b + b * c] = dic.reshape(-1, m), dac.reshape(-1, k, m)
-    if lmax:
-        r_ident[b + b * c :] = di_n[:, 1:].reshape(-1, m)[valid]
-        r_aspect[b + b * c :] = da_n[:, 1:].reshape(-1, k, m)[valid]
-        r_theta[b + b * c :] = dtheta_n[:, 1:].reshape(-1)[valid]
-    order = np.argsort(ids_all, kind="stable")
-    ids_sorted = ids_all[order]
-    starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
-    select = sparse.csr_matrix(
-        (np.ones(len(order)), order, np.r_[starts, len(order)]),
-        shape=(len(starts), len(order)),
+    d_attn_w = np.zeros((m, m))
+    d_attn_a = np.zeros(2 * m)
+    lo = 0
+    # each pass rebinds ``batch`` and ``fwd`` to one part and its Forward
+    for batch, fwd, valid in zip(parts, fwds, valids):
+        u, cand, hist, hist_dt = batch.u, batch.cand, batch.hist.ids, batch.hist.dt
+        b, c = cand.shape
+        lmax = hist.shape[1]
+        pi, attn, kappa = fwd.pi, fwd.attn, fwd.kappa
+        f_nc, w, wa, g = fwd.f_nc, fwd.w, fwd.wa, fwd.g
+        i_n, a_n, ic, ac = fwd.i_n, fwd.a_n, fwd.ic, fwd.ac
+        iu, ih = i_n[:, 0], i_n[:, 1:]
+        w_ex, w_self, lens_safe = fwd.w_ex, fwd.w_self, fwd.lens_safe
+        tau_n, theta_n = fwd.tau_n, fwd.theta_n
+        z, wu, wh = fwd.z, fwd.wu, fwd.wh
+        pi_u = pi[:, 0]
+
+        wc = expit(fwd.lam)
+        wc[:, 0] -= 1.0                                                  # dL/dlam
+
+        # intensity backward: q[n, k] = sum_c v[n, c] gam_k[n, c], expanded
+        v = f_nc * wc[:, None]                                           # (B, L+1, C)
+        v_sum = np.einsum("bnc->bn", v)
+        da_n = (v @ ac.reshape(b, c, k * m)).reshape(b, lmax + 1, k, m)  # v @ ac; dL/da_n below
+        q = fwd.a_sq * v_sum[:, :, None]
+        q += v @ fwd.ac_sq
+        q -= 2.0 * np.einsum("bnkm,bnkm->bnk", a_n, da_n)                # (B, L+1, K)
+        # the source's pi weights the mixture, an event's pi its own term, and
+        # the slot weight (attn * kappa) every aspect of it
+        sq = q[:, 1:] * (attn * kappa)[:, :, None]
+        dpi = np.empty_like(pi)
+        dpi[:, 0] = q[:, 0] + np.einsum("blk,blk->bk", pi[:, 1:], sq)
+        dpi[:, 1:] = sq * pi_u[:, None]
+        e0 = np.einsum("blk,blk,bk->bl", pi[:, 1:], q[:, 1:], pi_u)     # dL/d(attn * kappa)
+        dattn = e0 * kappa
+        dkappa = e0 * attn
+        df2_nc = 2.0 * g * wc[:, None]                                   # 2 dL/df_nc
+
+        # aspect-softmax backward (linear in dpi, so per-event rows of
+        # duplicated nodes sum to the correct node gradient on scatter)
+        dlogits = pi * (dpi - np.sum(dpi * pi, axis=2, keepdims=True))
+        if hyper.use_gumbel:
+            df_n = dlogits / tau_n[:, :, None]
+            # tau_n**2 can underflow to 0 (0/0): every caller raises on the
+            # non-finite gradient, so it is not also warned about
+            with np.errstate(invalid="ignore"):
+                dtau_n = -np.sum(dlogits * fwd.fg_n, axis=2) / tau_n**2
+            dtheta_n = dtau_n * expit(theta_n)
+        else:
+            df_n = dlogits
+            dtheta_n = np.zeros((b, lmax + 1))
+        # f_n = 2 i_n.ctx_k - |i_n|^2 - |ctx_k|^2, so its pair sums are in Gram
+        # form too
+        df2_n = 2.0 * df_n
+        di_n = df2_n @ fwd.ctx                                           # (B, L+1, m)
+        di_n -= np.einsum("bnk->bn", df2_n)[:, :, None] * i_n
+        dctx = df2_n.transpose(0, 2, 1) @ i_n                            # (B, K, m)
+        dctx -= np.einsum("bnk->bk", df2_n)[:, :, None] * fwd.ctx
+
+        # aspect-distance backward: 2 dL/dgam_k[n, c] = 2 w[n, k] v[n, c], so
+        # da_n = 2 w (a_n sum_c v - v @ ac) and dac = (v^T @ 2w) ac + v^T @ wa
+        dac = (v.transpose(0, 2, 1) @ wa).reshape(b, c, k, m)
+        dac += (v.transpose(0, 2, 1) @ (2.0 * w))[:, :, :, None] * ac
+        da_n *= (-2.0 * w)[:, :, :, None]
+        da_n -= (v_sum[:, :, None] * wa).reshape(b, lmax + 1, k, m)
+
+        # context backward
+        da_n[:, 0] += w_self[:, None, None] * dctx
+        dhsum = (w_ex / lens_safe)[:, None, None] * dctx
+        if lmax:
+            dkappa += np.einsum("bkm,blkm->bl", dhsum, a_n[:, 1:])
+            da_n[:, 1:] += dhsum[:, None] * kappa[:, :, None, None]
+
+        # kernel / decay backward
+        ddelta = -np.sum(dkappa * hist_dt * kappa, axis=1)
+        drho_u = ddelta * expit(params.rho[u])
+
+        # attention backward
+        if hyper.use_attention and lmax > 0:
+            a1, a2 = params.attn_a[:m], params.attn_a[m:]
+            de = attn * (dattn - np.sum(dattn * attn, axis=1, keepdims=True))
+            dz = de * np.where(z >= 0, 1.0, LEAKY_SLOPE)
+            dz_row = dz.sum(axis=1)
+            d_attn_a[:m] += dz_row @ wu
+            d_attn_a[m:] += np.einsum("bl,blm->m", dz, wh)
+            d_attn_w += np.outer(a1, dz_row @ iu) + np.outer(a2, np.einsum("bl,blm->m", dz, ih))
+            di_n[:, 0] += dz_row[:, None] * (params.attn_w.T @ a1)
+            di_n[:, 1:] += dz[:, :, None] * (params.attn_w.T @ a2)
+
+        # similarity-term backward: a pair sum is in Gram form,
+        # sum_j g_j (a - b_j) = (sum_j g_j) a - g @ b, so no slot x candidate
+        # difference array is built
+        di_n += df2_nc @ ic
+        di_n -= np.einsum("bnc->bn", df2_nc)[:, :, None] * i_n
+        dic = df2_nc.transpose(0, 2, 1) @ i_n
+        dic -= np.einsum("bnc->bc", df2_nc)[:, :, None] * ic
+
+        # stage this part's rows: sources, candidates, real history slots
+        at_src, at_cand, at_hist = lo, lo + b, lo + b + b * c
+        lo = at_hist + np.count_nonzero(valid)
+        r_ident[at_src:at_cand], r_aspect[at_src:at_cand] = di_n[:, 0], da_n[:, 0]
+        r_rho[at_src:at_cand], r_theta[at_src:at_cand] = drho_u, dtheta_n[:, 0]
+        r_ident[at_cand:at_hist] = dic.reshape(-1, m)
+        r_aspect[at_cand:at_hist] = dac.reshape(-1, k, m)
+        if lmax:
+            r_ident[at_hist:lo] = di_n[:, 1:].reshape(-1, m)[valid]
+            r_aspect[at_hist:lo] = da_n[:, 1:].reshape(-1, k, m)[valid]
+            r_theta[at_hist:lo] = dtheta_n[:, 1:].reshape(-1)[valid]
+    nodes, node_rows = _scatter(ids_all, rows, params.node_count)
+    return GradientSet(nodes, node_rows, d_attn_w, d_attn_a)
+
+
+def _scatter(ids, rows, node_count: int):
+    """(nodes, sums): the sorted unique ``ids`` and, for each, the sum of the
+    ``rows`` that carry it, added in the order of ``rows``.
+
+    A boolean mark over node ids gives the sorted unique nodes without a
+    sort. The sums are one product with a 0/1 CSC selector that has a
+    column per row, holding a one at the row's index into the nodes
+    (indptr = arange(N + 1)); the product adds column after column, so each
+    node's rows are summed in their given order, as ``np.add.at`` sums them.
+    """
+    mark = np.zeros(node_count, dtype=bool)
+    mark[ids] = True
+    nodes = np.flatnonzero(mark)
+    at = np.empty(node_count, dtype=np.int64)     # a node's index into ``nodes``
+    at[nodes] = np.arange(len(nodes))
+    select = sparse.csc_matrix(
+        (np.ones(len(ids)), at[ids], np.arange(len(ids) + 1)),
+        shape=(len(nodes), len(ids)),
     )
-    return GradientSet(ids_sorted[starts], select @ rows, d_attn_w, d_attn_a)
+    return nodes, select @ rows
+
+
+def _row_groups(batch: Queries):
+    """None, or the batch's history-less rows and the rest, as two index
+    arrays in row order: split when the history-less rows times the padded
+    window length exceed the row count, that is when padding those rows to
+    the window costs more slots than the batch has rows."""
+    b, lmax = batch.hist.ids.shape
+    if lmax == 0:
+        return None
+    empty = batch.hist.mask[:, 0] == 0
+    if np.count_nonzero(empty) * lmax <= b:
+        return None
+    return np.flatnonzero(empty), np.flatnonzero(~empty)
 
 
 def _step(params: ModelParams, batch: Queries, where: str):
     """(per-sample losses, mean GradientSet, its global norm) of one batch.
 
+    A batch with many history-less rows (see ``_row_groups``) runs through
+    the engine in two parts: those rows at L = 0, and the rest padded to
+    their own longest window. The losses come back in row order, and both
+    parts' gradients meet in one ``_backward``, so the batch still takes one
+    scatter, one norm check, one clip and one optimizer step.
+
     Raises TrainingDiverged, prefixed by ``where`` and naming the nodes
     involved, on a non-finite forward (before the backward pass) or a
     non-finite gradient norm (before any parameter changes).
     """
-    fwd, losses = _checked_forward(params, batch, where)
-    grads = _backward(params, batch, fwd)
+    groups = _row_groups(batch)
+    if groups is None:
+        fwd, losses = _checked_forward(params, batch, where)
+        grads = _backward(params, batch, fwd)
+    else:
+        parts = [batch.take(rows) for rows in groups]
+        losses = np.empty(len(batch.u))
+        fwds = []
+        for rows, part in zip(groups, parts):
+            fwd, losses[rows] = _checked_forward(params, part, where)
+            fwds.append(fwd)
+        grads = _backward(params, parts, fwds)
     grads.scale(1.0 / len(losses))
     norm = grads.global_norm()
     if not np.isfinite(norm):
@@ -552,19 +619,24 @@ def train(
     (seed, epoch, edge index) (see ``EdgeStreams``). So the draws do not
     depend on the batch schedule: a different ``batch_size`` regroups the
     same draws, and the run is a pure function of (net, hyper). A batch pads
-    its histories to its longest window, though, and the products over that
-    padded length may round differently, so a different ``batch_size`` can
-    change the results in the last bits.
+    its histories to its longest window, though, or runs its history-less
+    rows apart when padding them would cost more slots than it has rows
+    (see ``_step``), and the products over a padded length may round
+    differently, so a different ``batch_size`` can change the results in
+    the last bits.
     ``on_epoch(epoch, mean_loss, wall_seconds)`` is called after every pass.
     Each batch takes the checked step of ``batch_gradients``, then clipping
     and the Adam update: a non-finite intensity, loss or gradient raises
     TrainingDiverged naming the epoch, the batch and the nodes involved,
-    before its update is applied. With ``checkpoint_every`` n (>= 1) and a
-    ``checkpoint_dir``, the parameters are saved after every n-th epoch.
+    before its update is applied. With ``checkpoint_every`` n (>= 1), the
+    parameters are saved under ``checkpoint_dir`` after every n-th epoch; an
+    interval without a directory is a ValueError, raised before training.
     The returned model is read-only (see ``ModelParams.freeze``).
     """
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, not {checkpoint_every}")
+    if checkpoint_every is not None and checkpoint_dir is None:
+        raise ValueError("checkpoint_every needs a checkpoint_dir to write to")
     if net.n_edges == 0:
         raise ValueError("cannot train on an empty network")
     params = init_params(hyper, net.node_count, np.random.default_rng(hyper.seed))
@@ -591,6 +663,6 @@ def train(
         wall = time.perf_counter() - t0
         if on_epoch is not None:
             on_epoch(epoch, mean_loss, wall)
-        if checkpoint_every and checkpoint_dir is not None and (epoch + 1) % checkpoint_every == 0:
+        if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
             save_params(params, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.bin")
     return params.freeze()

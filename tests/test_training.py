@@ -25,10 +25,13 @@ from hawkmix import (
     train,
 )
 from hawkmix import training as training_mod
+from hawkmix.intensity import gumbel_noise
 from hawkmix.params import node_fields
 
 from oracle import ref_sample_loss
-from util import assert_read_only, fd_max_rel_error, random_params, random_sample
+from util import (
+    assert_read_only, fd_max_rel_error, random_params, random_sample, spy_forward,
+)
 
 
 def zero_lambda_sample(n_neg=1):
@@ -302,6 +305,16 @@ def test_train_rejects_checkpoint_every_below_one(tmp_path, every):
     assert not list(tmp_path.iterdir())
 
 
+def test_train_rejects_checkpoint_every_without_a_directory():
+    """A checkpoint interval with nowhere to write would save nothing: it is
+    an error before the first epoch, as an interval below one is."""
+    hyper = HyperParams(n_aspects=2, dim=4, epochs=2, batch_size=8, seed=5)
+    epochs = []
+    with pytest.raises(ValueError, match="checkpoint_every needs a checkpoint_dir"):
+        train(tiny_net(), hyper, on_epoch=lambda e, l, w: epochs.append(e), checkpoint_every=1)
+    assert epochs == []
+
+
 def test_train_loss_decreases_on_planted_net():
     """Median loss drop over 5 seeds on a 20-node planted network >= 30%."""
     spec = PlantedSpec(2, 10, 1.0, 0.3, 1.0, 20.0, 0.05)
@@ -424,6 +437,106 @@ def test_nonfinite_gradient_stops_before_the_update(monkeypatch):
     assert str(info.value).startswith(
         f"epoch {epoch}, batch {n_batch}: non-finite gradient at nodes {bad_rows[-1]}"
     )
+
+
+def mixed_samples(rng, p, lens, n_free=None):
+    """Loss samples with windows of ``lens`` events over nodes ``0..n_free-1``
+    (default: every node), drawn at random for every role, so that nodes
+    repeat across sources, candidates and histories; each with Gumbel noise."""
+    n_free = p.node_count if n_free is None else n_free
+    k = p.hyper.n_aspects
+    samples = []
+    for n_hist in lens:
+        u, v = (int(x) for x in rng.integers(0, n_free, size=2))
+        hist_nodes = rng.integers(0, n_free, size=n_hist)
+        hist_times = np.sort(rng.uniform(0, 0.9, size=n_hist))
+        hist = [NeighborEvent(int(h), float(t)) for h, t in zip(hist_nodes, hist_times)]
+        noise = {int(node): gumbel_noise(rng, k) for node in [u, *hist_nodes]}
+        negs = rng.integers(0, n_free, size=p.hyper.n_negatives)
+        samples.append(LossSample(TemporalEdge(u, v, 0.9), hist, negs, noise))
+    return samples
+
+
+def test_backward_scatter_is_a_batch_order_segment_sum(monkeypatch):
+    """With nodes repeated across the source, candidate and history roles and
+    padded history slots present, the staged rows are the sources', the
+    candidates' and the real history slots', in batch order, and the
+    GradientSet sums them onto sorted unique nodes as np.add.at does, bit
+    for bit."""
+    rng = np.random.default_rng(23)
+    p = random_params(rng, n_nodes=7, history_len=4)
+    batch = training_mod._assemble(p.hyper, mixed_samples(rng, p, [0, 4, 2, 0, 1, 3, 4, 2]))
+    valid = batch.hist.mask.reshape(-1) > 0
+    roles = (batch.u, batch.cand.reshape(-1), batch.hist.ids.reshape(-1)[valid])
+    assert not valid.all()
+    assert set.intersection(*(set(ids.tolist()) for ids in roles))
+
+    staged = []
+    scatter = training_mod._scatter
+
+    def spy_scatter(ids, rows, node_count):
+        staged.append((ids.copy(), rows.copy()))
+        return scatter(ids, rows, node_count)
+
+    monkeypatch.setattr(training_mod, "_scatter", spy_scatter)
+    fwd, _ = training_mod._forward_loss(p, batch)
+    grads = training_mod._backward(p, batch, fwd)
+    [(ids, rows)] = staged
+    assert ids.tolist() == np.concatenate(roles).tolist()
+    nodes = np.unique(ids)
+    assert grads.nodes.tolist() == nodes.tolist()
+    expect = np.zeros((len(nodes), p.hyper.row_width))
+    np.add.at(expect, np.searchsorted(nodes, ids), rows)
+    assert grads.rows.tobytes() == expect.tobytes()
+
+
+def split_batch(seed, n_free=None):
+    """Params and a batch of 40 rows, 30 of them history-less, with windows of
+    up to 4 events: 30 * 4 > 40, so ``_step`` runs it in two parts."""
+    rng = np.random.default_rng(seed)
+    p = random_params(rng, n_nodes=12, history_len=4)
+    lens = np.array([0] * 30 + [4, 1, 2, 3, 4] * 2)
+    rng.shuffle(lens)
+    batch = training_mod._assemble(p.hyper, mixed_samples(rng, p, lens, n_free))
+    return p, batch
+
+
+def test_split_batch_matches_the_whole_padded_batch(monkeypatch):
+    """``batch_gradients``' step runs the history-less rows at L = 0 and the
+    rest at their own longest window, and matches the forward and backward
+    of the whole padded batch: losses in row order and the mean gradients
+    within 1e-12 of each array's largest entry."""
+    p, batch = split_batch(31)
+    empty, rest = training_mod._row_groups(batch)
+    assert len(empty) == 30 and (batch.hist.mask[empty] == 0).all()
+    assert (batch.hist.mask[rest, 0] == 1).all()
+    fwd, whole_losses = training_mod._forward_loss(p, batch)
+    whole = training_mod._backward(p, batch, fwd)
+    whole.scale(1.0 / len(whole_losses))
+
+    calls = spy_forward(monkeypatch, training_mod)
+    losses, grads, norm = training_mod._step(p, batch, "batch")
+    assert [(len(u), hist.ids.shape[1]) for u, hist, _, _ in calls] == [(30, 0), (10, 4)]
+    assert np.abs(losses - whole_losses).max() <= 1e-12 * np.abs(whole_losses).max()
+    assert norm == pytest.approx(whole.global_norm(), rel=1e-12)
+    assert grads.nodes.tolist() == whole.nodes.tolist()
+    for name in ("rows", "d_attn_w", "d_attn_a"):
+        got, expect = getattr(grads, name), getattr(whole, name)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max(), name
+
+
+@pytest.mark.parametrize("history_less", [True, False])
+def test_split_batch_divergence_names_epoch_batch_and_nodes(history_less):
+    """A non-finite row in either part of a split batch raises
+    TrainingDiverged naming the step's epoch and batch and the row's source."""
+    p, batch = split_batch(37, n_free=11)
+    row = training_mod._row_groups(batch)[0 if history_less else 1][3]
+    batch.u[row] = 11                      # the only row that touches node 11
+    p.identity[11] = np.nan
+    with pytest.raises(TrainingDiverged, match=re.escape(
+        "epoch 3, batch 7: non-finite intensity or loss for source nodes [11]"
+    )):
+        training_mod._step(p, batch, "epoch 3, batch 7")
 
 
 def test_ablation_config():
