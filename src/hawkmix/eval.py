@@ -17,10 +17,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .intensity import forward
-from .params import ModelParams, all_embeddings
+from .params import ModelParams, all_embeddings, sigmoid
 from .temporal_graph import TemporalNetwork
 
 
@@ -81,7 +80,7 @@ def logistic_fit(features, labels, l2=1e-4, max_iter=500, tol=1e-8) -> LogisticM
     def loss_grad(w, b):
         z = xs @ w + b
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * (w @ w))
-        r = expit(z) - y
+        r = sigmoid(z) - y
         return loss, xs.T @ r / n + l2 * w, float(r.mean())
 
     step = 1.0
@@ -105,7 +104,7 @@ def logistic_fit(features, labels, l2=1e-4, max_iter=500, tol=1e-8) -> LogisticM
 def logistic_predict(model: LogisticModel, features) -> np.ndarray:
     """Class-1 probabilities for each feature row."""
     x = (np.asarray(features, dtype=np.float64) - model.mean) / model.scale
-    return expit(x @ model.weights + model.bias)
+    return sigmoid(x @ model.weights + model.bias)
 
 
 def macro_f1(y_true, y_pred) -> float:

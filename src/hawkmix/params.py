@@ -37,6 +37,14 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def sigmoid(x):
+    """1 / (1 + e^-x), the derivative of ``softplus``, computed without
+    overflow: e^-|x| never exceeds 1, and the sign of x picks the numerator."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def softplus_inv(y):
     """Inverse of ``softplus``; defined for y > 0 only."""
     y = np.asarray(y, dtype=np.float64)

@@ -18,16 +18,18 @@ batched products over the K*m aspect columns, and no per-aspect (slot x
 candidate) array is built. The gradients are tested against finite
 differences, the loss against the loop-only oracle.
 The trainer draws its batches straight into the engine's arrays from the
-network's CSR events and counter-based random streams; it and
-``batch_gradients`` share one checked step, which raises ``TrainingDiverged``
-on a non-finite intensity, loss or gradient.
+network's CSR events and counter-based random streams, ``DRAW_BATCHES``
+batches per draw; it and ``batch_gradients`` share one checked step, which
+raises ``TrainingDiverged`` on a non-finite intensity, loss or gradient.
 
 Per-node state keeps one row layout, identity | aspect | rho | theta, from
-the backward scatter to the optimizer: the scatter marks the touched nodes
-over the node ids instead of sorting them, ``GradientSet.rows`` holds a
-touched node's gradient as one row of ``ModelParams.table``, clipping scales it
-whole, and ``_LazyAdam`` updates the gathered rows of the table and of its
-two moment tables together.
+the backward scatter to the optimizer: the scatter sums each touched node's
+staged rows in batch order with numpy gathers over a radix sort of the ids,
+``GradientSet.rows`` holds a touched node's gradient as one row of
+``ModelParams.table``, clipping scales it whole, and ``_LazyAdam`` updates the
+gathered rows of the table and of its two moment tables together. The module
+needs numpy alone; the loss's and the softplus's derivatives go through
+``params.sigmoid``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
 from .intensity import (
     LEAKY_SLOPE,
@@ -47,7 +47,7 @@ from .intensity import (
     forward,
     node_shared_gumbel,
 )
-from .params import HyperParams, ModelParams, init_params, node_fields, save_params
+from .params import HyperParams, ModelParams, init_params, node_fields, save_params, sigmoid
 from .temporal_graph import (
     NegativeSampler,
     TemporalEdge,
@@ -60,6 +60,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 5.0
+# batches that ``train`` draws per sampler call: one call's fixed cost is
+# shared by all of them, and the draws do not depend on the grouping
+DRAW_BATCHES = 10
 
 
 class TrainingDiverged(ValueError):
@@ -376,7 +379,7 @@ def _backward(params: ModelParams, batch, fwd) -> GradientSet:
         z, wu, wh = fwd.z, fwd.wu, fwd.wh
         pi_u = pi[:, 0]
 
-        wc = expit(fwd.lam)
+        wc = sigmoid(fwd.lam)
         wc[:, 0] -= 1.0                                                  # dL/dlam
 
         # intensity backward: q[n, k] = sum_c v[n, c] gam_k[n, c], expanded
@@ -406,7 +409,7 @@ def _backward(params: ModelParams, batch, fwd) -> GradientSet:
             # non-finite gradient, so it is not also warned about
             with np.errstate(invalid="ignore"):
                 dtau_n = -np.sum(dlogits * fwd.fg_n, axis=2) / tau_n**2
-            dtheta_n = dtau_n * expit(theta_n)
+            dtheta_n = dtau_n * sigmoid(theta_n)
         else:
             df_n = dlogits
             dtheta_n = np.zeros((b, lmax + 1))
@@ -434,7 +437,7 @@ def _backward(params: ModelParams, batch, fwd) -> GradientSet:
 
         # kernel / decay backward
         ddelta = -np.sum(dkappa * hist_dt * kappa, axis=1)
-        drho_u = ddelta * expit(params.rho[u])
+        drho_u = ddelta * sigmoid(params.rho[u])
 
         # attention backward
         if hyper.use_attention and lmax > 0:
@@ -473,24 +476,30 @@ def _backward(params: ModelParams, batch, fwd) -> GradientSet:
 
 def _scatter(ids, rows, node_count: int):
     """(nodes, sums): the sorted unique ``ids`` and, for each, the sum of the
-    ``rows`` that carry it, added in the order of ``rows``.
+    ``rows`` that carry it, added onto 0.0 in the order of ``rows``, as
+    ``np.add.at`` adds them (bit for bit, signed zeros included).
 
-    A boolean mark over node ids gives the sorted unique nodes without a
-    sort. The sums are one product with a 0/1 CSC selector that has a
-    column per row, holding a one at the row's index into the nodes
-    (indptr = arange(N + 1)); the product adds column after column, so each
-    node's rows are summed in their given order, as ``np.add.at`` sums them.
+    A stable sort of the ids, in the smallest unsigned type that holds them
+    (which numpy radix-sorts), lists each node's rows in batch order. The
+    output slots hold the nodes by decreasing number of rows, so the nodes
+    that have an r-th row fill a prefix of the slots, and layer r is one
+    gather of those rows added in place onto that prefix. A last permutation
+    puts the slots in node order.
     """
-    mark = np.zeros(node_count, dtype=bool)
-    mark[ids] = True
-    nodes = np.flatnonzero(mark)
-    at = np.empty(node_count, dtype=np.int64)     # a node's index into ``nodes``
-    at[nodes] = np.arange(len(nodes))
-    select = sparse.csc_matrix(
-        (np.ones(len(ids)), at[ids], np.arange(len(ids) + 1)),
-        shape=(len(nodes), len(ids)),
-    )
-    return nodes, select @ rows
+    order = np.argsort(ids.astype(np.min_scalar_type(node_count - 1)), kind="stable")
+    sorted_ids = ids[order]
+    head = np.flatnonzero(np.diff(sorted_ids, prepend=-1))   # a node's first row in ``order``
+    counts = np.diff(head, append=len(ids))
+    by_count = np.argsort(-counts, kind="stable")
+    start = head[by_count]
+    have = len(head) - np.cumsum(np.bincount(counts))       # have[r]: nodes with > r rows
+    out = rows[order[start]]
+    out += 0.0                                               # a lone -0.0 sums to +0.0
+    for r, c in enumerate(have[1:-1].tolist(), 1):
+        out[:c] += rows[order[start[:c] + r]]
+    sums = np.empty_like(out)
+    sums[by_count] = out
+    return sorted_ids[head], sums
 
 
 def _row_groups(batch: Queries):
@@ -623,7 +632,9 @@ def train(
     rows apart when padding them would cost more slots than it has rows
     (see ``_step``), and the products over a padded length may round
     differently, so a different ``batch_size`` can change the results in
-    the last bits.
+    the last bits. The batches are drawn ``DRAW_BATCHES`` at a time and each
+    is cut out with ``Queries.take``, which pads it to its own longest
+    window, so it is bitwise the batch that a draw of it alone would give.
     ``on_epoch(epoch, mean_loss, wall_seconds)`` is called after every pass.
     Each batch takes the checked step of ``batch_gradients``, then clipping
     and the Adam update: a non-finite intensity, loss or gradient raises
@@ -647,13 +658,17 @@ def train(
     adam = _LazyAdam(params, hyper.lr)
     n_edges = net.n_edges
     update_attention = hyper.use_attention
+    block = DRAW_BATCHES * hyper.batch_size
 
     for epoch in range(hyper.epochs):
         t0 = time.perf_counter()
         order = master.permutation(n_edges)
         loss_sum = 0.0
         for n_batch, start in enumerate(range(0, n_edges, hyper.batch_size)):
-            batch = sampler.batch(epoch, order[start : start + hyper.batch_size])
+            at = start % block
+            if at == 0:
+                drawn = sampler.batch(epoch, order[start : start + block])
+            batch = drawn.take(np.arange(len(drawn.u))[at : at + hyper.batch_size])
             losses, grads, norm = _step(params, batch, f"epoch {epoch}, batch {n_batch}")
             loss_sum += float(losses.sum())
             if norm > CLIP_NORM:

@@ -1,8 +1,11 @@
 import json
 import struct
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from hawkmix import (
     HyperParams,
@@ -14,7 +17,9 @@ from hawkmix import (
     softplus,
     softplus_inv,
 )
-from hawkmix.params import MODEL_MAGIC, ModelFileError, all_embeddings, export_embeddings
+from hawkmix.params import (
+    MODEL_MAGIC, ModelFileError, all_embeddings, export_embeddings, sigmoid,
+)
 
 from util import assert_read_only, writable_copy
 
@@ -120,6 +125,26 @@ def test_softplus_no_underflow():
 def test_softplus_large_input_no_overflow():
     assert softplus(1000.0) == 1000.0
     assert softplus_inv(1000.0) == 1000.0
+
+
+def test_sigmoid_matches_scipys_expit():
+    """Within 2.3e-16 of ``scipy.special.expit`` across the range where
+    either is neither 0 nor 1, and exactly 1/2 at 0."""
+    x = np.concatenate([
+        np.linspace(-745.0, 745.0, 200_001),
+        np.geomspace(1e-300, 50.0, 20_001),
+        -np.geomspace(1e-300, 50.0, 20_001),
+    ])
+    assert np.abs(sigmoid(x) - expit(x)).max() <= 2.3e-16
+    assert sigmoid(0.0) == 0.5 and sigmoid(-0.0) == 0.5
+
+
+def test_sigmoid_saturates_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            y = sigmoid(np.array([-1e3, 1e3, -np.inf, np.inf]))
+    assert y.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_softplus_inv_rejects_nonpositive():

@@ -179,3 +179,46 @@ def test_batch_reads_noise_then_negatives_from_the_stream_columns(directed, coar
     assert np.array_equal(batch.cand[:, 1:], negs)
     plain = training_mod._BatchSampler(net, replace(HYPER, use_gumbel=False)).batch(3, idx)
     assert plain.g_u is None and np.array_equal(plain.cand, batch.cand)
+
+
+@pytest.mark.parametrize("use_gumbel", [True, False])
+@pytest.mark.parametrize("directed,coarse", NETS)
+def test_train_cuts_batches_from_blocks_equal_to_per_batch_draws(
+    directed, coarse, use_gumbel, monkeypatch
+):
+    """``train`` draws ``DRAW_BATCHES`` batches per sampler call and cuts
+    each out with ``Queries.take``; every batch it steps on equals the
+    sampler's draw of that batch alone, in every field and bit for bit,
+    also in the partial last block and the partial last batch."""
+    net = planted(directed, coarse)
+    hyper = replace(HYPER, batch_size=7, epochs=2, use_gumbel=use_gumbel)
+    tail = net.n_edges % (training_mod.DRAW_BATCHES * hyper.batch_size)
+    assert tail and tail % hyper.batch_size    # both the last block and batch are partial
+    seen = []
+    step = training_mod._step
+
+    def spy(params, batch, where):
+        seen.append(batch)
+        return step(params, batch, where)
+
+    monkeypatch.setattr(training_mod, "_step", spy)
+    training_mod.train(net, hyper)
+
+    sampler = training_mod._BatchSampler(net, hyper)
+    master = np.random.default_rng(hyper.seed)
+    alone = []
+    for epoch in range(hyper.epochs):
+        order = master.permutation(net.n_edges)
+        b = hyper.batch_size
+        alone += [sampler.batch(epoch, order[s : s + b]) for s in range(0, net.n_edges, b)]
+    assert len(seen) == len(alone)
+
+    def fields(q):
+        return (q.u, q.cand, q.hist.ids, q.hist.dt, q.hist.mask, q.g_u, q.g_h)
+
+    for got, want in zip(seen, alone):
+        for a, b in zip(fields(got), fields(want)):
+            if b is None:
+                assert a is None
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

@@ -490,6 +490,31 @@ def test_backward_scatter_is_a_batch_order_segment_sum(monkeypatch):
     assert grads.rows.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("node_count", [40, 2**16 + 9])
+def test_scatter_is_add_at_bitwise(node_count):
+    """``_scatter`` against ``np.add.at`` onto zeros, byte for byte: nodes
+    with up to 60 rows, rows holding -0.0 (a lone -0.0 sums to +0.0), and
+    ids above 2**16, which sort in a wider key type."""
+    rng = np.random.default_rng(41)
+    hot = rng.choice(node_count, size=6, replace=False)
+    ids = np.concatenate([
+        rng.integers(0, node_count, size=200), np.repeat(hot, [60, 51, 17, 3, 2, 1]),
+        [node_count - 1, 0, 0],
+    ])
+    rng.shuffle(ids)
+    rows = rng.standard_normal((len(ids), 5)) * 10.0 ** rng.integers(-6, 7, size=(len(ids), 5))
+    rows[rng.random(rows.shape) < 0.3] = -0.0
+    rows[ids == node_count - 1] = -0.0
+    nodes, sums = training_mod._scatter(ids, rows, node_count)
+    expect_nodes = np.unique(ids)
+    expect = np.zeros((len(expect_nodes), 5))
+    np.add.at(expect, np.searchsorted(expect_nodes, ids), rows)
+    assert np.bincount(ids).max() >= 60 and ids.max() == node_count - 1
+    assert not np.signbit(expect[-1]).any() and np.signbit(rows[ids == 0]).any()
+    assert nodes.tolist() == expect_nodes.tolist()
+    assert sums.tobytes() == expect.tobytes()
+
+
 def split_batch(seed, n_free=None):
     """Params and a batch of 40 rows, 30 of them history-less, with windows of
     up to 4 events: 30 * 4 > 40, so ``_step`` runs it in two parts."""
