@@ -93,8 +93,9 @@ class HyperParams:
             raise ValueError("epochs must be >= 0")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a finite number > 0, not {self.lr!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
+            # the training streams key Philox with the seed's 64 bits
+            raise ValueError(f"seed must be in [0, 2**64), not {self.seed!r}")
 
     @property
     def total_dim(self) -> int:

@@ -19,17 +19,18 @@ candidate) array is built. The gradients are tested against finite
 differences, the loss against the loop-only oracle.
 The trainer draws its batches straight into the engine's arrays from the
 network's CSR events and counter-based random streams, ``DRAW_BATCHES``
-batches per draw; it and ``batch_gradients`` share one checked step, which
-raises ``TrainingDiverged`` on a non-finite intensity, loss or gradient.
+batches per draw, with Gumbel noise computed for the real node slots only;
+it and ``batch_gradients`` share one checked step, which raises
+``TrainingDiverged`` on a non-finite intensity, loss or gradient.
 
 Per-node state keeps one row layout, identity | aspect | rho | theta, from
 the backward scatter to the optimizer: the scatter sums each touched node's
 staged rows in batch order with numpy gathers over a radix sort of the ids,
 ``GradientSet.rows`` holds a touched node's gradient as one row of
 ``ModelParams.table``, clipping scales it whole, and ``_LazyAdam`` updates the
-gathered rows of the table and of its two moment tables together. The module
-needs numpy alone; the loss's and the softplus's derivatives go through
-``params.sigmoid``.
+gathered rows of the table and of its two moment tables together, in blocks
+small enough to stay in the L2 cache. The module needs numpy alone; the
+loss's and the softplus's derivatives go through ``params.sigmoid``.
 """
 
 from __future__ import annotations
@@ -239,9 +240,12 @@ class EdgeStreams:
     Column j of edge i's stream is a pure function of (seed, epoch, i, j):
     Philox keyed by the seed, at counter (j // 2, i, epoch, 0). So an edge's
     draws do not depend on the batch it is drawn in, nor on its neighbors.
+    The key holds 64 bits, so the seed must be in [0, 2**64).
     """
 
     def __init__(self, seed: int, epoch: int):
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), the Philox key's range, not {seed!r}")
         self.key = (seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF)
         self.epoch = epoch
 
@@ -254,6 +258,20 @@ class EdgeStreams:
         both = np.stack([_unit(w0, w1), _unit(w2, w3)], axis=2).reshape(len(edges), -1)
         return both[:, start - 2 * b0 : start - 2 * b0 + size]
 
+    def heads(self, edges, counts) -> np.ndarray:
+        """Columns ``0:counts[i]`` of each edge i's stream, concatenated in
+        edge order: the same values as ``uniforms``, from only the Philox
+        blocks that hold them."""
+        counts = np.asarray(counts)
+        n_blocks = (counts + 1) // 2
+        ends = np.cumsum(n_blocks)
+        blocks = np.arange(n_blocks.sum()) - np.repeat(ends - n_blocks, n_blocks)
+        w0, w1, w2, w3 = philox4x32((blocks, np.repeat(edges, n_blocks), self.epoch, 0), self.key)
+        both = np.stack([_unit(w0, w1), _unit(w2, w3)], axis=1).reshape(-1)
+        keep = np.ones(len(both), dtype=bool)
+        keep[2 * ends[counts % 2 == 1] - 1] = False     # an odd count's last block's spare
+        return both[keep]
+
 
 class _BatchSampler:
     """Draws training batches of edge indices straight into engine arrays.
@@ -262,9 +280,12 @@ class _BatchSampler:
     network's window rule. Its Gumbel noise and negatives come from
     the edge's stream in ``EdgeStreams``: the first (history_len + 1) * K
     columns are the noise of the source and history slots, the rest feed
-    the negatives' rejection rounds. One call draws the noise columns and
-    the first round's candidates together, twice the negative count so that
-    most rows fill in that round; later rounds draw for the rows still short.
+    the negatives' rejection rounds. The noise is drawn for a row's source
+    and real history slots only (``EdgeStreams.heads``), so a padded slot
+    costs no Philox block and no logarithm and gets +0.0 noise. The first
+    round draws its candidates from their own column offset, twice the
+    negative count so that most rows fill in that round; later rounds draw
+    for the rows still short.
     """
 
     def __init__(self, net, hyper: HyperParams):
@@ -278,29 +299,39 @@ class _BatchSampler:
         stream = EdgeStreams(hyper.seed, epoch)
         u, v = net.sources[idx], net.targets[idx]
         hist = net.histories(u, net.times[idx], hyper.history_len)
-        lead = 0 if hyper.use_gumbel else self.n_noise
-        first = stream.uniforms(idx, lead, self.n_noise - lead + 2 * hyper.n_negatives)
+        first = stream.uniforms(idx, self.n_noise, 2 * hyper.n_negatives)
 
         # The first round reads the columns drawn above; a later round draws
         # as many candidates as all earlier ones together (up to 1024), so a
         # row with a low acceptance rate needs few rounds.
         def draw(rows, start, size):
             if start == 0:
-                return self.negatives.nodes(first[rows, self.n_noise - lead :])
+                return self.negatives.nodes(first[rows])
             size = max(size, min(start, 1024))
             return self.negatives.nodes(stream.uniforms(idx[rows], self.n_noise + start, size))
 
         negs = fill_negatives(net, u, v, hyper.n_negatives, draw)
         g_u = g_h = None
         if hyper.use_gumbel:
-            slots = hist.ids.shape[1] + 1
-            g = node_shared_gumbel(
-                np.column_stack([u, hist.ids]),
-                np.column_stack([np.ones(len(idx)), hist.mask]),
-                first[:, : slots * hyper.n_aspects].reshape(len(idx), slots, hyper.n_aspects),
+            real = np.column_stack([np.ones(len(idx), dtype=bool), hist.mask > 0])
+            k = hyper.n_aspects
+            g = _real_slot_gumbel(
+                np.column_stack([u, hist.ids]), real,
+                stream.heads(idx, real.sum(axis=1) * k).reshape(-1, k),
             )
             g_u, g_h = g[:, 0], g[:, 1:]
         return Queries(u, np.column_stack([v, negs]), hist, g_u, g_h)
+
+
+def _real_slot_gumbel(nodes, real, uniforms) -> np.ndarray:
+    """``node_shared_gumbel`` of (B, S) node slots from the uniforms of the
+    ``real`` slots alone, (R, K) in row-major slot order: a padded slot's
+    noise is +0.0, and no logarithm is taken for it."""
+    nodes = np.where(real, nodes, -1)
+    first = np.argmax(nodes[:, :, None] == nodes[:, None, :], axis=2)    # (B, S)
+    g = np.zeros(real.shape + uniforms.shape[1:])
+    g[real] = -np.log(-np.log(uniforms))
+    return np.take_along_axis(g, first[:, :, None], axis=1)
 
 
 def _forward_loss(params: ModelParams, batch: Queries):
@@ -479,14 +510,13 @@ def _scatter(ids, rows, node_count: int):
     ``rows`` that carry it, added onto 0.0 in the order of ``rows``, as
     ``np.add.at`` adds them (bit for bit, signed zeros included).
 
-    A stable sort of the ids, in the smallest unsigned type that holds them
-    (which numpy radix-sorts), lists each node's rows in batch order. The
-    output slots hold the nodes by decreasing number of rows, so the nodes
-    that have an r-th row fill a prefix of the slots, and layer r is one
-    gather of those rows added in place onto that prefix. A last permutation
-    puts the slots in node order.
+    A stable sort of the ids (``_radix_order``) lists each node's rows in
+    batch order. The output slots hold the nodes by decreasing number of
+    rows, so the nodes that have an r-th row fill a prefix of the slots, and
+    layer r is one gather of those rows added in place onto that prefix. A
+    last permutation puts the slots in node order.
     """
-    order = np.argsort(ids.astype(np.min_scalar_type(node_count - 1)), kind="stable")
+    order = _radix_order(ids, node_count)
     sorted_ids = ids[order]
     head = np.flatnonzero(np.diff(sorted_ids, prepend=-1))   # a node's first row in ``order``
     counts = np.diff(head, append=len(ids))
@@ -500,6 +530,20 @@ def _scatter(ids, rows, node_count: int):
     sums = np.empty_like(out)
     sums[by_count] = out
     return sorted_ids[head], sums
+
+
+def _radix_order(ids, node_count: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in [0, node_count).
+
+    numpy radix-sorts 8- and 16-bit keys only, so wider ids are sorted
+    least significant digit first: one stable pass per 16-bit digit, each
+    keyed by that digit of the ids in the order so far.
+    """
+    order = np.argsort(ids.astype(np.min_scalar_type(min(node_count - 1, 0xFFFF))), kind="stable")
+    for shift in range(16, int(node_count - 1).bit_length(), 16):
+        # the cast keeps the digit's low 16 bits
+        order = order[np.argsort((ids[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
 
 
 def _row_groups(batch: Queries):
@@ -557,11 +601,14 @@ class _LazyAdam:
     """Adam whose moment estimates advance only for rows present in a batch.
 
     The per-node moments are two tables in the layout of ``ModelParams.table``.
-    A step gathers the touched rows of the parameters and of both moments
-    once each, updates the gathered blocks in place, and scatters each back
-    once, a block of rows at a time. The attention arrays and their moments
-    are dense. Bias correction uses the global step count, matching the
-    usual lazy/sparse Adam variants for embedding tables.
+    A step walks the touched rows in blocks of ~2**13 values per array: it
+    gathers a block's rows of the parameters and of both moments, updates
+    them in place and scatters each back. The six arrays of a block (those
+    three, the gradient and two temporaries) take ~384 KB, so they stay in
+    the L2 cache through all of the update's passes; larger blocks spill
+    from it. The attention arrays and their moments are dense. Bias
+    correction uses the global step count, matching the usual lazy/sparse
+    Adam variants for embedding tables.
     """
 
     def __init__(self, params: ModelParams, lr: float):
@@ -600,9 +647,8 @@ class _LazyAdam:
 
     def step(self, params: ModelParams, grads: GradientSet, update_attention: bool):
         self.step_count += 1
-        # blocks of ~2**15 values (256 KB), so that a block's gathered rows
-        # and temporaries stay in cache from the gather to the scatter
-        chunk = max(1, 2**15 // params.table.shape[1])
+        # ~2**13 values (64 KB) per array and block, so a block stays in L2
+        chunk = max(1, 2**13 // params.table.shape[1])
         for lo in range(0, len(grads.nodes), chunk):
             rows = grads.nodes[lo : lo + chunk]
             p, m, v = params.table[rows], self.m_nodes[rows], self.v_nodes[rows]

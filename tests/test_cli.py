@@ -345,3 +345,17 @@ def test_times_are_in_the_edge_lists_units(tmp_path):
                 "--node", "a", "--out", str(out)]) == 0
     times = [float(row[0]) for row in read_csv(out / "intensity.csv")[1:]]
     assert sorted(set(times)) == [1000.0, 2000.0, 3000.0]
+
+
+@pytest.mark.parametrize("command", ["train", "eval-link"])
+@pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 3)])
+def test_seed_beyond_64_bits_is_an_error(simulated, capsys, command, seed):
+    """Checked before any training: the training streams key Philox with 64
+    bits of the seed, so 2**64 would train as seed 0 does."""
+    root, edges = simulated
+    out = root / f"{command}-seed{seed}"
+    extra = ["--mask-count", "3"] if command == "eval-link" else []
+    assert run([command, "--edges", str(edges), "--directed", *TINY, "--seed", seed,
+                *extra, "--out", str(out)]) == 1
+    assert f"seed must be in [0, 2**64), not {seed}" in capsys.readouterr().err
+    assert not list(out.glob("*.bin"))

@@ -322,6 +322,14 @@ def test_hyperparams_rejects_a_negative_seed():
     assert HyperParams(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 7, 2**70])
+def test_hyperparams_rejects_a_seed_beyond_64_bits(seed):
+    """The training streams key Philox with 64 bits of the seed."""
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        HyperParams(seed=seed)
+    assert HyperParams(seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_total_dim():
     assert HyperParams(n_aspects=4, dim=20).total_dim == 100
 

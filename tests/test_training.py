@@ -649,3 +649,50 @@ def test_fused_lazy_adam_matches_the_per_array_reference_bitwise():
             assert arr.tobytes() == ref[name].tobytes(), (which, name)
     untouched = np.setdiff1d(np.arange(n), np.concatenate([g.nodes for g, _ in steps]))
     assert len(untouched) and np.array_equal(p.identity[untouched], start["identity"][untouched])
+
+
+@pytest.mark.parametrize("m, k", [(8, 3), (64, 8)])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_lazy_adam_matches_the_reference_at_block_boundaries(m, k, extra):
+    """Touched-row counts of one Adam block, one row either side of it, and
+    of two blocks likewise, in the narrow layout (34 values a row) and a
+    wide one (dim 64, K 8: 578 values a row, 14 rows a block)."""
+    rng = np.random.default_rng(23 + m + extra)
+    width = m + k * m + 2
+    block = 2**13 // width
+    assert (width, block) in {(34, 240), (578, 14)}
+    n = 3 * block + 2
+    p = random_params(rng, n_nodes=n, m=m, k=k)
+    steps = []
+    for count, update_attention in ((block + extra, True), (2 * block + extra, False)):
+        nodes = np.sort(rng.choice(n, size=count, replace=False))
+        grads = training_mod.GradientSet(
+            nodes, rng.normal(size=(count, width)), rng.normal(size=(m, m)), rng.normal(size=2 * m)
+        )
+        steps.append((grads, update_attention))
+    expect, exp_m, exp_v = reference_lazy_adam(p, steps, 0.01)
+    adam = training_mod._LazyAdam(p, 0.01)
+    for grads, update_attention in steps:
+        adam.step(p, grads, update_attention)
+    for name, arr in expect.items():
+        assert getattr(p, name).tobytes() == arr.tobytes(), name
+    for table, ref in ((adam.m_nodes, exp_m), (adam.v_nodes, exp_v)):
+        for name, arr in zip(("identity", "aspect", "rho", "theta"), node_fields(table, m)):
+            assert arr.tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("node_count", [2**17, 2**40])
+def test_radix_order_is_the_stable_argsort(node_count):
+    """Ids that span 2**16 to 2**17 (and one net of 2**40 nodes, three
+    16-bit digits), with repeats and with ids that share their low 16 bits,
+    come out in the order of a stable argsort."""
+    rng = np.random.default_rng(47)
+    low = rng.integers(0, 2**16, size=200)
+    ids = np.concatenate([
+        low, low + 2**16, np.repeat(low[:5] + 2**16, 7), rng.integers(2**16, 2**17, size=500),
+        rng.integers(0, node_count, size=500), [0, 2**16 - 1, 2**16, 2**17 - 1],
+    ])
+    rng.shuffle(ids)
+    order = training_mod._radix_order(ids, node_count)
+    assert ids.min() == 0 and ids.max() >= 2**17 - 1
+    assert np.array_equal(order, np.argsort(ids, kind="stable"))
