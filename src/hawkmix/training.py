@@ -244,8 +244,6 @@ class EdgeStreams:
     """
 
     def __init__(self, seed: int, epoch: int):
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), the Philox key's range, not {seed!r}")
         self.key = (seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF)
         self.epoch = epoch
 
@@ -510,13 +508,14 @@ def _scatter(ids, rows, node_count: int):
     ``rows`` that carry it, added onto 0.0 in the order of ``rows``, as
     ``np.add.at`` adds them (bit for bit, signed zeros included).
 
-    A stable sort of the ids (``_radix_order``) lists each node's rows in
-    batch order. The output slots hold the nodes by decreasing number of
-    rows, so the nodes that have an r-th row fill a prefix of the slots, and
-    layer r is one gather of those rows added in place onto that prefix. A
-    last permutation puts the slots in node order.
+    A stable sort of the ids, in the smallest unsigned type that holds them
+    (which numpy radix-sorts), lists each node's rows in batch order. The
+    output slots hold the nodes by decreasing number of rows, so the nodes
+    that have an r-th row fill a prefix of the slots, and layer r is one
+    gather of those rows added in place onto that prefix. A last permutation
+    puts the slots in node order.
     """
-    order = _radix_order(ids, node_count)
+    order = np.argsort(ids.astype(np.min_scalar_type(node_count - 1)), kind="stable")
     sorted_ids = ids[order]
     head = np.flatnonzero(np.diff(sorted_ids, prepend=-1))   # a node's first row in ``order``
     counts = np.diff(head, append=len(ids))
@@ -530,20 +529,6 @@ def _scatter(ids, rows, node_count: int):
     sums = np.empty_like(out)
     sums[by_count] = out
     return sorted_ids[head], sums
-
-
-def _radix_order(ids, node_count: int) -> np.ndarray:
-    """``np.argsort(ids, kind="stable")`` for ids in [0, node_count).
-
-    numpy radix-sorts 8- and 16-bit keys only, so wider ids are sorted
-    least significant digit first: one stable pass per 16-bit digit, each
-    keyed by that digit of the ids in the order so far.
-    """
-    order = np.argsort(ids.astype(np.min_scalar_type(min(node_count - 1, 0xFFFF))), kind="stable")
-    for shift in range(16, int(node_count - 1).bit_length(), 16):
-        # the cast keeps the digit's low 16 bits
-        order = order[np.argsort((ids[order] >> shift).astype(np.uint16), kind="stable")]
-    return order
 
 
 def _row_groups(batch: Queries):

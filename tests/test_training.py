@@ -679,20 +679,3 @@ def test_lazy_adam_matches_the_reference_at_block_boundaries(m, k, extra):
     for table, ref in ((adam.m_nodes, exp_m), (adam.v_nodes, exp_v)):
         for name, arr in zip(("identity", "aspect", "rho", "theta"), node_fields(table, m)):
             assert arr.tobytes() == ref[name].tobytes(), name
-
-
-@pytest.mark.parametrize("node_count", [2**17, 2**40])
-def test_radix_order_is_the_stable_argsort(node_count):
-    """Ids that span 2**16 to 2**17 (and one net of 2**40 nodes, three
-    16-bit digits), with repeats and with ids that share their low 16 bits,
-    come out in the order of a stable argsort."""
-    rng = np.random.default_rng(47)
-    low = rng.integers(0, 2**16, size=200)
-    ids = np.concatenate([
-        low, low + 2**16, np.repeat(low[:5] + 2**16, 7), rng.integers(2**16, 2**17, size=500),
-        rng.integers(0, node_count, size=500), [0, 2**16 - 1, 2**16, 2**17 - 1],
-    ])
-    rng.shuffle(ids)
-    order = training_mod._radix_order(ids, node_count)
-    assert ids.min() == 0 and ids.max() >= 2**17 - 1
-    assert np.array_equal(order, np.argsort(ids, kind="stable"))
