@@ -299,8 +299,9 @@ def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray
     edge own its event).
 
     Every (node, event time) query runs through the forward pass with no
-    candidate targets; the histories are windows of the network's CSR
-    events. The queries are grouped by window length
+    candidate targets, which computes the source's aspect weights only,
+    bit for bit as a call with candidates does; the histories are windows
+    of the network's CSR events. The queries are grouped by window length
     (``TemporalNetwork.history_chunks``), so no history is padded: each
     call holds a single length and at most ``batch_size * (history_len +
     1)`` node slots, as many as one fully padded batch of ``batch_size``

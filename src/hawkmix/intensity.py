@@ -28,8 +28,9 @@ so no array of differences over the embedding dimension is built. The
 squared aspect distance is expanded inside the mixture's sum over aspects,
 so no per-aspect (K, L+1, C) array is built either; ``Forward.lam_k`` builds
 one only when it is read. With no candidates (the aspect read-out)
-``forward`` computes only the contexts and the aspect weights: attention
-weights just the history terms toward candidates, so it is skipped too.
+``forward`` computes only the contexts and the source's aspect weights:
+attention weights just the history terms toward candidates, so it is
+skipped too, and the history slots' weights are read only by the mixture.
 """
 
 from __future__ import annotations
@@ -70,23 +71,25 @@ class Forward:
 
     A query's node slots are its source (slot 0) and its L history events
     (slots 1..L). The outputs are ``pi`` (B, L+1, K) aspect weights of every
-    slot and ``lam`` (B, C) the raw mixed intensities; apply exp() for a
-    positive rate per unit time. ``ctx`` (B, K, m) holds the contexts,
-    ``attn`` and ``kappa`` (B, L) the attention weights and kernel values,
-    ``mu`` (B, C) the identity similarity of source and candidate. ``ic``,
-    ``ac`` and ``ac_sq`` hold the candidates' identity and aspect embeddings
-    and per-aspect squared norms: gathered copies for explicit candidates,
-    and read-only views of ``params.node_terms()`` and of the table's aspect
-    block, broadcast over the B rows, when ``forward`` is called with
-    ``cand=None`` (C == node count). Either way the result feeds the
-    backward pass. The per-aspect intensities ``lam_k`` (B, C, K) are not
-    kept: the property computes them on access, and builds a (B, L+1, C, K)
-    array then.
-    With no candidates (C == 0) the candidate terms and the attention are
-    skipped: ``lam_k``, ``lam`` and ``mu`` are empty, and ``attn``, ``z``,
-    ``wu``, ``wh`` and the candidate terms from ``f_nc`` on are None.
-    Attention never feeds ``pi`` or ``ctx``, so both are the same with or
-    without candidates.
+    slot (of the source alone when C == 0) and ``lam`` (B, C) the raw mixed
+    intensities; apply exp() for a positive rate per unit time. ``ctx``
+    (B, K, m) holds the contexts, ``attn`` and ``kappa`` (B, L) the
+    attention weights and kernel values, ``mu`` (B, C) the identity
+    similarity of source and candidate. ``ic``, ``ac`` and ``ac_sq`` hold
+    the candidates' identity and aspect embeddings and per-aspect squared
+    norms: gathered copies for explicit candidates, and read-only views of
+    ``params.node_terms()`` and of the table's aspect block, broadcast over
+    the B rows, when ``forward`` is called with ``cand=None`` (C == node
+    count). Either way the result feeds the backward pass. The per-aspect
+    intensities ``lam_k`` (B, C, K) are not kept: the property computes them
+    on access, and builds a (B, L+1, C, K) array then.
+    With no candidates (C == 0) the candidate terms, the attention and the
+    history slots' aspect weights are skipped: ``lam_k``, ``lam`` and ``mu``
+    are empty; ``attn``, ``z``, ``wu``, ``wh``, ``ic``, ``ac`` and the
+    candidate terms from ``f_nc`` on are None; and ``pi``, ``fg_n``,
+    ``theta_n`` and ``tau_n`` hold the source slot only, (B, 1, ...).
+    Attention never feeds ``pi`` or ``ctx``, so ``ctx`` and the source's
+    ``pi`` are the same, bit for bit, with or without candidates.
     """
 
     pi: np.ndarray
@@ -98,8 +101,8 @@ class Forward:
     # saved for the backward pass
     i_n: np.ndarray               # (B, L+1, m) identity embeddings of the slots
     a_n: np.ndarray               # (B, L+1, K, m) aspect embeddings of the slots
-    ic: np.ndarray                # (B, C, m)
-    ac: np.ndarray                # (B, C, K, m)
+    ic: Optional[np.ndarray]      # (B, C, m)
+    ac: Optional[np.ndarray]      # (B, C, K, m)
     z: Optional[np.ndarray]
     wu: Optional[np.ndarray]
     wh: Optional[np.ndarray]
@@ -181,7 +184,12 @@ def forward(
     each squared norm is computed once. The identity cross term toward
     candidates is an einsum that sums in the order of its norms, so a slot's
     distance to itself as a candidate is exactly zero. With C == 0 (the
-    aspect read-out) the candidate terms and the attention are skipped.
+    aspect read-out) the candidate terms and the attention are skipped, and
+    so are the history slots' aspect weights: ``pi``, ``fg_n``, ``theta_n``
+    and ``tau_n`` hold the source slot only, and no candidate block is
+    gathered (``ic``, ``ac`` and ``ac_sq`` are None). The slot-to-context
+    logits are still one product over every slot, so the source's weights
+    round as they do in a call with candidates.
 
     Padded history slots carry kappa == 0, which zeroes their contribution to
     the intensities and to every gradient path that reaches node arrays.
@@ -206,6 +214,7 @@ def forward(
     a_n = aspect[nodes_n]                                            # (B, L+1, K, m)
     iu, ih = i_n[:, 0], i_n[:, 1:]
     au, ah = a_n[:, 0], a_n[:, 1:]
+    ic = ac = ac_sq = None
     if cand is None:  # every node: the table and its kept terms, not copies
         c = params.node_count
         ident_c, ic_sq, ac_sq = params.node_terms()
@@ -215,9 +224,10 @@ def forward(
     else:
         cand = np.asarray(cand, dtype=np.int64)
         c = cand.shape[1]
-        ic, ac = ident[cand], aspect[cand]
-        ic_sq = np.einsum("bcm,bcm->bc", ic, ic)[:, None]            # (B, 1, C)
-        ac_sq = np.einsum("bckm,bckm->bck", ac, ac)
+        if c:  # the read-out (C == 0) has no candidate block to gather
+            ic, ac = ident[cand], aspect[cand]
+            ic_sq = np.einsum("bcm,bcm->bc", ic, ic)[:, None]        # (B, 1, C)
+            ac_sq = np.einsum("bckm,bckm->bck", ac, ac)
 
     delta_u = softplus(params.rho[u])
     kappa = np.exp(-delta_u[:, None] * hist.dt) * mask               # (B, L)
@@ -252,6 +262,11 @@ def forward(
     f_n = 2.0 * (i_n @ ctx.transpose(0, 2, 1))
     f_n -= i_sq[:, :, None]
     f_n -= np.einsum("bkm,bkm->bk", ctx, ctx)[:, None]               # (B, L+1, K)
+    if not c:
+        # the read-out reads the source's weights only; f_n keeps every slot,
+        # as the product's rounding of row 0 depends on its shape
+        f_n, nodes_n = f_n[:, :1], nodes_n[:, :1]
+        g_h = None if g_h is None else g_h[:, :0]
     if hyper.use_gumbel:
         fg_n = f_n if g_u is None else f_n + np.concatenate([g_u[:, None, :], g_h], axis=1)
         theta_n = params.theta[nodes_n]

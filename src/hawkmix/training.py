@@ -383,11 +383,11 @@ def _backward(params: ModelParams, batch, fwd) -> GradientSet:
     parts, fwds = ([batch], [fwd]) if isinstance(batch, Queries) else (batch, fwd)
     # padded history slots are left out, so they are neither touched nor
     # sent zeros
-    valids = [part.hist.mask.reshape(-1) > 0 for part in parts]
+    reals = [part.hist.mask > 0 for part in parts]
     ids_all = np.concatenate([
         ids
-        for part, valid in zip(parts, valids)
-        for ids in (part.u, part.cand.reshape(-1), part.hist.ids.reshape(-1)[valid])
+        for part, real in zip(parts, reals)
+        for ids in (part.u, part.cand.reshape(-1), part.hist.ids[real])
     ])
     rows = np.zeros((len(ids_all), hyper.row_width))
     r_ident, r_aspect, r_rho, r_theta = node_fields(rows, m)
@@ -395,7 +395,7 @@ def _backward(params: ModelParams, batch, fwd) -> GradientSet:
     d_attn_a = np.zeros(2 * m)
     lo = 0
     # each pass rebinds ``batch`` and ``fwd`` to one part and its Forward
-    for batch, fwd, valid in zip(parts, fwds, valids):
+    for batch, fwd, real in zip(parts, fwds, reals):
         u, cand, hist, hist_dt = batch.u, batch.cand, batch.hist.ids, batch.hist.dt
         b, c = cand.shape
         lmax = hist.shape[1]
@@ -490,15 +490,15 @@ def _backward(params: ModelParams, batch, fwd) -> GradientSet:
 
         # stage this part's rows: sources, candidates, real history slots
         at_src, at_cand, at_hist = lo, lo + b, lo + b + b * c
-        lo = at_hist + np.count_nonzero(valid)
+        lo = at_hist + np.count_nonzero(real)
         r_ident[at_src:at_cand], r_aspect[at_src:at_cand] = di_n[:, 0], da_n[:, 0]
         r_rho[at_src:at_cand], r_theta[at_src:at_cand] = drho_u, dtheta_n[:, 0]
         r_ident[at_cand:at_hist] = dic.reshape(-1, m)
         r_aspect[at_cand:at_hist] = dac.reshape(-1, k, m)
         if lmax:
-            r_ident[at_hist:lo] = di_n[:, 1:].reshape(-1, m)[valid]
-            r_aspect[at_hist:lo] = da_n[:, 1:].reshape(-1, k, m)[valid]
-            r_theta[at_hist:lo] = dtheta_n[:, 1:].reshape(-1)[valid]
+            r_ident[at_hist:lo] = di_n[:, 1:][real]
+            r_aspect[at_hist:lo] = da_n[:, 1:][real]
+            r_theta[at_hist:lo] = dtheta_n[:, 1:][real]
     nodes, node_rows = _scatter(ids_all, rows, params.node_count)
     return GradientSet(nodes, node_rows, d_attn_w, d_attn_a)
 

@@ -245,8 +245,8 @@ def test_read_out_calls_hold_one_window_length_and_a_padded_batch_of_slots(
     """Each read-out call holds windows of a single length, so none is
     padded, and at most batch_size * (history_len + 1) node slots; together
     the calls hold every query once, and each row's aspect weights are
-    bitwise those of its query alone. Below 200, a length spans several
-    calls."""
+    bitwise those of its query alone, with no candidate and with one. Below
+    200, a length spans several calls."""
     net = mixed_net()
     p = with_batch_size(random_params(np.random.default_rng(5), n_nodes=10, history_len=2),
                         batch_size)
@@ -262,6 +262,8 @@ def test_read_out_calls_hold_one_window_length_and_a_padded_batch_of_slots(
             row = Histories(hist.ids[i : i + 1], hist.dt[i : i + 1], hist.mask[i : i + 1])
             alone = forward(p, u[i : i + 1], row, cand[i : i + 1]).pi_u
             assert np.array_equal(result.pi_u[i : i + 1], alone)
+            one = forward(p, u[i : i + 1], row, u[i : i + 1, None]).pi_u
+            assert np.array_equal(result.pi_u[i : i + 1], one)
     assert sum(len(c[0]) for c in calls) == np.maximum(np.diff(net.indptr), 1).sum()
     assert sorted(set(lens)) == [0, 1, 2]
     assert (len(lens) > len(set(lens))) == (batch_size < 200)

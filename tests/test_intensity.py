@@ -414,9 +414,10 @@ def test_intensities_are_never_positive(seed, scale, n_hist, use_attention, use_
 @pytest.mark.parametrize("use_attention", [True, False])
 @pytest.mark.parametrize("use_gumbel", [True, False])
 def test_forward_without_candidates_gives_the_same_aspect_weights(use_attention, use_gumbel):
-    """C == 0 (the aspect read-out) skips the candidate terms and the
-    attention only: on a batch of an empty, a ragged and a full history
-    (history_len 4) it gives bitwise the pi and ctx of C == 3."""
+    """C == 0 (the aspect read-out) skips the candidate terms, the attention
+    and the history slots' aspect weights only: on a batch of an empty, a
+    ragged and a full history (history_len 4) it gives bitwise the source's
+    pi and the ctx of C == 3."""
     rng = np.random.default_rng(26)
     p = random_params(rng, use_attention=use_attention, use_gumbel=use_gumbel)
     k = p.hyper.n_aspects
@@ -431,7 +432,8 @@ def test_forward_without_candidates_gives_the_same_aspect_weights(use_attention,
         g_h = rng.gumbel(size=(3, 4, k)) * hists.mask[:, :, None]
     full = forward(p, u, hists, rng.integers(0, p.node_count, size=(3, 3)), g_u, g_h)
     empty = forward(p, u, hists, np.empty((3, 0), dtype=np.int64), g_u, g_h)
-    assert np.array_equal(empty.pi, full.pi)
+    assert empty.pi.shape == (3, 1, k)
+    assert np.array_equal(empty.pi, full.pi[:, :1])
     assert np.array_equal(empty.ctx, full.ctx)
     assert full.attn is not None
     assert empty.attn is None and empty.z is None and empty.wu is None and empty.wh is None
@@ -441,8 +443,9 @@ def test_forward_without_candidates_gives_the_same_aspect_weights(use_attention,
 
 def test_read_out_aspect_weights_match_the_oracle_at_large_embeddings():
     """At embedding scale 5 the Gram-form slot-to-context distances subtract
-    squared norms ~70 times those at scale 0.6; the read-out's pi of every
-    slot still agrees with the oracle to 1e-12, with attention on."""
+    squared norms ~70 times those at scale 0.6; the read-out's (C == 0) pi of
+    the source, and the pi of every slot with one candidate, still agree
+    with the oracle to 1e-12, with attention on."""
     rng = np.random.default_rng(27)
     for trial in range(20):
         p = random_params(rng, scale=5.0, use_gumbel=trial % 2 == 0, k=2 + trial % 3)
@@ -453,10 +456,12 @@ def test_read_out_aspect_weights_match_the_oracle_at_large_embeddings():
             noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes}
         ctx = build_context(p, 0, 0, 0.9, h, noise=noise)
         fwd = forward(p, [0], ctx.hist, np.empty((1, 0), dtype=np.int64), ctx.g_u, ctx.g_h)
+        one = forward(p, [0], ctx.hist, ctx.cand, ctx.g_u, ctx.g_h)
         _, _, ref_pis, _, _ = ref_all(p, 0, 0, 0.9, h, noise)
         assert fwd.attn is None
+        assert np.allclose(fwd.pi_u[0], ref_pis[0], atol=1e-12, rtol=0)
         for slot, node in enumerate([0] + nodes):
-            assert np.allclose(fwd.pi[0, slot], ref_pis[node], atol=1e-12, rtol=0)
+            assert np.allclose(one.pi[0, slot], ref_pis[node], atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
