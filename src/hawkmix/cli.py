@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .eval import check_probe_pairs, precision_recall_at_k, probe_report, recommend
+from .eval import (
+    check_model_fits,
+    check_probe_pairs,
+    precision_recall_at_k,
+    probe_report,
+    recommend,
+)
 from .intensity import forward
 from .params import (
     HyperParams,
@@ -289,11 +295,7 @@ def _model_net_node(cfg, node: str):
     """(params, network, node id) of a query; the model must fit the network."""
     params = load_params(cfg["model"])
     net = load_edge_list(cfg["edges"], directed=cfg["directed"])
-    if params.node_count != net.node_count:
-        raise ValueError(
-            f"the model has {params.node_count} nodes but the edge list has "
-            f"{net.node_count}; use the edge list the model was trained on"
-        )
+    check_model_fits(params, net)
     if node not in net.label_to_id:
         raise ValueError(f"node {node!r} does not appear in the edge list")
     return params, net, net.label_to_id[node]

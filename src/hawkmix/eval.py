@@ -236,6 +236,15 @@ def probe_report(
     )
 
 
+def check_model_fits(params: ModelParams, net: TemporalNetwork) -> None:
+    """Raise ValueError unless the model has one row per node of ``net``."""
+    if params.node_count != net.node_count:
+        raise ValueError(
+            f"the model has {params.node_count} nodes but the edge list has "
+            f"{net.node_count}; use the edge list the model was trained on"
+        )
+
+
 def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: int):
     """Top-k candidate targets for u at time t by raw mixed intensity.
 
@@ -245,8 +254,10 @@ def recommend(params: ModelParams, net: TemporalNetwork, u: int, t: float, k: in
     weights; ties broken by node id. Returns (node, score) pairs, highest
     score first. Raises ValueError for a ``u`` or ``k`` that is not an
     integer (a bool included), a ``t`` that is not a real number (a bool
-    included), a ``u`` out of range, a ``k`` < 1 or a non-finite ``t``.
+    included), a ``u`` out of range, a ``k`` < 1, a non-finite ``t`` or a
+    model whose node count is not the network's.
     """
+    check_model_fits(params, net)
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, not {k!r}")
     if isinstance(u, bool) or not isinstance(u, numbers.Integral):
@@ -306,8 +317,10 @@ def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray
     call holds a single length and at most ``batch_size * (history_len +
     1)`` node slots, as many as one fully padded batch of ``batch_size``
     queries. The aspect weights are summed in query order, so the grouping
-    does not change the order of the sums.
+    does not change the order of the sums. Raises ValueError for a model
+    whose node count is not the network's.
     """
+    check_model_fits(params, net)
     hyper = params.hyper
     n, k = net.node_count, hyper.n_aspects
     counts = np.diff(net.indptr)

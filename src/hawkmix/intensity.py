@@ -90,6 +90,9 @@ class Forward:
     ``theta_n`` and ``tau_n`` hold the source slot only, (B, 1, ...).
     Attention never feeds ``pi`` or ``ctx``, so ``ctx`` and the source's
     ``pi`` are the same, bit for bit, with or without candidates.
+    ``lens_safe`` (the window lengths, at least 1) and the blend weights
+    ``w_ex`` and ``w_self`` (0.5 and 0.5, or 0 and 1 for an empty window)
+    are kept for the backward only; ``forward`` blends without them.
     """
 
     pi: np.ndarray
@@ -191,6 +194,14 @@ def forward(
     logits are still one product over every slot, so the source's weights
     round as they do in a call with candidates.
 
+    A row's contexts ``ctx`` (K, m) blend half and half the decayed mean of
+    its window's aspect embeddings, sum_l kappa_l a_lk / n over its n
+    events, with its source's own aspects a_uk: 0.5 * (mean + a_uk),
+    computed in place on the product; halving is exact, so this equals
+    0.5 * mean + 0.5 * a_uk bit for bit. A row with an empty window takes
+    its own aspects alone, and when no row has history (L == 0) no
+    decay-mean product, division or blend runs at all.
+
     Padded history slots carry kappa == 0, which zeroes their contribution to
     the intensities and to every gradient path that reaches node arrays.
 
@@ -249,12 +260,21 @@ def forward(
     elif c:
         attn = mask.copy()
 
-    # contexts: decayed history mean blended with the source's own aspects
-    hsum = (kappa[:, None, :] @ ah.reshape(b, lmax, k * m)).reshape(b, k, m)
-    havg = hsum / lens_safe[:, None, None]
+    # contexts: decayed history mean blended half and half with the source's
+    # own aspects, in place on the product; its own aspects alone for an
+    # empty window (+ 0.0 turns a -0.0 entry into +0.0, as 0 * havg + au did)
     w_ex = np.where(lens > 0, 0.5, 0.0)
     w_self = np.where(lens > 0, 0.5, 1.0)
-    ctx = w_ex[:, None, None] * havg + w_self[:, None, None] * au    # (B, K, m)
+    if lmax > 0:
+        ctx = (kappa[:, None, :] @ ah.reshape(b, lmax, k * m)).reshape(b, k, m)
+        ctx /= lens_safe[:, None, None]
+        ctx += au
+        ctx *= 0.5                                                   # (B, K, m)
+        empty = lens == 0
+        if empty.any():
+            ctx[empty] = au[empty] + 0.0
+    else:
+        ctx = au + 0.0
 
     # aspect distributions for the source (row 0) and each history event,
     # from f_n = -|i_n - ctx_k|^2 in Gram form
