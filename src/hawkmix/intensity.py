@@ -262,7 +262,7 @@ def forward(
 
     # contexts: decayed history mean blended half and half with the source's
     # own aspects, in place on the product; its own aspects alone for an
-    # empty window (+ 0.0 turns a -0.0 entry into +0.0, as 0 * havg + au did)
+    # empty window (+ 0.0 gives +0.0 for a -0.0 entry, as 0 * mean + au does)
     w_ex = np.where(lens > 0, 0.5, 0.0)
     w_self = np.where(lens > 0, 0.5, 1.0)
     if lmax > 0:

@@ -209,6 +209,21 @@ def test_infer_aspect_labels_matches_oracle():
         assert infer_aspect_labels(p, net).tolist() == expect
 
 
+@pytest.mark.parametrize("n_nodes", [4, 12], ids=["smaller", "larger"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda p, net: recommend(p, net, 0, 0.5, k=3), infer_aspect_labels],
+    ids=["recommend", "infer_aspect_labels"],
+)
+def test_a_model_of_another_node_count_is_an_error(call, n_nodes):
+    """A model must have one row per node of the net it scores: a smaller
+    one would index past its table, a larger one would score silently."""
+    net = small_net()
+    p = random_params(np.random.default_rng(0), n_nodes=n_nodes)
+    with pytest.raises(ValueError, match=f"the model has {n_nodes} nodes but the edge list has 9"):
+        call(p, net)
+
+
 def mixed_net():
     """Directed, 10 nodes, 40 random edges from sources 0-7, no self-loops:
     at history length 2 the read-out's windows mix lengths 0, 1 and 2, and

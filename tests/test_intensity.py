@@ -153,6 +153,39 @@ def test_all_contexts_matches_context_op():
             assert np.allclose(stacked[i, k], ref_ctx[k], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "histories",
+    [
+        [[], hist((2, 0.2), (4, 0.7)), hist((5, 0.1), (2, 0.4), (6, 0.6))],
+        [[], [], []],
+    ],
+    ids=["empty-ragged-full", "all-empty"],
+)
+def test_context_is_the_weighted_blend_bit_for_bit(histories):
+    """ctx is, byte for byte, w_ex * havg + w_self * au with the decayed
+    history mean havg: half and half with history, the source's own aspects
+    alone for an empty window, also when no row has history (L == 0)."""
+    rng = np.random.default_rng(31)
+    p = random_params(rng)
+    srcs = [0, 1, 3]
+    p.aspect[1, 2, 0] = -0.0  # an empty window gives +0.0 for it, as the blend does
+    batch = assemble(
+        p.hyper.n_aspects, srcs, np.ones((3, 1)), [0.9] * 3, histories, [None] * 3,
+    )
+    fwd = forward(p, srcs, batch.hist, batch.cand)
+    b, lmax = batch.hist.ids.shape
+    assert lmax == max(len(h) for h in histories)
+    k, m = p.hyper.n_aspects, p.hyper.dim
+    ah, au = p.aspect[batch.hist.ids], p.aspect[srcs]
+    lens = batch.hist.mask.sum(axis=1)
+    havg = (fwd.kappa[:, None, :] @ ah.reshape(b, lmax, k * m)).reshape(b, k, m)
+    havg = havg / np.maximum(lens, 1.0)[:, None, None]
+    w_ex = np.where(lens > 0, 0.5, 0.0)[:, None, None]
+    w_self = np.where(lens > 0, 0.5, 1.0)[:, None, None]
+    expect = w_ex * havg + w_self * au
+    assert fwd.ctx.tobytes() == expect.tobytes()
+
+
 def test_aspect_distribution_uniform_when_similarities_equal():
     p = random_params(np.random.default_rng(7), k=3)
     p.aspect[0] = p.identity[0]  # every context at distance zero
