@@ -163,7 +163,8 @@ def _embedding_slice(params: ModelParams, which):
         return emb
     if which == "identity":
         return emb[:, :m]
-    if isinstance(which, int):
+    if isinstance(which, numbers.Integral) and not isinstance(which, bool):
+        which = int(which)
         if not 0 <= which < k:
             raise ValueError(f"aspect index {which} out of range [0, {k})")
         return emb[:, m * (1 + which) : m * (2 + which)]
@@ -310,15 +311,16 @@ def infer_aspect_labels(params: ModelParams, net: TemporalNetwork) -> np.ndarray
     edge own its event).
 
     Every (node, event time) query runs through the forward pass with no
-    candidate targets, which computes the source's aspect weights only,
-    bit for bit as a call with candidates does; the histories are windows
-    of the network's CSR events. The queries are grouped by window length
-    (``TemporalNetwork.history_chunks``), so no history is padded: each
-    call holds a single length and at most ``batch_size * (history_len +
-    1)`` node slots, as many as one fully padded batch of ``batch_size``
-    queries. The aspect weights are summed in query order, so the grouping
-    does not change the order of the sums. Raises ValueError for a model
-    whose node count is not the network's.
+    candidate targets, which gathers the source's identity alone and
+    computes its aspect weights only, from a row-local product with its
+    contexts, so they are bit for bit those of a call with candidates; the
+    histories are windows of the network's CSR events. The queries are
+    grouped by window length (``TemporalNetwork.history_chunks``), so no
+    history is padded: each call holds a single length and at most
+    ``batch_size * (history_len + 1)`` node slots, as many as one fully
+    padded batch of ``batch_size`` queries. The aspect weights are summed
+    in query order, so the grouping does not change the order of the sums.
+    Raises ValueError for a model whose node count is not the network's.
     """
     check_model_fits(params, net)
     hyper = params.hyper

@@ -27,10 +27,13 @@ Every squared distance in ``forward`` is in Gram form, |a|^2 + |b|^2 - 2 a.b,
 so no array of differences over the embedding dimension is built. The
 squared aspect distance is expanded inside the mixture's sum over aspects,
 so no per-aspect (K, L+1, C) array is built either; ``Forward.lam_k`` builds
-one only when it is read. With no candidates (the aspect read-out)
-``forward`` computes only the contexts and the source's aspect weights:
-attention weights just the history terms toward candidates, so it is
-skipped too, and the history slots' weights are read only by the mixture.
+one only when it is read. The source's aspect logits come from a row-local
+product in every call, so its weights do not depend on the padded history
+length or on whether there are candidates. With no candidates (the aspect
+read-out) ``forward`` computes only the contexts and the source's aspect
+weights: attention weights just the history terms toward candidates, so it
+is skipped too, and the history slots' identities and weights are read only
+by the mixture, so they are neither gathered nor computed.
 """
 
 from __future__ import annotations
@@ -84,12 +87,13 @@ class Forward:
     intensities ``lam_k`` (B, C, K) are not kept: the property computes them
     on access, and builds a (B, L+1, C, K) array then.
     With no candidates (C == 0) the candidate terms, the attention and the
-    history slots' aspect weights are skipped: ``lam_k``, ``lam`` and ``mu``
-    are empty; ``attn``, ``z``, ``wu``, ``wh``, ``ic``, ``ac`` and the
-    candidate terms from ``f_nc`` on are None; and ``pi``, ``fg_n``,
-    ``theta_n`` and ``tau_n`` hold the source slot only, (B, 1, ...).
-    Attention never feeds ``pi`` or ``ctx``, so ``ctx`` and the source's
-    ``pi`` are the same, bit for bit, with or without candidates.
+    history slots' identities and aspect weights are skipped: ``lam_k``,
+    ``lam`` and ``mu`` are empty; ``attn``, ``z``, ``wu``, ``wh``, ``ic``,
+    ``ac`` and the candidate terms from ``f_nc`` on are None; and ``i_n``,
+    ``pi``, ``fg_n``, ``theta_n`` and ``tau_n`` hold the source slot only,
+    (B, 1, ...). Attention never feeds ``pi`` or ``ctx``, and the source's
+    logits are a row-local product in every call, so ``ctx`` and the
+    source's ``pi`` are the same, bit for bit, with or without candidates.
     ``lens_safe`` (the window lengths, at least 1) and the blend weights
     ``w_ex`` and ``w_self`` (0.5 and 0.5, or 0 and 1 for an empty window)
     are kept for the backward only; ``forward`` blends without them.
@@ -102,7 +106,7 @@ class Forward:
     kappa: np.ndarray
     mu: np.ndarray
     # saved for the backward pass
-    i_n: np.ndarray               # (B, L+1, m) identity embeddings of the slots
+    i_n: np.ndarray               # (B, L+1, m) slot identities; (B, 1, m) when C == 0
     a_n: np.ndarray               # (B, L+1, K, m) aspect embeddings of the slots
     ic: Optional[np.ndarray]      # (B, C, m)
     ac: Optional[np.ndarray]      # (B, C, K, m)
@@ -186,13 +190,16 @@ def forward(
     so no (B, L+1, C, K, m) or (B, L+1, K, m) difference array is built, and
     each squared norm is computed once. The identity cross term toward
     candidates is an einsum that sums in the order of its norms, so a slot's
-    distance to itself as a candidate is exactly zero. With C == 0 (the
-    aspect read-out) the candidate terms and the attention are skipped, and
-    so are the history slots' aspect weights: ``pi``, ``fg_n``, ``theta_n``
+    distance to itself as a candidate is exactly zero. The source's
+    slot-to-context logits are a row-local einsum of its own identity and
+    contexts, so they round alike whatever the batch's padded length; the
+    history slots' are one product over the batch, whose rounding can
+    depend on it. With C == 0 (the aspect read-out) the candidate terms and
+    the attention are skipped, and so are the history slots: only the
+    source's identity is gathered, ``i_n``, ``pi``, ``fg_n``, ``theta_n``
     and ``tau_n`` hold the source slot only, and no candidate block is
-    gathered (``ic``, ``ac`` and ``ac_sq`` are None). The slot-to-context
-    logits are still one product over every slot, so the source's weights
-    round as they do in a call with candidates.
+    gathered (``ic``, ``ac`` and ``ac_sq`` are None). The source's weights
+    are still those of a call with candidates, bit for bit.
 
     A row's contexts ``ctx`` (K, m) blend half and half the decayed mean of
     its window's aspect embeddings, sum_l kappa_l a_lk / n over its n
@@ -221,9 +228,7 @@ def forward(
     lens_safe = np.maximum(lens, 1.0)
 
     nodes_n = np.concatenate([u[:, None], ids], axis=1)              # (B, L+1)
-    i_n = ident[nodes_n]                                             # (B, L+1, m)
     a_n = aspect[nodes_n]                                            # (B, L+1, K, m)
-    iu, ih = i_n[:, 0], i_n[:, 1:]
     au, ah = a_n[:, 0], a_n[:, 1:]
     ic = ac = ac_sq = None
     if cand is None:  # every node: the table and its kept terms, not copies
@@ -239,6 +244,9 @@ def forward(
             ic, ac = ident[cand], aspect[cand]
             ic_sq = np.einsum("bcm,bcm->bc", ic, ic)[:, None]        # (B, 1, C)
             ac_sq = np.einsum("bckm,bckm->bck", ac, ac)
+    # the read-out (C == 0) reads the source's identity only
+    i_n = ident[nodes_n] if c else ident[u][:, None]                 # (B, L+1 or 1, m)
+    iu, ih = i_n[:, 0], i_n[:, 1:]
 
     delta_u = softplus(params.rho[u])
     kappa = np.exp(-delta_u[:, None] * hist.dt) * mask               # (B, L)
@@ -276,16 +284,19 @@ def forward(
     else:
         ctx = au + 0.0
 
-    # aspect distributions for the source (row 0) and each history event,
-    # from f_n = -|i_n - ctx_k|^2 in Gram form
-    i_sq = np.einsum("bnm,bnm->bn", i_n, i_n)                        # (B, L+1)
-    f_n = 2.0 * (i_n @ ctx.transpose(0, 2, 1))
+    # aspect distributions for the source (slot 0) and each history event,
+    # from f_n = -|i_n - ctx_k|^2 in Gram form. The source's logits are a
+    # row-local einsum, so they do not depend on the batch's padded L and
+    # the read-out's equal those of a call with candidates; the history
+    # slots' are one product over the batch, taken only with candidates.
+    i_sq = np.einsum("bnm,bnm->bn", i_n, i_n)                        # (B, L+1 or 1)
+    f_n = i_n @ ctx.transpose(0, 2, 1) if c else np.empty((b, 1, k))
+    np.einsum("bm,bkm->bk", iu, ctx, out=f_n[:, 0])                  # the source's own row
+    f_n *= 2.0
     f_n -= i_sq[:, :, None]
-    f_n -= np.einsum("bkm,bkm->bk", ctx, ctx)[:, None]               # (B, L+1, K)
+    f_n -= np.einsum("bkm,bkm->bk", ctx, ctx)[:, None]               # (B, L+1 or 1, K)
     if not c:
-        # the read-out reads the source's weights only; f_n keeps every slot,
-        # as the product's rounding of row 0 depends on its shape
-        f_n, nodes_n = f_n[:, :1], nodes_n[:, :1]
+        nodes_n = nodes_n[:, :1]
         g_h = None if g_h is None else g_h[:, :0]
     if hyper.use_gumbel:
         fg_n = f_n if g_u is None else f_n + np.concatenate([g_u[:, None, :], g_h], axis=1)

@@ -29,6 +29,11 @@ class PlantedSpec:
     cross_aspect_prob: float = 0.0
 
     def __post_init__(self):
+        # NaN passes every comparison below, and an infinite horizon never
+        # ends the thinning loop
+        for name in ("mu0", "alpha0", "delta0", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if self.mu0 <= 0:
             raise ValueError("mu0 must be > 0")
         if self.delta0 <= 0:

@@ -195,6 +195,18 @@ def test_nonfinite_time_is_a_usage_error(simulated, capsys, time):
     assert not (out / "recommendations.csv").exists()
 
 
+@pytest.mark.parametrize("flag, field", [
+    ("--mu", "mu0"), ("--alpha", "alpha0"), ("--delta", "delta0"), ("--horizon", "horizon"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_simulation_rate_or_horizon_is_an_error(tmp_path, capsys, flag, field, value):
+    out = tmp_path / "sim"
+    assert run(["simulate", "--aspects", "2", "--nodes-per", "3", f"{flag}={value}",
+                "--out", str(out)]) == 1
+    assert f"error: {field} must be finite, not {float(value)!r}" in capsys.readouterr().err
+    assert not (out / "edges.txt").exists()
+
+
 @pytest.mark.parametrize("cfg, flags, message", [
     ({"k": 2.5}, [], "--k must be a positive integer, not 2.5"),
     ({"k": "3"}, [], "--k must be a positive integer, not '3'"),

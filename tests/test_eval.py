@@ -307,6 +307,23 @@ def test_probe_report_does_not_depend_on_pair_order():
     assert shuffled.to_json() == report.to_json()
 
 
+def test_probe_report_takes_any_integer_aspect_index_but_a_bool():
+    """``which`` is an aspect index if it is an integer of any kind, as
+    ``recommend``'s ``k`` is; a bool is not one (True would probe aspect 1)."""
+    rng = np.random.default_rng(4)
+    p = random_params(rng, n_nodes=40)
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, 40, (80, 2)) if a != b]
+    pos, neg = pairs[:30], pairs[30:60]
+    report = probe_report(p, pos, neg, seed=9, which=1).to_json()
+    for which in (np.int64(1), np.int32(1), np.uint8(1)):
+        assert probe_report(p, pos, neg, seed=9, which=which).to_json() == report
+    with pytest.raises(ValueError, match=r"aspect index 3 out of range \[0, 3\)"):
+        probe_report(p, pos, neg, seed=9, which=np.int64(3))
+    for which in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="unknown embedding slice"):
+            probe_report(p, pos, neg, seed=9, which=which)
+
+
 @pytest.mark.parametrize("n_pos, n_neg", [(0, 0), (0, 3), (3, 0)])
 def test_probe_report_rejects_an_empty_pair_list(n_pos, n_neg):
     p = random_params(np.random.default_rng(4), n_nodes=40)

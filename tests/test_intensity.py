@@ -12,7 +12,7 @@ from hawkmix import (
     forward,
     mixed_intensity,
 )
-from hawkmix.intensity import assemble, gumbel_noise
+from hawkmix.intensity import Queries, assemble, gumbel_noise
 from hawkmix.params import softplus_inv
 
 from oracle import ref_all, softmax as ref_softmax
@@ -472,6 +472,42 @@ def test_forward_without_candidates_gives_the_same_aspect_weights(use_attention,
     assert empty.attn is None and empty.z is None and empty.wu is None and empty.wh is None
     assert empty.lam_k.shape == (3, 0, k)
     assert empty.lam.shape == empty.mu.shape == (3, 0)
+
+
+@pytest.mark.parametrize("batch", [7, 200])
+@pytest.mark.parametrize("n_cand", [0, 3, 6])
+@pytest.mark.parametrize("use_gumbel", [True, False])
+def test_source_weights_of_a_history_less_row_do_not_depend_on_its_batch(
+    batch, n_cand, use_gumbel
+):
+    """The source's aspect logits are a row-local product: in a batch padded
+    to L = 4 that mixes empty windows with windows of 1-4 events, each
+    history-less row's pi_u is bitwise that of the row scored alone at
+    L = 0, with or without candidates and Gumbel noise."""
+    rng = np.random.default_rng(28)
+    n, k = 50, 4
+    p = random_params(rng, n_nodes=n, m=20, k=k, use_gumbel=use_gumbel)
+    lens = rng.integers(0, 5, size=batch)
+    lens[: batch // 2] = 0
+    lens[-1] = 4
+    lens = rng.permutation(lens)
+    histories = [
+        hist(*zip(rng.integers(0, n, size=ln).tolist(), np.sort(rng.uniform(0, 0.9, ln)).tolist()))
+        for ln in lens
+    ]
+    u = rng.integers(0, n, size=batch)
+    cand = rng.integers(0, n, size=(batch, n_cand))
+    q = assemble(k, u, cand, np.full(batch, 0.9), histories, [None] * batch)
+    assert q.hist.ids.shape == (batch, 4)
+    if use_gumbel:
+        g_h = rng.gumbel(size=(batch, 4, k)) * q.hist.mask[:, :, None]
+        q = Queries(q.u, q.cand, q.hist, rng.gumbel(size=(batch, k)), g_h)
+    full = forward(p, q.u, q.hist, q.cand, q.g_u, q.g_h)
+    for r in np.flatnonzero(lens == 0):
+        one = q.take([r])
+        assert one.hist.ids.shape == (1, 0)
+        alone = forward(p, one.u, one.hist, one.cand, one.g_u, one.g_h)
+        assert np.array_equal(alone.pi_u[0], full.pi_u[r])
 
 
 def test_read_out_aspect_weights_match_the_oracle_at_large_embeddings():

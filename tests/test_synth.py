@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import kstest
 
-from hawkmix import PlantedTruth, recovery_score, thinning_times
+from hawkmix import PlantedSpec, PlantedTruth, generate, recovery_score, thinning_times
 from hawkmix.synth import _best_matching
 
 
@@ -103,3 +104,15 @@ def test_thinning_passes_time_rescaling(mu0, alpha0, delta0, horizon):
     assert kstest(compensator_gaps(times, mu0, alpha0, delta0), "expon").pvalue > 0.01
     for wrong in (0.5 * delta0, 2.0 * delta0):
         assert kstest(compensator_gaps(times, mu0, alpha0, wrong), "expon").pvalue < 0.01
+
+
+@pytest.mark.parametrize("field", ["mu0", "alpha0", "delta0", "horizon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_planted_spec_rejects_a_nonfinite_rate_or_horizon(field, value):
+    """NaN passes every range check and an infinite horizon never ends the
+    thinning loop, so the spec refuses both by name before ``generate``."""
+    spec = dict(n_aspects=2, nodes_per_aspect=3, mu0=0.5, alpha0=0.3, delta0=1.0, horizon=5.0)
+    generate(PlantedSpec(**spec), np.random.default_rng(0))
+    spec[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite, not {value!r}$"):
+        PlantedSpec(**spec)
