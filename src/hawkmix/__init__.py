@@ -47,7 +47,6 @@ from .training import (
     GradientSet,
     LossSample,
     TrainingDiverged,
-    ablation_config,
     batch_gradients,
     batch_loss,
     gradients,

@@ -1,8 +1,18 @@
-"""Command-line entry point: train, evaluate, recommend, simulate, trace.
+"""Command-line entry point: train, eval, recommend, simulate, intensity.
 
-Every subcommand writes a ``config.json`` echo of its resolved settings into
-the output directory, so any run can be replayed byte-identically with
-``--config config.json``. All randomness derives from ``--seed``. Times on the
+``eval`` is the one link-prediction pipeline: it masks static edges, checks
+the probe pairs, trains on the rest and probes the embedding slices that
+``--which`` names. Ablations train with ``--no-attention`` and/or
+``--no-gumbel``. Its ``metrics.json`` is ``{"task": "link_prediction",
+"metrics": {<slice>: {"auc_roc", "macro_f1"}}, "config": {<HyperParams
+fields>, "masked_edges", "n_pairs"}, "seed"}``.
+
+Every subcommand checks its inputs, then writes a ``config.json`` echo of its
+resolved settings into the output directory, so a rejected run leaves no
+files and any run can be replayed byte-identically with ``--config
+config.json``. A config key that no subcommand defines is a usage error; a
+key that another subcommand defines is ignored, so a ``train`` config also
+replays under ``eval``. All randomness derives from ``--seed``. Times on the
 command line and in output files are in the edge list's own units; the
 network's normalized [0, 1] scale stays internal.
 """
@@ -14,7 +24,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +51,7 @@ from .temporal_graph import (
     mask_static_edges,
     write_pairs,
 )
-from .training import ablation_config, train
+from .training import train
 
 # CLI flag -> HyperParams field; the flags' defaults are the dataclass's.
 _HYPER_FLAGS = {
@@ -62,8 +72,7 @@ _DEFAULTS = {
     "no_gumbel": False,
     "mask_count": 5000,
     "k": 10,
-    "which": "all",
-    "variant": "full",
+    "which": "concat",
     "mu": 1.0,
     "alpha": 0.3,
     "delta": 1.0,
@@ -93,9 +102,9 @@ def _add_train_flags(p):
     p.add_argument("--batch", type=int, default=None,
                    help="batch size (default 200 under 10k nodes, else 1000)")
     p.add_argument("--no-attention", action="store_const", const=True, default=None,
-                   dest="no_attention")
+                   dest="no_attention", help="ablation: switch off the graph attention")
     p.add_argument("--no-gumbel", action="store_const", const=True, default=None,
-                   dest="no_gumbel")
+                   dest="no_gumbel", help="ablation: switch off the Gumbel-Softmax noise")
     p.add_argument("--checkpoint-every", type=int, default=None, dest="checkpoint_every")
 
 
@@ -110,18 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     _add_common(p)
 
-    p = sub.add_parser("eval-link", help="mask edges, train on the rest, probe link prediction")
+    p = sub.add_parser("eval", help="mask edges, train on the rest, probe link prediction")
     _add_train_flags(p)
-    p.add_argument("--mask-count", type=int, default=None, dest="mask_count")
+    p.add_argument("--mask-count", type=int, default=None, dest="mask_count",
+                   help="static edges to hold out as positive probe pairs (default 5000)")
     p.add_argument("--save-pairs", action="store_const", const=True, default=None,
-                   dest="save_pairs")
-    _add_common(p)
-
-    p = sub.add_parser("ablate", help="eval-link with a component switched off")
-    _add_train_flags(p)
-    p.add_argument("--mask-count", type=int, default=None, dest="mask_count")
-    p.add_argument("--variant", default=None,
-                   choices=["full", "no_attn", "no_gumbel", "no_attn_no_gumbel"])
+                   dest="save_pairs", help="write the probe pairs to positives.txt and negatives.txt")
+    p.add_argument("--which", default=None,
+                   help="embedding slice to probe: 'identity', 'concat' (default), "
+                        "an aspect index, or 'all'")
     _add_common(p)
 
     p = sub.add_parser("recommend", help="rank candidate targets for a node by intensity")
@@ -152,22 +158,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directed", action="store_const", const=True, default=None)
     p.add_argument("--node", default=None)
     _add_common(p)
-
-    p = sub.add_parser("aspect-probe", help="link prediction from single embedding slices")
-    _add_train_flags(p)
-    p.add_argument("--mask-count", type=int, default=None, dest="mask_count")
-    p.add_argument("--which", default=None,
-                   help="'identity', 'concat', an aspect index, or 'all'")
-    _add_common(p)
     return parser
 
 
-def _resolve(args) -> dict:
-    """Merge CLI values over --config file values over built-in defaults."""
+def _resolve(args, parser) -> dict:
+    """Merge CLI values over --config file values over built-in defaults. A
+    config key that no subcommand defines is a usage error."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise SystemExit2(f"--config {args.config} must hold a JSON object")
+        known = {key for name in _COMMANDS for key in vars(parser.parse_args([name]))}
+        unknown = sorted(set(cfg) - known)
+        if unknown:
+            raise SystemExit2(f"--config {args.config} has keys that no hawkmix command "
+                              f"defines: {', '.join(unknown)}")
     out = {}
     for key, value in vars(args).items():
         if key in ("config",):
@@ -193,17 +200,15 @@ class SystemExit2(Exception):
     """Usage error: maps to exit code 2."""
 
 
-def _outdir(cfg) -> Path:
-    _require(cfg, "out")
+def _echo_config(cfg) -> Path:
+    """Make the output directory and write config.json into it; a command
+    calls it once its inputs are checked."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(cfg, out: Path) -> None:
     with open(out / "config.json", "w") as fh:
         json.dump(cfg, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    return out
 
 
 def _hyper_from(cfg, node_count: int) -> HyperParams:
@@ -241,46 +246,46 @@ def _train_to_dir(net, hyper, cfg, out: Path):
 
 
 def _cmd_train(cfg) -> int:
-    _require(cfg, "edges")
-    out = _outdir(cfg)
+    _require(cfg, "edges", "out")
     net = load_edge_list(cfg["edges"], directed=cfg["directed"])
     hyper = _hyper_from(cfg, net.node_count)
-    _echo_config(cfg, out)
-    _train_to_dir(net, hyper, cfg, out)
+    _train_to_dir(net, hyper, cfg, _echo_config(cfg))
     return 0
 
 
-def _cmd_eval_link(cfg, variant=None) -> int:
-    _require(cfg, "edges")
-    out = _outdir(cfg)
-    if variant is not None:
-        out = out / variant
-        out.mkdir(parents=True, exist_ok=True)
+def _cmd_eval(cfg) -> int:
+    _require(cfg, "edges", "out")
     net = load_edge_list(cfg["edges"], directed=cfg["directed"])
     hyper = _hyper_from(cfg, net.node_count)
-    if variant is not None:
-        hyper = ablation_config(hyper, variant)
-    _echo_config(cfg, out)
-    train_net, positives, negatives = _mask(net, cfg)
-    if cfg.get("save_pairs"):
+    k, which = hyper.n_aspects, str(cfg["which"])
+    slices = {"identity": ["identity"], "concat": ["concat"],
+              "all": ["identity", "concat", *range(k)], **{str(i): [i] for i in range(k)}}
+    if which not in slices:
+        raise SystemExit2(f"--which must be 'identity', 'concat', 'all' or an aspect index "
+                          f"in [0, {k}), not {which!r}")
+    train_net, positives, negatives = mask_static_edges(
+        net, cfg["mask_count"], np.random.default_rng(cfg["seed"]))
+    check_probe_pairs(positives, negatives, cfg["seed"])
+    out = _echo_config(cfg)
+    if cfg["save_pairs"]:
         write_pairs(positives, out / "positives.txt")
         write_pairs(negatives, out / "negatives.txt")
     params = _train_to_dir(train_net, hyper, cfg, out)
-    report = probe_report(
-        params, positives, negatives, cfg["seed"],
-        config={"masked_edges": cfg["mask_count"], "variant": variant or "full"},
-    )
-    (out / "metrics.json").write_text(report.to_json() + "\n")
-    print(report.to_json())
+    record = {
+        "task": "link_prediction",
+        "metrics": {
+            sl if isinstance(sl, str) else f"aspect_{sl}":
+                probe_report(params, positives, negatives, cfg["seed"], which=sl).metrics
+            for sl in slices[which]
+        },
+        "config": {**asdict(hyper), "masked_edges": cfg["mask_count"],
+                   "n_pairs": len(positives) + len(negatives)},
+        "seed": cfg["seed"],
+    }
+    text = json.dumps(record, sort_keys=True, indent=2)
+    (out / "metrics.json").write_text(text + "\n")
+    print(text)
     return 0
-
-
-def _mask(net, cfg):
-    """(training network, positives, negatives) of a probe run, checked
-    before any training."""
-    masked = mask_static_edges(net, cfg["mask_count"], np.random.default_rng(cfg["seed"]))
-    check_probe_pairs(*masked[1:], cfg["seed"])
-    return masked
 
 
 def _node_label(node) -> str:
@@ -302,7 +307,7 @@ def _model_net_node(cfg, node: str):
 
 
 def _cmd_recommend(cfg) -> int:
-    _require(cfg, "model", "edges", "node")
+    _require(cfg, "model", "edges", "node", "out")
     node = _node_label(cfg["node"])
     k, time = cfg["k"], cfg["time"]
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -311,9 +316,8 @@ def _cmd_recommend(cfg) -> int:
         isinstance(time, bool) or not isinstance(time, (int, float)) or not math.isfinite(time)
     ):
         raise SystemExit2(f"--time must be a finite number, not {time!r}")
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
     params, net, u = _model_net_node(cfg, node)
+    out = _echo_config(cfg)
     t = float(net.times.max()) + 1e-9 if time is None else net.normalized_time(time)
     ranked = recommend(params, net, u, t, k)
     with open(out / "recommendations.csv", "w", newline="") as fh:
@@ -336,8 +340,7 @@ def _cmd_recommend(cfg) -> int:
 
 
 def _cmd_simulate(cfg) -> int:
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
+    _require(cfg, "out")
     spec = PlantedSpec(
         n_aspects=cfg["aspects"],
         nodes_per_aspect=cfg["nodes_per"],
@@ -347,6 +350,7 @@ def _cmd_simulate(cfg) -> int:
         horizon=cfg["horizon"],
         cross_aspect_prob=cfg["cross"],
     )
+    out = _echo_config(cfg)
     _, truth = generate(spec, np.random.default_rng(cfg["seed"]))
     with open(out / "edges.txt", "w") as fh:
         for s, v, t in zip(truth.sources, truth.targets, truth.times):
@@ -360,11 +364,10 @@ def _cmd_simulate(cfg) -> int:
 
 
 def _cmd_intensity(cfg) -> int:
-    _require(cfg, "model", "edges", "node")
+    _require(cfg, "model", "edges", "node", "out")
     node = _node_label(cfg["node"])
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
     params, net, u = _model_net_node(cfg, node)
+    out = _echo_config(cfg)
     nbrs, ts = net.events(u)
     src = np.full(len(ts), u)
     # One event per call (a single slot rounds up to one query): no window
@@ -384,46 +387,12 @@ def _cmd_intensity(cfg) -> int:
     return 0
 
 
-def _cmd_aspect_probe(cfg) -> int:
-    _require(cfg, "edges")
-    k, which = cfg["aspects"], str(cfg["which"])
-    slices = {"identity": ["identity"], "concat": ["concat"],
-              "all": ["identity", "concat", *range(k)], **{str(i): [i] for i in range(k)}}
-    if which not in slices:
-        raise SystemExit2(f"--which must be 'identity', 'concat', 'all' or an aspect index "
-                          f"in [0, {k}), not {which!r}")
-    out = _outdir(cfg)
-    net = load_edge_list(cfg["edges"], directed=cfg["directed"])
-    hyper = _hyper_from(cfg, net.node_count)
-    _echo_config(cfg, out)
-    train_net, positives, negatives = _mask(net, cfg)
-    params = _train_to_dir(train_net, hyper, cfg, out)
-    reports = {}
-    for sl in slices[which]:
-        rep = probe_report(params, positives, negatives, cfg["seed"], which=sl,
-                           task="aspect_probe")
-        key = sl if isinstance(sl, str) else f"aspect_{sl}"
-        reports[key] = rep.metrics
-    payload = {
-        "task": "aspect_probe",
-        "metrics": reports,
-        "config": {"masked_edges": cfg["mask_count"], "dim": hyper.dim,
-                   "n_aspects": hyper.n_aspects},
-        "seed": cfg["seed"],
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    (out / "metrics.json").write_text(text + "\n")
-    print(text)
-    return 0
-
-
 _COMMANDS = {
     "train": _cmd_train,
-    "eval-link": _cmd_eval_link,
+    "eval": _cmd_eval,
     "recommend": _cmd_recommend,
     "simulate": _cmd_simulate,
     "intensity": _cmd_intensity,
-    "aspect-probe": _cmd_aspect_probe,
 }
 
 
@@ -435,10 +404,7 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _resolve(args)
-        if args.subcommand == "ablate":
-            return _cmd_eval_link(cfg, variant=cfg["variant"])
-        return _COMMANDS[args.subcommand](cfg)
+        return _COMMANDS[args.subcommand](_resolve(args, parser))
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

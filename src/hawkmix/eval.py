@@ -204,8 +204,6 @@ def probe_report(
     negatives,
     seed: int,
     which="concat",
-    task="link_prediction",
-    config=None,
 ) -> EvalReport:
     """Fit the logistic probe on half the labeled pairs, score the other half.
 
@@ -220,19 +218,15 @@ def probe_report(
     feats = np.stack([edge_feature(emb[a], emb[b]) for a, b in pairs])
     model = logistic_fit(feats[tr], y[tr])
     probs = logistic_predict(model, feats[te])
-    report_config = dict(config or {})
-    report_config.update(
-        {"dim": params.hyper.dim, "n_aspects": params.hyper.n_aspects,
-         "history_len": params.hyper.history_len, "slice": str(which),
-         "n_pairs": len(pairs)}
-    )
     return EvalReport(
-        task=task,
+        task="link_prediction",
         metrics={
             "macro_f1": macro_f1(y[te], (probs >= 0.5).astype(int)),
             "auc_roc": auc_roc(y[te], probs),
         },
-        config=report_config,
+        config={"dim": params.hyper.dim, "n_aspects": params.hyper.n_aspects,
+                "history_len": params.hyper.history_len, "slice": str(which),
+                "n_pairs": len(pairs)},
         seed=seed,
     )
 

@@ -36,7 +36,7 @@ loss's and the softplus's derivatives go through ``params.sigmoid``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -172,22 +172,6 @@ def batch_gradients(params: ModelParams, samples):
     """
     losses, grads, _ = _step(params, _assemble(params.hyper, samples), "batch")
     return float(losses.mean()), grads
-
-
-def ablation_config(base: HyperParams, variant: str) -> HyperParams:
-    """Toggle the attention / Gumbel components off for submodel studies."""
-    if variant == "full":
-        return base
-    if variant == "no_attn":
-        return replace(base, use_attention=False)
-    if variant == "no_gumbel":
-        return replace(base, use_gumbel=False)
-    if variant == "no_attn_no_gumbel":
-        return replace(base, use_attention=False, use_gumbel=False)
-    raise ValueError(
-        f"unknown ablation variant {variant!r}; "
-        "expected full, no_attn, no_gumbel, or no_attn_no_gumbel"
-    )
 
 
 # ---------------------------------------------------------------------------

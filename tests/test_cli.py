@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,10 @@ from util import random_params
 
 TINY = ["--aspects", "2", "--dim-per", "4", "--history", "3", "--negatives", "2",
         "--epochs", "1", "--batch", "16", "--seed", "1"]
+
+# eval's probe set-ups: the default concat slice, an ablation, every slice
+EVAL_SETUPS = pytest.mark.parametrize(
+    "extra", [[], ["--no-attention"], ["--which", "all"]], ids=["concat", "no-attention", "all"])
 
 
 @pytest.fixture(scope="module")
@@ -58,18 +63,39 @@ def test_config_replay_is_byte_identical(simulated):
     assert (replay / "model.bin").read_bytes() == (root / "train" / "model.bin").read_bytes()
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("eval-link", ["--mask-count", "3"]),
-    ("ablate", ["--mask-count", "3", "--variant", "no_attn"]),
-    ("aspect-probe", ["--mask-count", "3", "--which", "all"]),
-])
-def test_probe_commands_write_metrics(simulated, command, extra):
-    root, edges = simulated
-    out = root / command
-    assert run([command, "--edges", str(edges), "--directed", *TINY, *extra,
-                "--out", str(out)]) == 0
-    metrics = out / ("no_attn" if command == "ablate" else "") / "metrics.json"
-    assert json.loads(metrics.read_text())["metrics"]
+def run_eval(edges, out, *extra):
+    """The metrics.json record of an ``eval`` run on 3 masked edges."""
+    assert run(["eval", "--edges", str(edges), "--directed", *TINY, "--mask-count", "3",
+                *extra, "--out", str(out)]) == 0
+    return json.loads((out / "metrics.json").read_text())
+
+
+@EVAL_SETUPS
+def test_eval_writes_metrics(simulated, tmp_path, extra):
+    _, edges = simulated
+    record = run_eval(edges, tmp_path / "eval", *extra)
+    assert set(record) == {"task", "metrics", "config", "seed"}
+    assert record["task"] == "link_prediction" and record["seed"] == 1
+    slices = {"identity", "concat", "aspect_0", "aspect_1"} if "all" in extra else {"concat"}
+    assert set(record["metrics"]) == slices
+    for metrics in record["metrics"].values():
+        assert sorted(metrics) == ["auc_roc", "macro_f1"]
+
+
+def test_eval_record_holds_the_trained_models_hyperparameters(simulated, tmp_path):
+    _, edges = simulated
+    out = tmp_path / "eval"
+    config = run_eval(edges, out, "--no-attention", "--no-gumbel")["config"]
+    assert config.pop("masked_edges") == 3 and config.pop("n_pairs") == 6
+    assert config == asdict(load_params(out / "model.bin").hyper)
+    assert config["use_attention"] is False and config["use_gumbel"] is False
+
+
+def test_eval_which_all_gives_the_default_runs_concat_entry_bitwise(simulated, tmp_path):
+    _, edges = simulated
+    default = run_eval(edges, tmp_path / "default")["metrics"]
+    every = run_eval(edges, tmp_path / "all", "--which", "all")["metrics"]
+    assert json.dumps(every["concat"]) == json.dumps(default["concat"])
 
 
 def test_recommend_and_intensity(simulated):
@@ -205,6 +231,7 @@ def test_nonfinite_simulation_rate_or_horizon_is_an_error(tmp_path, capsys, flag
                 "--out", str(out)]) == 1
     assert f"error: {field} must be finite, not {float(value)!r}" in capsys.readouterr().err
     assert not (out / "edges.txt").exists()
+    assert not (out / "config.json").exists()
 
 
 @pytest.mark.parametrize("cfg, flags, message", [
@@ -230,47 +257,42 @@ def test_recommend_k_or_time_that_is_not_a_number_is_a_usage_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("eval-link", []),
-    ("ablate", ["--variant", "no_attn"]),
-    ("aspect-probe", ["--which", "all"]),
-])
-def test_zero_mask_count_is_an_error_before_training(simulated, capsys, command, extra):
-    root, edges = simulated
-    out = root / f"{command}-mask-zero"
-    assert run([command, "--edges", str(edges), "--directed", *TINY, *extra,
+@EVAL_SETUPS
+def test_zero_mask_count_is_an_error_before_training(simulated, tmp_path, capsys, extra):
+    _, edges = simulated
+    out = tmp_path / "out"
+    assert run(["eval", "--edges", str(edges), "--directed", *TINY, *extra,
                 "--mask-count", "0", "--out", str(out)]) == 1
     assert "got 0 positives and 0 negatives" in capsys.readouterr().err
     assert not list(out.rglob("model.bin"))
+    assert not (out / "config.json").exists()
 
 
 @pytest.mark.parametrize("mask_count", ["1", "2"])
-@pytest.mark.parametrize("command, extra", [
-    ("eval-link", []),
-    ("ablate", ["--variant", "no_attn"]),
-    ("aspect-probe", ["--which", "all"]),
-])
+@EVAL_SETUPS
 def test_mask_count_whose_probe_split_lacks_a_label_is_an_error_before_training(
-    simulated, capsys, command, extra, mask_count
+    simulated, tmp_path, capsys, extra, mask_count
 ):
     """At seed 1 the probe's seeded split of 2 or 4 pairs leaves its fit half
     with one label; that is rejected before any training."""
-    root, edges = simulated
-    out = root / f"{command}-mask-{mask_count}"
-    assert run([command, "--edges", str(edges), "--directed", *TINY, *extra,
+    _, edges = simulated
+    out = tmp_path / "out"
+    assert run(["eval", "--edges", str(edges), "--directed", *TINY, *extra,
                 "--mask-count", mask_count, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "leaves its fit half with one label" in err
     assert f"got {mask_count} positives and {mask_count} negatives" in err
     assert not list(out.rglob("model.bin"))
+    assert not (out / "config.json").exists()
 
 
-def test_negative_mask_count_is_an_error(simulated, capsys):
-    root, edges = simulated
-    out = root / "mask-negative"
-    assert run(["eval-link", "--edges", str(edges), "--directed", *TINY,
+def test_negative_mask_count_is_an_error(simulated, tmp_path, capsys):
+    _, edges = simulated
+    out = tmp_path / "out"
+    assert run(["eval", "--edges", str(edges), "--directed", *TINY,
                 "--mask-count", "-1", "--out", str(out)]) == 1
     assert "cannot mask -1 edges; the count must be >= 0" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
 
 
 @pytest.mark.parametrize("every", ["0", "-1"])
@@ -284,26 +306,68 @@ def test_checkpoint_every_below_one_is_an_error(simulated, capsys, every):
 
 
 @pytest.mark.parametrize("which", ["foo", "2", "7"])
-def test_bad_aspect_probe_slice_is_a_usage_error(simulated, capsys, which):
-    """K=2 here: the value is checked before any training."""
-    root, edges = simulated
-    out = root / f"aspect-probe-{which}"
-    assert run(["aspect-probe", "--edges", str(edges), "--directed", *TINY,
+def test_bad_aspect_probe_slice_is_a_usage_error(simulated, tmp_path, capsys, which):
+    """K=2 here: eval's --which is checked before any training."""
+    _, edges = simulated
+    out = tmp_path / "out"
+    assert run(["eval", "--edges", str(edges), "--directed", *TINY,
                 "--mask-count", "3", "--which", which, "--out", str(out)]) == 2
     assert "usage error: --which must be" in capsys.readouterr().err
     assert not (out / "model.bin").exists()
+    assert not (out / "config.json").exists()
 
 
-@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("seed", "1")])
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("seed", "1"), ("aspects", "2")])
 def test_config_value_of_the_wrong_type_is_an_error(simulated, tmp_path, capsys, field, value):
+    """Under train and under eval, whose --which is checked against the
+    validated aspect count, not the raw config value."""
     _, edges = simulated
     cfg = {"aspects": 2, "dim_per": 4, "history": 3, "negatives": 2, "batch": 16,
-           "epochs": 1, "seed": 1, field: value}
+           "epochs": 1, "seed": 1, "mask_count": 3, field: value}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
-    assert run(["train", "--config", str(config), "--edges", str(edges), "--directed",
-                "--out", str(tmp_path / "out")]) == 1
-    assert f"{field} must be" in capsys.readouterr().err
+    for command in ("train", "eval"):
+        out = tmp_path / command
+        assert run([command, "--config", str(config), "--edges", str(edges), "--directed",
+                    "--out", str(out)]) == 1
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["epoch", "variant"])
+def test_config_key_that_no_command_defines_is_a_usage_error(simulated, tmp_path, capsys, key):
+    """A typo (``epoch``) or a key of a removed command (``variant``) would
+    otherwise be dropped without a word and train another model."""
+    _, edges = simulated
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 1, key: 2}))
+    out = tmp_path / "out"
+    assert run(["eval", "--config", str(config), "--edges", str(edges), "--directed",
+                "--out", str(out)]) == 2
+    assert f"usage error: --config {config} has keys that no hawkmix command defines: {key}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_config_that_is_not_a_json_object_is_a_usage_error(simulated, tmp_path, capsys):
+    _, edges = simulated
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(["epochs"]))
+    assert run(["train", "--config", str(config), "--edges", str(edges),
+                "--out", str(tmp_path / "out")]) == 2
+    assert f"usage error: --config {config} must hold a JSON object" in capsys.readouterr().err
+
+
+def test_train_config_replays_under_eval(simulated, tmp_path):
+    """A key of another command is ignored: train's echo holds no eval key,
+    and eval reads its own keys from it."""
+    root, _ = simulated
+    out = tmp_path / "eval"
+    assert run(["eval", "--config", str(root / "train" / "config.json"), "--mask-count", "3",
+                "--out", str(out)]) == 0
+    config = json.loads((out / "metrics.json").read_text())["config"]
+    assert config.pop("masked_edges") == 3 and config.pop("n_pairs") == 6
+    assert config == asdict(load_params(root / "train" / "model.bin").hyper)
 
 
 def test_model_header_of_the_wrong_type_is_an_error(simulated, tmp_path, capsys):
@@ -359,14 +423,14 @@ def test_times_are_in_the_edge_lists_units(tmp_path):
     assert sorted(set(times)) == [1000.0, 2000.0, 3000.0]
 
 
-@pytest.mark.parametrize("command", ["train", "eval-link"])
+@pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 3)])
 def test_seed_beyond_64_bits_is_an_error(simulated, capsys, command, seed):
     """Checked before any training: the training streams key Philox with 64
     bits of the seed, so 2**64 would train as seed 0 does."""
     root, edges = simulated
     out = root / f"{command}-seed{seed}"
-    extra = ["--mask-count", "3"] if command == "eval-link" else []
+    extra = ["--mask-count", "3"] if command == "eval" else []
     assert run([command, "--edges", str(edges), "--directed", *TINY, "--seed", seed,
                 *extra, "--out", str(out)]) == 1
     assert f"seed must be in [0, 2**64), not {seed}" in capsys.readouterr().err

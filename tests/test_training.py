@@ -13,7 +13,6 @@ from hawkmix import (
     PlantedSpec,
     TemporalEdge,
     TrainingDiverged,
-    ablation_config,
     batch_gradients,
     batch_loss,
     generate,
@@ -562,19 +561,6 @@ def test_split_batch_divergence_names_epoch_batch_and_nodes(history_less):
         "epoch 3, batch 7: non-finite intensity or loss for source nodes [11]"
     )):
         training_mod._step(p, batch, "epoch 3, batch 7")
-
-
-def test_ablation_config():
-    base = HyperParams(n_aspects=2, dim=4)
-    assert ablation_config(base, "full") == base
-    na = ablation_config(base, "no_attn")
-    assert not na.use_attention and na.use_gumbel
-    ng = ablation_config(base, "no_gumbel")
-    assert ng.use_attention and not ng.use_gumbel
-    both = ablation_config(base, "no_attn_no_gumbel")
-    assert not both.use_attention and not both.use_gumbel
-    with pytest.raises(ValueError, match="unknown"):
-        ablation_config(base, "bogus")
 
 
 def test_make_sample_contents():
