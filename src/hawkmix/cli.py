@@ -10,7 +10,8 @@ fields>, "masked_edges", "n_pairs"}, "seed"}``.
 Every subcommand checks its inputs, then writes a ``config.json`` echo of its
 resolved settings into the output directory, so a rejected run leaves no
 files and any run can be replayed byte-identically with ``--config
-config.json``. A config key that no subcommand defines is a usage error; a
+config.json``. A config key that no subcommand defines is a usage error, and
+so is a value that does not fit its flag (a string for an integer flag); a
 key that another subcommand defines is ignored, so a ``train`` config also
 replays under ``eval``. All randomness derives from ``--seed``. Times on the
 command line and in output files are in the edge list's own units; the
@@ -23,6 +24,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -51,7 +53,7 @@ from .temporal_graph import (
     mask_static_edges,
     write_pairs,
 )
-from .training import train
+from .training import check_checkpointing, train
 
 # CLI flag -> HyperParams field; the flags' defaults are the dataclass's.
 _HYPER_FLAGS = {
@@ -161,9 +163,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a --config value of an option of each kind must be. An option whose
+# command checks its range says so here, as that check's message does.
+_CONFIG_KINDS = {numbers.Integral: "an integer", numbers.Real: "a number", bool: "true or false"}
+_CONFIG_RANGES = {"k": "a positive integer", "time": "a finite number"}
+
+
+def _check_config_value(action, value) -> None:
+    """A usage error unless a --config value fits its option: an integer
+    (not a bool) for ``type=int``, a number for ``type=float``, a bool for
+    an on/off flag. String options take the value as it is."""
+    kind = bool if action.const is True else {int: numbers.Integral,
+                                              float: numbers.Real}.get(action.type)
+    if kind is None or (isinstance(value, kind) and (kind is bool) == isinstance(value, bool)):
+        return
+    what = _CONFIG_RANGES.get(action.dest, _CONFIG_KINDS[kind])
+    raise SystemExit2(f"{action.option_strings[0]} must be {what}, not {value!r}")
+
+
 def _resolve(args, parser) -> dict:
     """Merge CLI values over --config file values over built-in defaults. A
-    config key that no subcommand defines is a usage error."""
+    config key that no subcommand defines is a usage error, and so is a
+    value of the command's own options that does not fit the option."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -175,6 +196,10 @@ def _resolve(args, parser) -> dict:
         if unknown:
             raise SystemExit2(f"--config {args.config} has keys that no hawkmix command "
                               f"defines: {', '.join(unknown)}")
+        commands = next(a for a in parser._actions if a.dest == "subcommand").choices
+        for action in commands[args.subcommand]._actions:
+            if cfg.get(action.dest) is not None:
+                _check_config_value(action, cfg[action.dest])
     out = {}
     for key, value in vars(args).items():
         if key in ("config",):
@@ -212,6 +237,8 @@ def _echo_config(cfg) -> Path:
 
 
 def _hyper_from(cfg, node_count: int) -> HyperParams:
+    """The run's HyperParams; the checkpoint interval is checked with them."""
+    check_checkpointing(cfg.get("checkpoint_every"), cfg["out"])
     batch = cfg.get("batch")
     if batch is None:
         batch = 200 if node_count < 10_000 else 1000
@@ -310,11 +337,9 @@ def _cmd_recommend(cfg) -> int:
     _require(cfg, "model", "edges", "node", "out")
     node = _node_label(cfg["node"])
     k, time = cfg["k"], cfg["time"]
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    if k < 1:
         raise SystemExit2(f"--k must be a positive integer, not {k!r}")
-    if time is not None and (
-        isinstance(time, bool) or not isinstance(time, (int, float)) or not math.isfinite(time)
-    ):
+    if time is not None and not math.isfinite(time):
         raise SystemExit2(f"--time must be a finite number, not {time!r}")
     params, net, u = _model_net_node(cfg, node)
     out = _echo_config(cfg)

@@ -8,6 +8,9 @@ min-max normalized to [0, 1] at load so decay parameters are comparable
 across datasets; the network keeps the raw range so that times can be
 converted back to the input's units.
 
+Every network, loaded, built from edge arrays or masked, comes from one
+constructor, ``_build_network``, so all share one layout and its orderings.
+
 The network owns the history windows: a query (u, t) sees u's
 at-most-``limit`` most recent events strictly before t, and every caller
 finds them with ``TemporalNetwork.windows``, ``histories`` or
@@ -16,7 +19,7 @@ finds them with ``TemporalNetwork.windows``, ``histories`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse, islice
 from operator import eq, itemgetter, methodcaller
 from typing import NamedTuple
@@ -215,27 +218,29 @@ def _unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _build_network(labels, label_to_id, sources, targets, times, directed, normalize,
-                   t_range=(0.0, 1.0)):
+def _build_network(labels, label_to_id, sources, targets, times, directed, t_range=None):
     """The network of parallel edge arrays in any time order.
 
     ``t_range`` is the raw (tmin, tmax) of already normalized ``times``;
-    with ``normalize`` it is measured from ``times`` instead. The edges are
-    sorted by time with a stable sort, so equal times keep input order. The
-    events are sorted by owner with a stable sort too; an undirected edge's
-    two events are interleaved first (source side, then target side), so
-    within each owner they stay in edge order. The static keys are
-    deduplicated by a sort: NumPy 2.4's ``np.unique`` hashes integer keys,
-    which is many times slower on key arrays like these.
+    with None it is measured from ``times``, which are then normalized. The
+    edges are sorted by time with a stable sort, so equal times keep input
+    order. The events are sorted by owner with a stable sort too, in the
+    smallest type that holds the node ids (which NumPy radix-sorts; a stable
+    sort gives the same order in any type). An undirected edge's two events
+    are interleaved first (source side, then target side), so within each
+    owner they stay in edge order. The static keys are deduplicated by a
+    sort: NumPy 2.4's ``np.unique`` hashes integer keys, which is many times
+    slower on key arrays like these.
     """
     n = len(labels)
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     times = np.asarray(times, dtype=np.float64)
-    tmin, tmax = t_range
-    if normalize and len(times):
+    if t_range is None and len(times):
         tmin, tmax = float(times.min()), float(times.max())
         times = (times - tmin) / (tmax - tmin) if tmax > tmin else np.zeros_like(times)
+    else:
+        tmin, tmax = t_range or (0.0, 1.0)
     order = np.argsort(times, kind="stable")
     sources, targets, times = sources[order], targets[order], times[order]
 
@@ -244,7 +249,7 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, norma
     else:
         owner = np.column_stack([sources, targets]).ravel()
         other = np.column_stack([targets, sources]).ravel()
-    perm = np.argsort(owner, kind="stable")
+    perm = np.argsort(owner.astype(np.min_scalar_type(n - 1)), kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
     ev_time = times[perm if directed else perm >> 1]
@@ -273,7 +278,8 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, norma
 def network_from_edges(labels, sources, targets, times, directed, normalize=True):
     """Build a network from parallel edge arrays; node ids must be dense ints."""
     label_to_id = {lab: i for i, lab in enumerate(labels)}
-    return _build_network(labels, label_to_id, sources, targets, times, directed, normalize)
+    return _build_network(labels, label_to_id, sources, targets, times, directed,
+                          t_range=None if normalize else (0.0, 1.0))
 
 
 # Characters of text read per block of lines. The parse holds one block's
@@ -310,7 +316,7 @@ def load_edge_list(path, directed: bool) -> TemporalNetwork:
         raise EdgeListParseError(f"{path}: no usable edges (empty file or self-loops only)")
     sources, targets, times = map(np.concatenate, zip(*parts))
     del parts  # the blocks' arrays, copied into the three above
-    return _build_network(labels, label_to_id, sources, targets, times, directed, normalize=True)
+    return _build_network(labels, label_to_id, sources, targets, times, directed)
 
 
 def _parse_block(path, lines, first_lineno, labels, label_to_id):
@@ -478,9 +484,10 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
 
     Returns (train_network, positive_pairs, negative_pairs): positives are the
     masked pairs, negatives an equal-sized uniform sample of non-edges. Node
-    ids and timestamps are preserved; the training network holds the
-    surviving edges, without re-normalizing time, and keeps the raw time
-    range. It is the parent's arrays filtered (see ``_without_pairs``).
+    ids and timestamps are preserved: the training network is the one
+    ``_build_network`` makes of the surviving edges on the parent's raw time
+    range, so time is not re-normalized and every array has the layout of a
+    loaded network.
 
     A non-edge attempt draws (a, b) uniformly and is rejected when a == b,
     when the pair is a static edge or when it is already a negative; after
@@ -497,10 +504,12 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
     if count > n_pairs:
         raise ValueError(f"cannot mask {count} edges; only {n_pairs} static edges exist")
     n = net.node_count
-    chosen = np.sort(rng.choice(n_pairs, size=count, replace=False))
-    a, b = np.divmod(net.pair_keys[chosen], n)
+    gone = net.pair_keys[np.sort(rng.choice(n_pairs, size=count, replace=False))]
+    a, b = np.divmod(gone, n)
     positives = list(zip(a.tolist(), b.tolist()))
-    train = _without_pairs(net, chosen)
+    keep = ~_contains_by_first(gone, _pair_keys(net.sources, net.targets, n, net.directed), n)
+    train = _build_network(net.labels, net.label_to_id, net.sources[keep], net.targets[keep],
+                           net.times[keep], net.directed, t_range=(net.tmin, net.tmax))
 
     found = np.empty(0, dtype=np.int64)  # keys of the negatives, in draw order
     budget = 1000 * count + 10000        # (a, b) draws before giving up
@@ -518,47 +527,6 @@ def mask_static_edges(net: TemporalNetwork, count: int, rng):
         found = np.concatenate([found, keys[np.sort(first)]])
     a, b = np.divmod(found, n)
     return train, positives, list(zip(a.tolist(), b.tolist()))
-
-
-def _without_pairs(net: TemporalNetwork, chosen) -> TemporalNetwork:
-    """``net`` without the static edges ``pair_keys[chosen]`` (ascending
-    positions) and all their temporal occurrences.
-
-    Every array is the parent's filtered, so no sort runs: dropping edges
-    keeps the chronological order and each node's event order, so the
-    result is the network ``_build_network`` makes of the kept edges. A
-    linked pair stays in ``adj_keys`` while a static edge in either
-    direction is left.
-    """
-    n = net.node_count
-    gone = net.pair_keys[chosen]
-    keep = ~_contains_by_first(gone, _pair_keys(net.sources, net.targets, n, net.directed), n)
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(net.indptr))
-    keep_ev = ~_contains_by_first(gone, _pair_keys(owner, net.ev_nbr, n, net.directed), n)
-    kept_before = np.zeros(len(keep_ev) + 1, dtype=np.int64)  # kept events before each
-    np.cumsum(keep_ev, out=kept_before[1:])
-    pair_keys = np.delete(net.pair_keys, chosen)
-    # a dropped pair leaves adj_keys unless its reverse is still a static edge
-    a, b = np.divmod(gone, n)
-    reverse = b * n + a
-    unlinked = ~_contains(pair_keys, reverse)
-    drop = np.sort(np.concatenate([gone[unlinked], reverse[unlinked]]))
-    adj_keys = np.delete(net.adj_keys, np.searchsorted(net.adj_keys, drop))
-    return replace(
-        net,
-        labels=list(net.labels),
-        label_to_id=dict(net.label_to_id),
-        sources=net.sources[keep],
-        targets=net.targets[keep],
-        times=net.times[keep],
-        indptr=kept_before[net.indptr],
-        ev_nbr=net.ev_nbr[keep_ev],
-        ev_time=net.ev_time[keep_ev],
-        ev_key=net.ev_key[keep_ev],
-        adj_keys=adj_keys,
-        pair_keys=pair_keys,
-        degrees=np.bincount(adj_keys // max(n, 1), minlength=n),
-    )
 
 
 def write_pairs(pairs, path) -> None:

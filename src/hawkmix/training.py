@@ -628,6 +628,15 @@ class _LazyAdam:
             self._update(params.attn_a, self.m_attn[1], self.v_attn[1], grads.d_attn_a)
 
 
+def check_checkpointing(every, directory) -> None:
+    """Raise ValueError unless a checkpoint every ``every`` epochs (None:
+    no checkpoints) is an interval >= 1 with a ``directory`` to write to."""
+    if every is not None and every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, not {every}")
+    if every is not None and directory is None:
+        raise ValueError("checkpoint_every needs a checkpoint_dir to write to")
+
+
 def train(
     net,
     hyper: HyperParams,
@@ -659,10 +668,7 @@ def train(
     interval without a directory is a ValueError, raised before training.
     The returned model is read-only (see ``ModelParams.freeze``).
     """
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, not {checkpoint_every}")
-    if checkpoint_every is not None and checkpoint_dir is None:
-        raise ValueError("checkpoint_every needs a checkpoint_dir to write to")
+    check_checkpointing(checkpoint_every, checkpoint_dir)
     if net.n_edges == 0:
         raise ValueError("cannot train on an empty network")
     params = init_params(hyper, net.node_count, np.random.default_rng(hyper.seed))

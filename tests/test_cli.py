@@ -297,12 +297,15 @@ def test_negative_mask_count_is_an_error(simulated, tmp_path, capsys):
 
 @pytest.mark.parametrize("every", ["0", "-1"])
 def test_checkpoint_every_below_one_is_an_error(simulated, capsys, every):
+    """Under train and under eval, before the output directory is made."""
     root, edges = simulated
-    out = root / f"checkpoint-every{every}"
-    assert run(["train", "--edges", str(edges), "--directed", *TINY,
-                "--checkpoint-every", every, "--out", str(out)]) == 1
-    assert f"checkpoint_every must be >= 1, not {every}" in capsys.readouterr().err
-    assert not list(out.glob("*.bin"))
+    for command, extra in [("train", []), ("eval", ["--mask-count", "3"])]:
+        out = root / f"{command}-checkpoint-every{every}"
+        assert run([command, "--edges", str(edges), "--directed", *TINY, *extra,
+                    "--checkpoint-every", every, "--out", str(out)]) == 1
+        assert f"checkpoint_every must be >= 1, not {every}" in capsys.readouterr().err
+        assert not list(out.glob("*.bin"))
+        assert not (out / "config.json").exists()
 
 
 @pytest.mark.parametrize("which", ["foo", "2", "7"])
@@ -319,8 +322,8 @@ def test_bad_aspect_probe_slice_is_a_usage_error(simulated, tmp_path, capsys, wh
 
 @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("seed", "1"), ("aspects", "2")])
 def test_config_value_of_the_wrong_type_is_an_error(simulated, tmp_path, capsys, field, value):
-    """Under train and under eval, whose --which is checked against the
-    validated aspect count, not the raw config value."""
+    """Under train and under eval, a usage error before anything else is
+    checked: eval's --which never sees the raw aspect count."""
     _, edges = simulated
     cfg = {"aspects": 2, "dim_per": 4, "history": 3, "negatives": 2, "batch": 16,
            "epochs": 1, "seed": 1, "mask_count": 3, field: value}
@@ -329,9 +332,42 @@ def test_config_value_of_the_wrong_type_is_an_error(simulated, tmp_path, capsys,
     for command in ("train", "eval"):
         out = tmp_path / command
         assert run([command, "--config", str(config), "--edges", str(edges), "--directed",
-                    "--out", str(out)]) == 1
+                    "--out", str(out)]) == 2
         assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    pytest.param(command, key, value, message, id=f"{command}-{key}")
+    for command, key, value, message in [
+        ("train", "no_attention", "false", "--no-attention must be true or false, not 'false'"),
+        ("train", "directed", "no", "--directed must be true or false, not 'no'"),
+        ("train", "checkpoint_every", "2", "--checkpoint-every must be an integer, not '2'"),
+        ("train", "dim_per", True, "--dim-per must be an integer, not True"),
+        ("eval", "mask_count", "3", "--mask-count must be an integer, not '3'"),
+        ("eval", "save_pairs", 1, "--save-pairs must be true or false, not 1"),
+        ("simulate", "mu", "1", "--mu must be a number, not '1'"),
+        ("simulate", "nodes_per", 3.0, "--nodes-per must be an integer, not 3.0"),
+    ]
+])
+def test_config_value_that_does_not_fit_its_flag_is_a_usage_error(
+    simulated, tmp_path, capsys, command, key, value, message
+):
+    """Each value is checked against its own flag: an integer flag takes an
+    integer but not a bool, a number flag a number, an on/off flag a bool.
+    A flag on the command line does not hide a bad config value."""
+    _, edges = simulated
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    inputs = {"train": ["--edges", str(edges), "--directed", *TINY],
+              "eval": ["--edges", str(edges), "--directed", *TINY, "--mask-count", "3"],
+              "simulate": ["--aspects", "2", "--nodes-per", "3"]}[command]
+    out = tmp_path / "out"
+    assert run([command, "--config", str(config), *inputs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["epoch", "variant"])

@@ -409,15 +409,25 @@ def tied_planted_truth():
     return truth.sources, truth.targets, np.floor(truth.times * 3)
 
 
-@pytest.mark.parametrize("directed", [True, False])
-def test_csr_matches_per_node_lists(directed):
+# Node counts at the edges of the owner-key types the CSR sort uses: up to
+# 256 nodes fit uint8, up to 65,536 uint16, and more need uint32.
+CSR_NODE_COUNTS = [16, 256, 257, 65_536, 65_537]
+
+
+@pytest.mark.parametrize("directed, n", [
+    pytest.param(directed, n, id=str(directed) if n == 16 else f"{directed}-{n}")
+    for directed in (True, False) for n in CSR_NODE_COUNTS
+])
+def test_csr_matches_per_node_lists(directed, n):
     """The CSR arrays against per-node lists built by a plain loop over the
     chronological edges, on a planted net with tied times, repeated edges
-    and self-loops."""
+    and self-loops, whose 16 nodes are the highest ids of ``n``. The events,
+    static neighbours and adjacency are compared at every node with an edge
+    and at node 0; the event counts and degrees at every node."""
     sources, targets, times = tied_planted_truth()
-    n = 16
+    top = n - 16
     net = network_from_edges(
-        list(range(n)), np.r_[sources, 3, 3, 5], np.r_[targets, 3, 4, 5],
+        list(range(n)), np.r_[sources, 3, 3, 5] + top, np.r_[targets, 3, 4, 5] + top,
         np.r_[times, 1.0, 1.0, 2.0], directed=directed,
     )
 
@@ -434,13 +444,15 @@ def test_csr_matches_per_node_lists(directed):
         nbrs[s].add(t)
         nbrs[t].add(s)
         pairs.add((s, t) if directed or s < t else (t, s))
-    for u in range(n):
+    assert np.diff(net.indptr).tolist() == list(map(len, ev_n))
+    assert net.degrees.tolist() == list(map(len, nbrs))
+    probe = np.unique(np.r_[0, net.sources, net.targets])
+    for u in probe.tolist():
         ids, ts = net.events(u)
         assert ids.tolist() == ev_n[u] and ts.tolist() == ev_t[u]
         assert net.neighbors(u).tolist() == sorted(nbrs[u])
-        assert net.degrees[u] == len(nbrs[u])
-        assert net.adjacent(np.full(n, u), np.arange(n)).tolist() == [
-            w in nbrs[u] for w in range(n)
+        assert net.adjacent(np.full(len(probe), u), probe).tolist() == [
+            w in nbrs[u] for w in probe.tolist()
         ]
     assert net.pairs() == sorted(pairs) and net.static_edge_count == len(pairs)
 
@@ -631,16 +643,24 @@ def rebuilt_without(net, gone_keys):
     keep = ~np.isin(keys, gone_keys)
     return temporal_graph._build_network(
         net.labels, net.label_to_id, net.sources[keep], net.targets[keep],
-        net.times[keep], net.directed, normalize=False, t_range=(net.tmin, net.tmax))
+        net.times[keep], net.directed, t_range=(net.tmin, net.tmax))
+
+
+def non_edge_count(net) -> int:
+    """The pairs a mask can draw as negatives: distinct nodes, no static edge."""
+    n = net.node_count
+    return n * (n - 1) // (1 if net.directed else 2) - sum(a != b for a, b in net.pairs())
 
 
 @pytest.mark.parametrize("directed", [True, False])
 @pytest.mark.parametrize("seed", range(4))
 def test_mask_filters_to_the_network_a_rebuild_makes(directed, seed):
-    """The training network is the parent's arrays filtered, and it equals,
-    field by field and bit for bit, ``_build_network`` of the kept edges. The
-    net has duplicate temporal edges, equal times, pairs linked in both
-    directions and a raw time range that must be kept."""
+    """The training network equals, field by field and bit for bit,
+    ``_build_network`` of the edges whose pair is not ``np.isin`` the masked
+    ones, for masks of no pair, one, a third and all of them (as many as
+    there are non-edges, in the undirected nets). The net has duplicate
+    temporal edges, equal times, pairs linked in both directions and a raw
+    time range that must be kept."""
     rng = np.random.default_rng(seed)
     n = 12
     sources = rng.integers(0, n, 60)
@@ -650,39 +670,35 @@ def test_mask_filters_to_the_network_a_rebuild_makes(directed, seed):
     times = rng.integers(0, 25, len(sources)) * 4.0 + 100.0
     net = network_from_edges([f"n{i}" for i in range(n)], sources, targets, times, directed)
     n_pairs = net.static_edge_count
-    for chosen in ([], [0], np.sort(rng.choice(n_pairs, n_pairs // 3, replace=False)),
-                   range(n_pairs)):
-        chosen = np.asarray(chosen, dtype=np.int64)
-        got = temporal_graph._without_pairs(net, chosen)
-        assert network_state(got) == network_state(rebuilt_without(net, net.pair_keys[chosen]))
-    train, positives, _ = mask_static_edges(net, 4, np.random.default_rng(seed))
-    gone = [a * n + b for a, b in positives]
-    assert network_state(train) == network_state(rebuilt_without(net, gone))
-    assert (train.tmin, train.tmax) == (net.tmin, net.tmax) == (100.0, 196.0)
+    for count in (0, 1, n_pairs // 3, min(n_pairs, non_edge_count(net))):
+        train, positives, _ = mask_static_edges(net, count, np.random.default_rng(seed))
+        gone = [a * n + b for a, b in positives]
+        assert len(gone) == count
+        assert network_state(train) == network_state(rebuilt_without(net, gone))
+        assert (train.tmin, train.tmax) == (net.tmin, net.tmax) == (100.0, 196.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("directed", [True, False])
 def test_dropping_pairs_matches_a_plain_isin(directed, seed):
     """The mask's kept edges and events are those whose pair is not ``np.isin``
-    the dropped keys, searched over every key: the search of only the pairs
-    at a node that a dropped pair starts at misses none."""
+    the masked keys, searched over every key: the search of only the pairs
+    at a node that a masked pair starts at misses none."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 60))
     size = int(rng.integers(1, 400))
     sources, targets = rng.integers(0, n, size), rng.integers(0, n, size)
     net = network_from_edges(list(range(n)), sources, targets, rng.uniform(0, 1, size),
                              directed, normalize=False)
-    count = int(rng.integers(0, net.static_edge_count + 1))
-    chosen = np.sort(rng.choice(net.static_edge_count, size=count, replace=False))
-    gone = net.pair_keys[chosen]
+    count = int(rng.integers(0, min(net.static_edge_count, non_edge_count(net)) + 1))
+    train, positives, _ = mask_static_edges(net, count, rng)
+    gone = [a * n + b for a, b in positives]
 
     def kept(a, b):
         if not directed:
             a, b = np.minimum(a, b), np.maximum(a, b)
         return ~np.isin(a * n + b, gone)
 
-    train = temporal_graph._without_pairs(net, chosen)
     keep = kept(net.sources, net.targets)
     owner = np.repeat(np.arange(n), np.diff(net.indptr))
     keep_ev = kept(owner, net.ev_nbr)
