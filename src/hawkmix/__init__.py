@@ -3,7 +3,6 @@
 from .eval import (
     EvalReport,
     auc_roc,
-    edge_feature,
     infer_aspect_labels,
     logistic_fit,
     logistic_predict,
@@ -23,7 +22,6 @@ from .params import (
     HyperParams,
     ModelParams,
     all_embeddings,
-    concat_embedding,
     export_embeddings,
     init_params,
     load_params,
@@ -45,13 +43,10 @@ from .temporal_graph import (
 )
 from .training import (
     GradientSet,
-    LossSample,
     TrainingDiverged,
     batch_gradients,
     batch_loss,
-    gradients,
     make_sample,
-    sample_loss,
     train,
 )
 

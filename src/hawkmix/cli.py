@@ -183,12 +183,16 @@ def _check_config_value(action, value) -> None:
 
 def _resolve(args, parser) -> dict:
     """Merge CLI values over --config file values over built-in defaults. A
-    config key that no subcommand defines is a usage error, and so is a
-    value of the command's own options that does not fit the option."""
+    config file that is not a JSON object is a usage error, and so are a
+    config key that no subcommand defines and a value of the command's own
+    options that does not fit the option."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise SystemExit2(f"--config {args.config} is not valid JSON: {err}") from None
         if not isinstance(cfg, dict):
             raise SystemExit2(f"--config {args.config} must hold a JSON object")
         known = {key for name in _COMMANDS for key in vars(parser.parse_args([name]))}

@@ -40,15 +40,6 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def edge_feature(x, y) -> np.ndarray:
-    """Element-wise absolute difference of two embedding vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return np.abs(x - y)
-
-
 @dataclass
 class LogisticModel:
     weights: np.ndarray
@@ -215,7 +206,8 @@ def probe_report(
     emb = _embedding_slice(params, which)
     pairs = sorted(positives) + sorted(negatives)
     y, tr, te = _probe_split(len(positives), len(negatives), seed)
-    feats = np.stack([edge_feature(emb[a], emb[b]) for a, b in pairs])
+    ends = np.array(pairs, dtype=np.int64)
+    feats = np.abs(emb[ends[:, 0]] - emb[ends[:, 1]])
     model = logistic_fit(feats[tr], y[tr])
     probs = logistic_predict(model, feats[te])
     return EvalReport(

@@ -18,10 +18,11 @@ copies, and their squared norms come from ``ModelParams.node_terms``
 whole network per query. Where the candidate rows come from is the only
 difference: the same code computes the mixture for both, and its result
 feeds the backward pass either way.
-``Queries`` holds its arguments; ``assemble`` builds them from per-row event
-and Gumbel lists. ``build_context`` builds a one-row ``Queries``, and
-``candidate_scores`` and ``mixed_intensity`` score one; only the benchmark and
-the tests call these three. Everything here is pure in (params, inputs).
+``Queries`` holds its arguments, and ``Queries.stack`` pads one-row queries
+into one batch. ``build_context`` builds a one-row ``Queries`` from a list of
+history events, and ``candidate_scores`` and ``mixed_intensity`` score one;
+only the benchmark and the tests call these three. Everything here is pure
+in (params, inputs).
 
 Every squared distance in ``forward`` is in Gram form, |a|^2 + |b|^2 - 2 a.b,
 so no array of differences over the embedding dimension is built. The
@@ -47,25 +48,6 @@ from .params import ModelParams, softplus
 from .temporal_graph import Histories, window_histories
 
 LEAKY_SLOPE = 0.2
-
-
-def gumbel_noise(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k i.i.d. standard Gumbel draws: -log(-log(uniform))."""
-    return -np.log(-np.log(rng.random(k)))
-
-
-def node_shared_gumbel(nodes, real, uniforms) -> np.ndarray:
-    """(B, S, K) Gumbel noise for B rows of S node slots from (B, S, K) uniforms.
-
-    Noise is per node within a row: a slot whose node already appeared
-    earlier in the row reuses that first slot's draw. Slots not ``real``
-    (padding, which comes after the real slots) get zero noise.
-    """
-    nodes = np.asarray(nodes)
-    first = np.argmax(nodes[:, :, None] == nodes[:, None, :], axis=2)   # (B, S)
-    g = -np.log(-np.log(uniforms))
-    g = np.take_along_axis(g, first[:, :, None], axis=1)
-    return g * np.asarray(real, dtype=np.float64)[:, :, None]
 
 
 @dataclass
@@ -366,47 +348,42 @@ class Queries:
         g_h = None if self.g_h is None else self.g_h[rows, :length]
         return Queries(self.u[rows], self.cand[rows], cut, g_u, g_h)
 
+    @staticmethod
+    def stack(rows) -> "Queries":
+        """The one-row queries ``rows`` as one batch, in order. Windows are
+        padded to the widest with zero ids, dt and mask, and a row without
+        noise gets zero noise; with no noise in any row, ``g_u`` and ``g_h``
+        are None."""
+        b = len(rows)
+        widths = [row.hist.ids.shape[1] for row in rows]
+        lmax = max(widths, default=0)
+        ids = np.zeros((b, lmax), dtype=np.int64)
+        dt, mask = np.zeros((b, lmax)), np.zeros((b, lmax))
+        for i, (row, n) in enumerate(zip(rows, widths)):
+            ids[i, :n], dt[i, :n], mask[i, :n] = row.hist.ids[0], row.hist.dt[0], row.hist.mask[0]
+        u = np.concatenate([row.u for row in rows])
+        cand = np.concatenate([row.cand for row in rows])
+        noisy = [i for i, row in enumerate(rows) if row.g_u is not None]
+        if not noisy:
+            return Queries(u, cand, Histories(ids, dt, mask))
+        g_u = np.zeros((b, rows[noisy[0]].g_u.shape[1]))
+        g_h = np.zeros((b, lmax, g_u.shape[1]))
+        for i in noisy:
+            g_u[i], g_h[i, : widths[i]] = rows[i].g_u[0], rows[i].g_h[0]
+        return Queries(u, cand, Histories(ids, dt, mask), g_u, g_h)
 
-def assemble(k: int, u, cand, t, histories, noises) -> Queries:
-    """Queries from per-row lists: ``histories[i]`` holds the (neighbor, time)
-    events of row i before ``t[i]``, and ``noises[i]`` maps each node of the
-    row (its source and history nodes) to a (K,) Gumbel draw, or is None for
-    zero noise. With no noise in any row, ``g_u`` and ``g_h`` are None.
-    Raises ValueError if a history event comes after its row's query time.
+
+def build_context(params: ModelParams, u: int, v: int, t: float, history) -> Queries:
+    """The one-row query of u toward v at time t, with deterministic aspect
+    weights. ``history`` is a sequence of (neighbor, time) events before t;
+    raises ValueError if one comes after t.
     """
-    u = np.asarray(u, dtype=np.int64)
-    cand = np.asarray(cand, dtype=np.int64)
-    lens = np.array([len(ev) for ev in histories], dtype=np.int64)
-    stop = np.cumsum(lens)
-    events = [e for ev in histories for e in ev]
-    nbr = np.array([h for h, _ in events], dtype=np.int64)
-    ev_time = np.array([th for _, th in events], dtype=np.float64)
-    hist = window_histories(t, nbr, ev_time, stop - lens, stop)
+    nbr = np.array([h for h, _ in history], dtype=np.int64)
+    ev_time = np.array([th for _, th in history], dtype=np.float64)
+    hist = window_histories([t], nbr, ev_time, [0], [len(nbr)])
     if np.any(hist.dt < 0):
         raise ValueError("history events must not come after the query time")
-    if all(noise is None for noise in noises):
-        return Queries(u, cand, hist)
-    b, lmax = hist.ids.shape
-    g_u, g_h = np.zeros((b, k)), np.zeros((b, lmax, k))
-    lens = hist.mask.sum(axis=1).astype(np.int64).tolist()
-    rows = zip(noises, u.tolist(), hist.ids.tolist(), lens)
-    for i, (noise, src, ids, n) in enumerate(rows):
-        if noise is None:
-            continue
-        g_u[i] = noise[src]
-        for j in range(n):
-            g_h[i, j] = noise[ids[j]]
-    return Queries(u, cand, hist, g_u, g_h)
-
-
-def build_context(params: ModelParams, u: int, v: int, t: float, history, noise=None) -> Queries:
-    """The one-row query of u toward v at time t.
-
-    ``history`` is a sequence of (neighbor, time) events before t. ``noise``
-    replays per-node Gumbel vectors for u and each history node; without it
-    the aspect weights are deterministic.
-    """
-    return assemble(params.hyper.n_aspects, [u], [[v]], [t], [history], [noise])
+    return Queries(np.array([u], dtype=np.int64), np.array([[v]], dtype=np.int64), hist)
 
 
 def candidate_scores(params: ModelParams, query: Queries, targets) -> np.ndarray:

@@ -278,11 +278,6 @@ def init_params(hyper: HyperParams, node_count: int, rng: np.random.Generator) -
     return ModelParams.from_table(hyper, table, attn_w, attn_a)
 
 
-def concat_embedding(params: ModelParams, u: int) -> np.ndarray:
-    """[identity_u, aspect_u^1, ..., aspect_u^K] as one flat vector."""
-    return params.table[u, :-2].copy()
-
-
 def all_embeddings(params: ModelParams) -> np.ndarray:
     """Concatenated embeddings for every node, shape (n, m*(K+1))."""
     return params.table[:, :-2].copy()

@@ -379,14 +379,19 @@ def _first_non_number(tokens) -> int:
             return i
 
 
-def history(net: TemporalNetwork, u: int, t: float, limit: int):
-    """The at-most-``limit`` most recent events of u strictly before t, ascending."""
+def check_query(net: TemporalNetwork, u: int, t: float, limit: int) -> None:
+    """Raise ValueError unless ``limit`` >= 1, t is finite and u is a node of ``net``."""
     if limit < 1:
         raise ValueError("history length must be >= 1")
     if not np.isfinite(t):
         raise ValueError(f"query time {t} is not finite")
     if not 0 <= u < net.node_count:
         raise ValueError(f"node {u} out of range")
+
+
+def history(net: TemporalNetwork, u: int, t: float, limit: int):
+    """The at-most-``limit`` most recent events of u strictly before t, ascending."""
+    check_query(net, u, t, limit)
     (start,), (stop,) = net.windows([u], [t], limit)
     nbrs, times = net.ev_nbr[start:stop], net.ev_time[start:stop]
     return [NeighborEvent(int(n), float(tt)) for n, tt in zip(nbrs, times)]

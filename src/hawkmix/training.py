@@ -7,21 +7,25 @@ and flow through the aspect softmax (with Gumbel noise held fixed), the
 attention softmax, contexts, kernels, and the softplus reparameterizations of
 the per-node decay and temperature.
 
-Samples are padded into one batch whose forward pass is ``intensity.forward``;
-the backward pass here reuses the values that forward saved. A batch whose
-history-less rows would fill more padded window slots than it has rows runs
-through the engine in two parts, those rows at L = 0 and the rest padded to
-their own longest window, and both parts' gradient rows are scattered
-together (see ``_step``). The backward is derived
-from the forward's expanded aspect distance, so its sums over candidates are
-batched products over the K*m aspect columns, and no per-aspect (slot x
-candidate) array is built. The gradients are tested against finite
-differences, the loss against the loop-only oracle.
+A batch is one ``Queries`` (candidate 0 of each row the positive) whose
+forward pass is ``intensity.forward``; the backward pass here reuses the
+values that forward saved. A batch whose history-less rows would fill more
+padded window slots than it has rows runs through the engine in two parts,
+those rows at L = 0 and the rest padded to their own longest window, and
+both parts' gradient rows are scattered together (see ``_step``). The
+backward is derived from the forward's expanded aspect distance, so its
+sums over candidates are batched products over the K*m aspect columns, and
+no per-aspect (slot x candidate) array is built. The gradients are tested
+against finite differences, the loss against the loop-only oracle.
 The trainer draws its batches straight into the engine's arrays from the
 network's CSR events and counter-based random streams, ``DRAW_BATCHES``
 batches per draw, with Gumbel noise computed for the real node slots only;
 it and ``batch_gradients`` share one checked step, which raises
 ``TrainingDiverged`` on a non-finite intensity, loss or gradient.
+``make_sample`` draws one edge's row by the same rules from a given
+generator, and ``batch_loss`` and ``batch_gradients`` score a list of such
+one-row queries through ``Queries.stack``; only the benchmark and the tests
+call these three.
 
 Per-node state keeps one row layout, identity | aspect | rho | theta, from
 the backward scatter to the optimizer: the scatter sums each touched node's
@@ -41,19 +45,13 @@ from typing import Optional
 
 import numpy as np
 
-from .intensity import (
-    LEAKY_SLOPE,
-    Queries,
-    assemble,
-    forward,
-    node_shared_gumbel,
-)
+from .intensity import LEAKY_SLOPE, Queries, forward
 from .params import HyperParams, ModelParams, init_params, node_fields, save_params, sigmoid
 from .temporal_graph import (
     NegativeSampler,
     TemporalEdge,
+    check_query,
     fill_negatives,
-    history,
     sample_negatives,
 )
 
@@ -68,17 +66,6 @@ DRAW_BATCHES = 10
 
 class TrainingDiverged(ValueError):
     """A batch's intensities, losses or gradients became non-finite."""
-
-
-@dataclass
-class LossSample:
-    """One training example: an observed edge, its history window, sampled
-    negatives, and the per-node Gumbel draws used (kept for gradient replay)."""
-
-    edge: TemporalEdge
-    history: list
-    negatives: np.ndarray
-    gumbel: Optional[dict] = None
 
 
 @dataclass
@@ -131,62 +118,44 @@ class GradientSet:
         return float(np.sqrt(sq + np.einsum("i,i->", self.d_attn_a, self.d_attn_a)))
 
 
-def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> LossSample:
-    """Assemble the loss sample for one edge: recent history, negatives, noise.
+def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> Queries:
+    """The one-row query of one edge: its source, the target and then its
+    negatives as candidates, its recent window and its Gumbel noise.
 
     The same draw rules as a training batch, for one row and with ``rng`` as
-    the source of randomness.
+    the source of randomness: the negatives first, then the noise of the
+    source and of each window slot. Raises ValueError for an edge whose
+    source or time is not a valid query (see ``check_query``).
     """
     u, v, t = edge
-    hist = history(net, u, t, hyper.history_len)
+    check_query(net, u, t, hyper.history_len)
+    hist = net.histories([u], [t], hyper.history_len)
     negs = sample_negatives(sampler, net, u, v, hyper.n_negatives, rng)
-    noise = None
+    g_u = g_h = None
     if hyper.use_gumbel:
-        nodes = [u] + [h for h, _ in hist]
-        uni = rng.random((1, len(nodes), hyper.n_aspects))
-        noise = dict(zip(nodes, node_shared_gumbel([nodes], [[True] * len(nodes)], uni)[0]))
-    return LossSample(edge, hist, negs, noise)
+        nodes = np.column_stack([[u], hist.ids])
+        uniforms = rng.random((nodes.shape[1], hyper.n_aspects))
+        g = _real_slot_gumbel(nodes, np.ones(nodes.shape, dtype=bool), uniforms)
+        g_u, g_h = g[:, 0], g[:, 1:]
+    return Queries(np.array([u]), np.array([[v, *negs]], dtype=np.int64), hist, g_u, g_h)
 
 
-def sample_loss(params: ModelParams, sample: LossSample) -> float:
-    """Objective value for one sample, replaying its stored Gumbel draws."""
-    return float(batch_loss(params, [sample])[0])
+def batch_loss(params: ModelParams, rows) -> np.ndarray:
+    """Per-row losses of one-row queries (candidate 0 the positive), stacked
+    by ``Queries.stack``, through the batched forward; raises
+    TrainingDiverged on a non-finite intensity or loss."""
+    return _checked_forward(params, Queries.stack(rows), "batch")[1]
 
 
-def gradients(params: ModelParams, sample: LossSample) -> GradientSet:
-    """Exact gradient of ``sample_loss`` for every touched parameter."""
-    return batch_gradients(params, [sample])[1]
-
-
-def batch_loss(params: ModelParams, samples) -> np.ndarray:
-    """Per-sample losses through the batched forward; raises TrainingDiverged
-    on a non-finite intensity or loss."""
-    return _checked_forward(params, _assemble(params.hyper, samples), "batch")[1]
-
-
-def batch_gradients(params: ModelParams, samples):
-    """(mean loss, mean GradientSet) over a list of samples.
+def batch_gradients(params: ModelParams, rows):
+    """(mean loss, mean GradientSet) over one-row queries, as ``batch_loss``
+    stacks them.
 
     The same checked step as a training batch: raises TrainingDiverged (a
     ValueError) on a non-finite intensity, loss or gradient.
     """
-    losses, grads, _ = _step(params, _assemble(params.hyper, samples), "batch")
+    losses, grads, _ = _step(params, Queries.stack(rows), "batch")
     return float(losses.mean()), grads
-
-
-# ---------------------------------------------------------------------------
-# Batched engine: a ``Queries`` batch (candidate column 0 is the positive), the
-# shared forward, the loss, and the hand-derived backward over its saved values.
-
-
-def _assemble(hyper: HyperParams, samples) -> Queries:
-    cand = np.empty((len(samples), 1 + hyper.n_negatives), dtype=np.int64)
-    cand[:, 0] = [s.edge.target for s in samples]
-    cand[:, 1:] = [s.negatives for s in samples]
-    return assemble(
-        hyper.n_aspects, [s.edge.source for s in samples], cand, [s.edge.time for s in samples],
-        [s.history for s in samples], [s.gumbel for s in samples],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +275,11 @@ class _BatchSampler:
 
 
 def _real_slot_gumbel(nodes, real, uniforms) -> np.ndarray:
-    """``node_shared_gumbel`` of (B, S) node slots from the uniforms of the
-    ``real`` slots alone, (R, K) in row-major slot order: a padded slot's
-    noise is +0.0, and no logarithm is taken for it."""
+    """(B, S, K) Gumbel noise, -log(-log(uniform)), of B rows of S node slots,
+    from the uniforms of the ``real`` slots alone, (R, K) in row-major slot
+    order. Noise is per node within a row: a slot whose node already
+    appeared earlier in the row reuses that first slot's draw. A padded slot
+    (not ``real``) gets +0.0, and no logarithm is taken for it."""
     nodes = np.where(real, nodes, -1)
     first = np.argmax(nodes[:, :, None] == nodes[:, None, :], axis=2)    # (B, S)
     g = np.zeros(real.shape + uniforms.shape[1:])

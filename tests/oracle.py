@@ -123,6 +123,27 @@ def ref_sample_loss(params, sample):
     return loss
 
 
+def ref_node_shared_noise(nodes, real, draws):
+    """Per-node Gumbel noise of rows of node slots, as nested lists.
+
+    ``draws`` holds a (K,) draw for every slot. Within a row, a real slot
+    whose node already appeared at an earlier real slot takes that first
+    slot's draw, any other real slot its own; a padded slot (not ``real``)
+    gets zeros.
+    """
+    out = []
+    for row_nodes, row_real, row_draws in zip(nodes, real, draws):
+        first = {}
+        row = []
+        for node, is_real, draw in zip(row_nodes, row_real, row_draws):
+            if is_real:
+                row.append(first.setdefault(node, list(draw)))
+            else:
+                row.append([0.0] * len(draw))
+        out.append(row)
+    return out
+
+
 def ref_macro_f1(y_true, y_pred):
     """Confusion-matrix macro-F1, scalar arithmetic."""
     scores = []

@@ -394,6 +394,17 @@ def test_config_that_is_not_a_json_object_is_a_usage_error(simulated, tmp_path, 
     assert f"usage error: --config {config} must hold a JSON object" in capsys.readouterr().err
 
 
+def test_config_that_is_not_valid_json_is_a_usage_error(simulated, tmp_path, capsys):
+    """A malformed file is named, and rejected before the output directory is made."""
+    _, edges = simulated
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 1,')
+    out = tmp_path / "out"
+    assert run(["train", "--config", str(config), "--edges", str(edges), "--out", str(out)]) == 2
+    assert f"usage error: --config {config} is not valid JSON: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_config_replays_under_eval(simulated, tmp_path):
     """A key of another command is ignored: train's echo holds no eval key,
     and eval reads its own keys from it."""

@@ -7,26 +7,38 @@ from hypothesis import strategies as st
 
 from hawkmix import (
     NeighborEvent,
+    Queries,
+    TemporalEdge,
     build_context,
     candidate_scores,
     forward,
     mixed_intensity,
 )
-from hawkmix.intensity import Queries, assemble, gumbel_noise
 from hawkmix.params import softplus_inv
+from hawkmix.temporal_graph import Histories
 
 from oracle import ref_all, softmax as ref_softmax
-from util import random_params, read_only_copy
+from util import Sample, as_query, gumbel, random_params, read_only_copy
 
 
 def hist(*pairs):
     return [NeighborEvent(h, t) for h, t in pairs]
 
 
+def query(history, u=0, v=1, t=0.9, noise=None):
+    """The one-row query of u toward v at t, with the noise dict's draws."""
+    return as_query(Sample(TemporalEdge(u, v, t), history, gumbel=noise))
+
+
+def batch_of(u, t, histories):
+    """One padded batch of a query per row (u[i] toward node 1 at t[i])."""
+    return Queries.stack([query(h, u=src, t=when) for src, when, h in zip(u, t, histories)])
+
+
 def run(p, history, targets=(1,), u=0, t=0.9, noise=None):
-    """The forward pass for one query, assembled by build_context."""
-    ctx = build_context(p, u, targets[0], t, history, noise=noise)
-    return forward(p, [u], ctx.hist, np.asarray([targets]), ctx.g_u, ctx.g_h)
+    """The forward pass for one query toward ``targets``."""
+    q = as_query(Sample(TemporalEdge(u, targets[0], t), history, targets[1:], noise))
+    return forward(p, [u], q.hist, q.cand, q.g_u, q.g_h)
 
 
 def sq_dist(x, y):
@@ -140,10 +152,7 @@ def test_all_contexts_matches_context_op():
         (2, hist((4, 0.9))),
     ]
     srcs = [u for u, _ in queries]
-    padded = assemble(
-        p.hyper.n_aspects, srcs, np.ones((len(queries), 1)), [0.9] * len(queries),
-        [h for _, h in queries], [None] * len(queries),
-    )
+    padded = batch_of(srcs, [0.9] * len(queries), [h for _, h in queries])
     stacked = forward(p, srcs, padded.hist, padded.cand).ctx
     assert stacked.shape == (len(queries), p.hyper.n_aspects, p.aspect.shape[2])
     for i, (u, h) in enumerate(queries):
@@ -169,9 +178,7 @@ def test_context_is_the_weighted_blend_bit_for_bit(histories):
     p = random_params(rng)
     srcs = [0, 1, 3]
     p.aspect[1, 2, 0] = -0.0  # an empty window gives +0.0 for it, as the blend does
-    batch = assemble(
-        p.hyper.n_aspects, srcs, np.ones((3, 1)), [0.9] * 3, histories, [None] * 3,
-    )
+    batch = batch_of(srcs, [0.9] * 3, histories)
     fwd = forward(p, srcs, batch.hist, batch.cand)
     b, lmax = batch.hist.ids.shape
     assert lmax == max(len(h) for h in histories)
@@ -226,10 +233,9 @@ def test_aspect_distribution_gumbel_argmax_frequencies():
     expected = np.asarray(ref_softmax(f))
     draws = 100_000
     u = np.zeros(draws, dtype=np.int64)
-    empty = assemble(
-        4, u, np.empty((draws, 0)), np.full(draws, 0.5), [()] * draws, [None] * draws
-    ).hist
-    g_u = gumbel_noise(rng, 4 * draws).reshape(draws, 4)
+    empty = Histories(np.zeros((draws, 0), dtype=np.int64), np.zeros((draws, 0)),
+                      np.zeros((draws, 0)))
+    g_u = gumbel(rng, 4 * draws).reshape(draws, 4)
     fwd = forward(p, u, empty, np.empty((draws, 0)), g_u, np.zeros((draws, 0, 4)))
     counts = np.bincount(np.argmax(fwd.pi_u, axis=1), minlength=4)
     assert np.abs(counts / draws - expected).sum() <= 0.02
@@ -312,9 +318,9 @@ def test_intensity_invariant_under_history_permutation():
     p = random_params(rng, use_attention=True)
     h = hist((2, 0.1), (3, 0.4), (7, 0.8))
     noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0, 2, 3, 7]}
-    lam_a = mixed_intensity(p, build_context(p, 0, 1, 0.9, h, noise=noise))
+    lam_a = mixed_intensity(p, query(h, noise=noise))
     h_perm = [h[2], h[0], h[1]]
-    lam_b = mixed_intensity(p, build_context(p, 0, 1, 0.9, h_perm, noise=noise))
+    lam_b = mixed_intensity(p, query(h_perm, noise=noise))
     assert lam_a == pytest.approx(lam_b, abs=1e-12)
 
 
@@ -333,6 +339,64 @@ def test_no_attention_k1_reduces_to_plain_multivariate_form():
             * math.exp(-delta * (0.9 - th))
         )
     assert mixed_intensity(p, ctx) == pytest.approx(expect, abs=1e-12)
+
+
+def test_stack_pads_windows_and_noise_with_zeros():
+    """``Queries.stack`` pads each row's window to the widest with zero ids,
+    dt and mask, and gives a row without noise +0.0 noise; with no noise in
+    any row, ``g_u`` and ``g_h`` are None."""
+    rng = np.random.default_rng(40)
+    p = random_params(rng)
+    k = p.hyper.n_aspects
+    noise = {n: gumbel(rng, k) for n in (3, 2, 5)}
+    rows = [
+        query(hist((2, 0.1), (5, 0.4), (2, 0.6)), u=3, noise=noise),
+        query([], u=4),
+        query(hist((6, 0.2)), u=0),
+    ]
+    q = Queries.stack(rows)
+    assert q.u.tolist() == [3, 4, 0] and q.cand.tolist() == [[1], [1], [1]]
+    assert q.hist.ids.tolist() == [[2, 5, 2], [0, 0, 0], [6, 0, 0]]
+    assert q.hist.mask.tolist() == [[1, 1, 1], [0, 0, 0], [1, 0, 0]]
+    assert q.hist.dt.tolist() == [[0.9 - 0.1, 0.9 - 0.4, 0.9 - 0.6], [0, 0, 0], [0.9 - 0.2, 0, 0]]
+    assert q.g_u[0].tobytes() == noise[3].tobytes()
+    assert q.g_h[0].tobytes() == np.stack([noise[2], noise[5], noise[2]]).tobytes()
+    assert q.g_u[1:].tobytes() == np.zeros((2, k)).tobytes()
+    assert q.g_h[1:].tobytes() == np.zeros((2, 3, k)).tobytes()
+    quiet = Queries.stack(rows[1:])
+    assert quiet.g_u is None and quiet.g_h is None
+    assert quiet.hist.ids.tolist() == [[0], [6]] and quiet.hist.mask.tolist() == [[0], [1]]
+
+
+@pytest.mark.parametrize("use_gumbel", [True, False])
+def test_a_stacked_batch_scores_each_row_as_it_scores_alone(use_gumbel):
+    """Rows with windows of 0-4 events, a third of them without noise, each
+    toward three candidates: in one stacked batch every row's lam and pi
+    agree with the row scored alone to 1e-12, and bitwise in a batch whose
+    rows share one window length."""
+    rng = np.random.default_rng(41)
+    p = random_params(rng, use_gumbel=use_gumbel)
+    k = p.hyper.n_aspects
+    rows = []
+    for i, n_hist in enumerate([0, 4, 2, 0, 1, 3, 4, 2, 4]):
+        nodes = rng.integers(0, p.node_count, size=n_hist).tolist()
+        h = hist(*zip(nodes, np.sort(rng.uniform(0, 0.9, size=n_hist)).tolist()))
+        noise = {n: gumbel(rng, k) for n in [i % 5] + nodes} if use_gumbel and i % 3 else None
+        negatives = rng.integers(0, p.node_count, size=2)
+        rows.append(as_query(Sample(TemporalEdge(i % 5, 8, 0.9), h, negatives, noise)))
+    longest = [row for row in rows if row.hist.ids.shape[1] == 4]
+    for batch, exact in ((rows, False), (longest, True)):
+        q = Queries.stack(batch)
+        together = forward(p, q.u, q.hist, q.cand, q.g_u, q.g_h)
+        for i, row in enumerate(batch):
+            alone = forward(p, row.u, row.hist, row.cand, row.g_u, row.g_h)
+            n = row.hist.ids.shape[1] + 1
+            if exact:
+                assert together.lam[i].tobytes() == alone.lam[0].tobytes()
+                assert together.pi[i].tobytes() == alone.pi[0].tobytes()
+            else:
+                assert np.allclose(together.lam[i], alone.lam[0], atol=1e-12, rtol=0)
+                assert np.allclose(together.pi[i, :n], alone.pi[0], atol=1e-12, rtol=0)
 
 
 def test_candidate_scores_match_mixed_intensity():
@@ -372,8 +436,7 @@ def test_oracle_equivalence_50_fixtures():
             assert fwd.lam_k[0, 0, k] == pytest.approx(ref_lam_k[k], abs=1e-12)
         assert fwd.lam[0, 0] == pytest.approx(ref_lam, abs=1e-12)
         assert np.allclose(fwd.pi_u[0], ref_pis[0], atol=1e-12, rtol=0)
-        ctx = build_context(p, 0, 1, 0.9, h, noise=noise)
-        assert mixed_intensity(p, ctx) == pytest.approx(ref_lam, abs=1e-12)
+        assert mixed_intensity(p, query(h, noise=noise)) == pytest.approx(ref_lam, abs=1e-12)
 
 
 def target_in_history_fixtures(rng, scale, count=20):
@@ -455,9 +518,9 @@ def test_forward_without_candidates_gives_the_same_aspect_weights(use_attention,
     p = random_params(rng, use_attention=use_attention, use_gumbel=use_gumbel)
     k = p.hyper.n_aspects
     u = [0, 6, 1]
-    hists = assemble(
-        k, u, np.empty((3, 0)), [0.9, 0.8, 0.95],
-        [(), hist((2, 0.1), (3, 0.5)), hist((4, 0.1), (2, 0.2), (5, 0.6), (2, 0.7))], [None] * 3,
+    hists = batch_of(
+        u, [0.9, 0.8, 0.95],
+        [(), hist((2, 0.1), (3, 0.5)), hist((4, 0.1), (2, 0.2), (5, 0.6), (2, 0.7))],
     ).hist
     g_u = g_h = None
     if use_gumbel:
@@ -497,8 +560,9 @@ def test_source_weights_of_a_history_less_row_do_not_depend_on_its_batch(
     ]
     u = rng.integers(0, n, size=batch)
     cand = rng.integers(0, n, size=(batch, n_cand))
-    q = assemble(k, u, cand, np.full(batch, 0.9), histories, [None] * batch)
+    q = batch_of(u, np.full(batch, 0.9), histories)
     assert q.hist.ids.shape == (batch, 4)
+    q = Queries(q.u, cand, q.hist)
     if use_gumbel:
         g_h = rng.gumbel(size=(batch, 4, k)) * q.hist.mask[:, :, None]
         q = Queries(q.u, q.cand, q.hist, rng.gumbel(size=(batch, k)), g_h)
@@ -523,7 +587,7 @@ def test_read_out_aspect_weights_match_the_oracle_at_large_embeddings():
         noise = None
         if p.hyper.use_gumbel:
             noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes}
-        ctx = build_context(p, 0, 0, 0.9, h, noise=noise)
+        ctx = query(h, v=0, noise=noise)
         fwd = forward(p, [0], ctx.hist, np.empty((1, 0), dtype=np.int64), ctx.g_u, ctx.g_h)
         one = forward(p, [0], ctx.hist, ctx.cand, ctx.g_u, ctx.g_h)
         _, _, ref_pis, _, _ = ref_all(p, 0, 0, 0.9, h, noise)
@@ -547,7 +611,7 @@ def test_forward_on_every_node_matches_explicit_candidates(use_attention, use_gu
     u = [0, 6, 1][:batch]
     t = [0.9, 0.8, 0.95][:batch]
     events = [(), hist((2, 0.1), (3, 0.5)), hist((4, 0.1), (2, 0.2), (5, 0.6), (2, 0.7))]
-    hists = assemble(k, u, np.empty((batch, 0)), t, events[-batch:], [None] * batch).hist
+    hists = batch_of(u, t, events[-batch:]).hist
     g_u = g_h = noise = None
     if use_gumbel:
         noise = rng.gumbel(size=(n, k))  # one draw per node, as the oracle takes it
@@ -580,7 +644,7 @@ def test_every_node_intensities_match_the_oracle_at_large_embeddings(use_attenti
         k, n = p.hyper.n_aspects, p.node_count
         u, t = [3, 0, 7], [0.9, 0.8, 0.95]
         events = [(), hist((0, 0.3), (5, 0.5)), hist((4, 0.1), (8, 0.2), (1, 0.6), (8, 0.7))]
-        hists = assemble(k, u, np.empty((3, 0)), t, events, [None] * 3).hist
+        hists = batch_of(u, t, events).hist
         g_u = g_h = noise = None
         if use_gumbel:
             noise = rng.gumbel(size=(n, k))
@@ -614,7 +678,7 @@ def test_intensities_on_every_node_are_never_positive(
     noise = None
     if use_gumbel:
         noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes.tolist()}
-    ctx = build_context(p, 0, 0, 0.9, h, noise=noise)
+    ctx = query(h, v=0, noise=noise)
     fwd = forward(p, [0], ctx.hist, None, ctx.g_u, ctx.g_h)
     explicit = forward(p, [0], ctx.hist, np.arange(p.node_count)[None], ctx.g_u, ctx.g_h)
     assert fwd.lam.shape == (1, p.node_count)
@@ -639,9 +703,7 @@ def test_a_read_only_model_scores_every_node_bitwise_as_its_writable_copy(use_at
     u, t = [0, 5, 3], [0.9, 0.8, 0.95]
     events = [(), hist((5, 0.1), (2, 0.5)), hist((6, 0.1), (0, 0.2), (8, 0.6), (5, 0.7))]
     for rows in ([0], [1], [2], [0, 1, 2], [2]):
-        hists = assemble(k, [u[r] for r in rows], np.empty((len(rows), 0)),
-                         [t[r] for r in rows], [events[r] for r in rows],
-                         [None] * len(rows)).hist
+        hists = batch_of([u[r] for r in rows], [t[r] for r in rows], [events[r] for r in rows]).hist
         got = forward(frozen, [u[r] for r in rows], hists, None)
         want = forward(p, [u[r] for r in rows], hists, None)
         assert got.lam.tobytes() == want.lam.tobytes()

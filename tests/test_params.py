@@ -10,7 +10,6 @@ from scipy.special import expit
 from hawkmix import (
     HyperParams,
     ModelParams,
-    concat_embedding,
     init_params,
     load_params,
     save_params,
@@ -158,26 +157,26 @@ def test_concat_embedding_order():
     p = init_params(hyper(m=2, k=2), 1, np.random.default_rng(0))
     p.identity[0] = [1.0, 2.0]
     p.aspect[0] = [[3.0, 4.0], [5.0, 6.0]]
-    assert concat_embedding(p, 0).tolist() == [1, 2, 3, 4, 5, 6]
+    assert all_embeddings(p)[0].tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_concat_embedding_k1_length():
     p = init_params(hyper(m=3, k=1), 2, np.random.default_rng(0))
-    assert len(concat_embedding(p, 1)) == 6
+    assert len(all_embeddings(p)[1]) == 6
 
 
 def test_concat_embedding_zero_params():
     p = init_params(hyper(m=2, k=2), 1, np.random.default_rng(0))
     p.identity[:] = 0
     p.aspect[:] = 0
-    assert np.all(concat_embedding(p, 0) == 0)
+    assert np.all(all_embeddings(p)[0] == 0)
 
 
 def test_all_embeddings_matches_concat():
     p = init_params(hyper(m=3, k=2), 4, np.random.default_rng(5))
     emb = all_embeddings(p)
     for u in range(4):
-        assert np.array_equal(emb[u], concat_embedding(p, u))
+        assert np.array_equal(emb[u], np.concatenate([p.identity[u], p.aspect[u].ravel()]))
 
 
 def test_save_load_roundtrip_bitwise(tmp_path):
@@ -282,7 +281,7 @@ def test_export_embeddings_format(tmp_path):
     assert first[0] == "alpha"
     assert len(first) == 1 + 2 * 2
     vals = np.array([float(x) for x in first[1:]])
-    assert np.array_equal(vals, concat_embedding(p, 0))
+    assert np.array_equal(vals, all_embeddings(p)[0])
 
 
 def test_hyperparams_validation():

@@ -16,9 +16,10 @@ from hawkmix import (
     network_from_edges,
 )
 from hawkmix import training as training_mod
-from hawkmix.intensity import node_shared_gumbel
 from hawkmix.temporal_graph import fill_negatives
 from hawkmix.training import EdgeStreams, philox4x32
+
+from oracle import ref_node_shared_noise
 
 SPEC = PlantedSpec(2, 10, 1.0, 0.3, 1.0, 10.0, 0.1)
 HYPER = HyperParams(n_aspects=3, history_len=4, dim=4, n_negatives=5, seed=11)
@@ -165,11 +166,12 @@ def test_batch_reads_noise_then_negatives_from_the_stream_columns(directed, coar
     batch = training_mod._BatchSampler(net, HYPER).batch(3, idx)
     stream, k = EdgeStreams(HYPER.seed, 3), HYPER.n_aspects
     slots = batch.hist.ids.shape[1] + 1
-    g = node_shared_gumbel(
-        np.column_stack([batch.u, batch.hist.ids]),
-        np.column_stack([np.ones(len(idx)), batch.hist.mask]),
-        stream.uniforms(idx, 0, slots * k).reshape(len(idx), slots, k),
-    )
+    draws = -np.log(-np.log(stream.uniforms(idx, 0, slots * k)))
+    g = np.array(ref_node_shared_noise(
+        np.column_stack([batch.u, batch.hist.ids]).tolist(),
+        np.column_stack([np.ones(len(idx)), batch.hist.mask]).tolist(),
+        draws.reshape(len(idx), slots, k).tolist(),
+    ))
     assert np.array_equal(batch.g_u, g[:, 0]) and np.array_equal(batch.g_h, g[:, 1:])
     n_noise, nodes = (HYPER.history_len + 1) * k, NegativeSampler(net).nodes
     negs = fill_negatives(
@@ -236,16 +238,18 @@ def test_heads_are_each_edges_leading_stream_columns():
 @pytest.mark.parametrize("directed", [True, False])
 def test_noise_of_padded_slots_is_positive_zero(directed):
     """A padded slot's noise is +0.0 and a real slot's noise is
-    ``node_shared_gumbel`` of the stream's full noise columns, byte for byte."""
+    the oracle's node-shared noise of the stream's full noise columns, byte
+    for byte."""
     net = planted(directed)
     idx = np.random.default_rng(2).permutation(net.n_edges)[:120]
     batch = training_mod._BatchSampler(net, HYPER).batch(5, idx)
     k, slots = HYPER.n_aspects, batch.hist.ids.shape[1] + 1
     real = np.column_stack([np.ones(len(idx)), batch.hist.mask]) > 0
-    uni = EdgeStreams(HYPER.seed, 5).uniforms(idx, 0, slots * k)
-    want = node_shared_gumbel(
-        np.column_stack([batch.u, batch.hist.ids]), real, uni.reshape(len(idx), slots, k)
-    )
+    draws = -np.log(-np.log(EdgeStreams(HYPER.seed, 5).uniforms(idx, 0, slots * k)))
+    want = np.array(ref_node_shared_noise(
+        np.column_stack([batch.u, batch.hist.ids]).tolist(), real.tolist(),
+        draws.reshape(len(idx), slots, k).tolist(),
+    ))
     got = np.concatenate([batch.g_u[:, None], batch.g_h], axis=1)
     assert (~real).sum() > 0 and real[:, 1:].sum() > 0
     assert got[real].tobytes() == want[real].tobytes()

@@ -7,30 +7,40 @@ import pytest
 
 from hawkmix import (
     HyperParams,
-    LossSample,
     NegativeSampler,
     NeighborEvent,
     PlantedSpec,
+    Queries,
     TemporalEdge,
     TrainingDiverged,
     batch_gradients,
     batch_loss,
     generate,
-    gradients,
+    history,
     init_params,
     load_params,
     make_sample,
-    sample_loss,
+    sample_negatives,
     train,
 )
 from hawkmix import training as training_mod
-from hawkmix.intensity import gumbel_noise
 from hawkmix.params import node_fields
 
-from oracle import ref_sample_loss
+from oracle import ref_node_shared_noise, ref_sample_loss
 from util import (
-    assert_read_only, fd_max_rel_error, random_params, random_sample, spy_forward,
+    Sample, as_query, assert_read_only, fd_max_rel_error, gumbel, random_params, random_sample,
+    spy_forward,
 )
+
+
+def loss_alone(p, sample):
+    """The loss of a raw ``Sample`` scored alone."""
+    return float(batch_loss(p, [as_query(sample)])[0])
+
+
+def grads_alone(p, sample):
+    """The gradients of a raw ``Sample`` scored alone."""
+    return batch_gradients(p, [as_query(sample)])[1]
 
 
 def zero_lambda_sample(n_neg=1):
@@ -38,7 +48,7 @@ def zero_lambda_sample(n_neg=1):
     p = random_params(rng, n_nodes=5, m=3, k=2, n_negatives=n_neg, use_gumbel=False)
     p.identity[:] = 0.0
     p.aspect[:] = 0.0
-    sample = LossSample(
+    sample = Sample(
         TemporalEdge(0, 1, 0.9),
         [NeighborEvent(2, 0.4)],
         np.array([3] * n_neg),
@@ -49,12 +59,12 @@ def zero_lambda_sample(n_neg=1):
 
 def test_loss_all_zero_intensities():
     p, sample = zero_lambda_sample(n_neg=1)
-    assert sample_loss(p, sample) == pytest.approx(2 * math.log(2), abs=1e-12)
+    assert loss_alone(p, sample) == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_loss_scales_with_negative_count():
     p, sample = zero_lambda_sample(n_neg=4)
-    assert sample_loss(p, sample) == pytest.approx(5 * math.log(2), abs=1e-12)
+    assert loss_alone(p, sample) == pytest.approx(5 * math.log(2), abs=1e-12)
 
 
 def test_loss_separation_limit():
@@ -65,8 +75,8 @@ def test_loss_separation_limit():
     p.aspect[:] = 0.0
     p.identity[3] = 40.0
     p.aspect[3] = 40.0
-    sample = LossSample(TemporalEdge(0, 1, 0.9), [], np.array([3]), None)
-    assert sample_loss(p, sample) == pytest.approx(math.log(2), abs=1e-9)
+    sample = Sample(TemporalEdge(0, 1, 0.9), [], np.array([3]), None)
+    assert loss_alone(p, sample) == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_loss_stable_for_extreme_intensities():
@@ -77,8 +87,8 @@ def test_loss_stable_for_extreme_intensities():
     p.aspect[:] = 0.0
     p.identity[1] = 100.0
     p.aspect[1] = 100.0
-    sample = LossSample(TemporalEdge(0, 1, 0.9), [], np.array([3]), None)
-    loss = sample_loss(p, sample)
+    sample = Sample(TemporalEdge(0, 1, 0.9), [], np.array([3]), None)
+    loss = loss_alone(p, sample)
     assert np.isfinite(loss)
     # lambda_pos = mu * gamma = -(3*100^2)^2; -log sig(x) ~ |x|; the negative
     # candidate contributes exactly ln 2 (all-zero embeddings)
@@ -90,9 +100,9 @@ def test_loss_raises_on_nonfinite():
     p, sample = zero_lambda_sample()
     p.identity[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        sample_loss(p, sample)
+        loss_alone(p, sample)
     with pytest.raises(ValueError, match="non-finite"):
-        batch_loss(p, [sample])
+        batch_gradients(p, [as_query(sample)])
 
 
 def test_loss_matches_reference_oracle():
@@ -105,7 +115,7 @@ def test_loss_matches_reference_oracle():
             k=1 + trial % 3,
         )
         s = random_sample(rng, p, n_hist=trial % 4)
-        assert sample_loss(p, s) == pytest.approx(ref_sample_loss(p, s), abs=1e-12)
+        assert loss_alone(p, s) == pytest.approx(ref_sample_loss(p, s), abs=1e-12)
 
 
 def test_scalar_and_batched_loss_agree():
@@ -114,13 +124,14 @@ def test_scalar_and_batched_loss_agree():
     for trial in range(20):
         p = random_params(rng, use_attention=trial % 2 == 0, use_gumbel=trial % 2 == 1)
         s = random_sample(rng, p, n_hist=trial % 4)
-        assert batch_loss(p, [s])[0] == pytest.approx(ref_sample_loss(p, s), abs=1e-12)
+        assert batch_loss(p, [as_query(s)])[0] == pytest.approx(ref_sample_loss(p, s), abs=1e-12)
     p = random_params(rng, n_nodes=12, n_negatives=3)
     samples = [random_sample(rng, p, n_hist=n) for n in (0, 1, 3, 3, 2)]
     ref = [ref_sample_loss(p, s) for s in samples]
-    alone = [sample_loss(p, s) for s in samples]
-    assert np.allclose(batch_loss(p, samples), ref, atol=1e-12, rtol=0)
-    assert np.allclose(batch_loss(p, samples), alone, atol=1e-12, rtol=0)
+    alone = [loss_alone(p, s) for s in samples]
+    rows = [as_query(s) for s in samples]
+    assert np.allclose(batch_loss(p, rows), ref, atol=1e-12, rtol=0)
+    assert np.allclose(batch_loss(p, rows), alone, atol=1e-12, rtol=0)
 
 
 def test_gradients_match_finite_differences():
@@ -139,7 +150,7 @@ def test_gradients_match_finite_differences():
                 rng, use_attention=case["use_attention"], use_gumbel=case["use_gumbel"]
             )
             s = random_sample(rng, p, n_hist=case["n_hist"])
-            err = fd_max_rel_error(p, s, sample_loss)
+            err = fd_max_rel_error(p, as_query(s))
             assert err < 1e-4, f"{case}: rel err {err}"
 
 
@@ -153,8 +164,8 @@ def test_gradients_match_finite_differences_target_in_history():
         noise = None
         if use_gumbel:
             noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in (0, 1, 3, 5)}
-        s = LossSample(TemporalEdge(0, 1, 0.9), hist, np.array([5, 6]), noise)
-        err = fd_max_rel_error(p, s, sample_loss)
+        s = Sample(TemporalEdge(0, 1, 0.9), hist, np.array([5, 6]), noise)
+        err = fd_max_rel_error(p, as_query(s))
         assert err < 1e-4, f"attention={use_attention}, gumbel={use_gumbel}: rel err {err}"
 
 
@@ -166,9 +177,9 @@ def test_batch_gradients_raise_on_nonfinite_gradient():
     p = random_params(rng)
     s = random_sample(rng, p, n_hist=2)
     p.theta[0] = -378.0
-    assert np.isfinite(sample_loss(p, s))
+    assert np.isfinite(loss_alone(p, s))
     with pytest.raises(ValueError, match="non-finite gradient"):
-        batch_gradients(p, [s])
+        batch_gradients(p, [as_query(s)])
 
 
 def test_gradient_additivity_over_negatives():
@@ -176,13 +187,13 @@ def test_gradient_additivity_over_negatives():
     rng = np.random.default_rng(7)
     p = random_params(rng, n_negatives=2, use_gumbel=False)
     hist = [NeighborEvent(5, 0.2), NeighborEvent(6, 0.6)]
-    s_aa = LossSample(TemporalEdge(0, 1, 0.9), hist, np.array([4, 4]), None)
+    s_aa = Sample(TemporalEdge(0, 1, 0.9), hist, np.array([4, 4]), None)
     p1 = random_params(rng, n_negatives=1, use_gumbel=False)
     for name in ("identity", "aspect", "rho", "theta", "attn_w", "attn_a"):
         setattr(p1, name, getattr(p, name).copy())
-    s_a = LossSample(TemporalEdge(0, 1, 0.9), hist, np.array([4]), None)
-    g_aa = gradients(p, s_aa)
-    g_a = gradients(p1, s_a)
+    s_a = Sample(TemporalEdge(0, 1, 0.9), hist, np.array([4]), None)
+    g_aa = grads_alone(p, s_aa)
+    g_a = grads_alone(p1, s_a)
     # the pos-edge part of d/dI_4 is zero (4 is not u, v, or history), so the
     # whole row is the negative-candidate contribution and must double exactly
     r_aa, r_a = list(g_aa.nodes).index(4), list(g_a.nodes).index(4)
@@ -194,7 +205,7 @@ def test_gradient_locality():
     rng = np.random.default_rng(8)
     p = random_params(rng, n_nodes=10)
     s = random_sample(rng, p, n_hist=2)
-    gs = gradients(p, s)
+    gs = grads_alone(p, s)
     involved = {0, 1} | {h for h, _ in s.history} | set(int(x) for x in s.negatives)
     assert gs.touched() == involved
     assert len(gs.d_identity) == len(gs.d_aspect) == len(involved)
@@ -207,8 +218,8 @@ def test_gradient_replay_is_deterministic():
     rng = np.random.default_rng(9)
     p = random_params(rng)
     s = random_sample(rng, p, n_hist=3)
-    a = gradients(p, s)
-    b = gradients(p, s)
+    a = grads_alone(p, s)
+    b = grads_alone(p, s)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.d_identity, b.d_identity)
     assert np.array_equal(a.d_attn_w, b.d_attn_w)
@@ -218,9 +229,9 @@ def test_batch_gradient_equals_mean_of_samples():
     rng = np.random.default_rng(10)
     p = random_params(rng, n_nodes=12, n_negatives=3)
     samples = [random_sample(rng, p, n_hist=n) for n in (0, 1, 3, 3, 2)]
-    mean_loss, gbatch = batch_gradients(p, samples)
-    singles = [gradients(p, s) for s in samples]
-    losses = [sample_loss(p, s) for s in samples]
+    mean_loss, gbatch = batch_gradients(p, [as_query(s) for s in samples])
+    singles = [grads_alone(p, s) for s in samples]
+    losses = [loss_alone(p, s) for s in samples]
     assert mean_loss == pytest.approx(np.mean(losses), abs=1e-12)
     b = len(samples)
     rows = [dict(zip(g.nodes.tolist(), range(len(g.nodes)))) for g in (gbatch, *singles)]
@@ -341,7 +352,7 @@ def test_train_updates_touch_only_batch_nodes():
     edge = TemporalEdge(int(net.sources[0]), int(net.targets[0]), float(net.times[0]))
     sample = make_sample(net, sampler, edge, hyper, np.random.default_rng(1))
     before = params.identity.copy()
-    batch = training_mod._assemble(hyper, [sample])
+    batch = Queries.stack([sample])
     fwd, _ = training_mod._forward_loss(params, batch)
     compact = training_mod._backward(params, batch, fwd)
     adam = training_mod._LazyAdam(params, hyper.lr)
@@ -363,16 +374,17 @@ def test_batch_rows_with_and_without_noise_match_single_samples():
     full = [random_sample(rng, p), random_sample(rng, p, with_noise=False)]
     empty = [random_sample(rng, p, n_hist=0), random_sample(rng, p, n_hist=0, with_noise=False)]
     for samples in (full, empty):
-        assert batch_loss(p, samples).tolist() == [sample_loss(p, s) for s in samples]
-        batch = training_mod._assemble(p.hyper, samples)
+        rows = [as_query(s) for s in samples]
+        assert batch_loss(p, rows).tolist() == [loss_alone(p, s) for s in samples]
+        batch = Queries.stack(rows)
         assert batch.g_u[0].any() and not batch.g_u[1].any() and not batch.g_h[1].any()
-    quiet = [full[1], empty[1]]
-    batch = training_mod._assemble(p.hyper, quiet)
+    quiet = [as_query(full[1]), as_query(empty[1])]
+    batch = Queries.stack(quiet)
     assert batch.g_u is None and batch.g_h is None
-    nodes = [[s.edge.source] + [h for h, _ in s.history] for s in quiet]
-    zero = [replace(s, gumbel={n: np.zeros(p.hyper.n_aspects) for n in ns})
-            for s, ns in zip(quiet, nodes)]
-    assert training_mod._assemble(p.hyper, zero).g_u is not None
+    k = p.hyper.n_aspects
+    zero = [replace(q, g_u=np.zeros((1, k)), g_h=np.zeros((1, q.hist.ids.shape[1], k)))
+            for q in quiet]
+    assert Queries.stack(zero).g_u is not None
     assert batch_loss(p, quiet).tobytes() == batch_loss(p, zero).tobytes()
 
 
@@ -438,10 +450,11 @@ def test_nonfinite_gradient_stops_before_the_update(monkeypatch):
     )
 
 
-def mixed_samples(rng, p, lens, n_free=None):
-    """Loss samples with windows of ``lens`` events over nodes ``0..n_free-1``
-    (default: every node), drawn at random for every role, so that nodes
-    repeat across sources, candidates and histories; each with Gumbel noise."""
+def mixed_batch(rng, p, lens, n_free=None):
+    """A stacked batch of rows with windows of ``lens`` events over nodes
+    ``0..n_free-1`` (default: every node), drawn at random for every role, so
+    that nodes repeat across sources, candidates and histories; each with
+    Gumbel noise."""
     n_free = p.node_count if n_free is None else n_free
     k = p.hyper.n_aspects
     samples = []
@@ -450,10 +463,10 @@ def mixed_samples(rng, p, lens, n_free=None):
         hist_nodes = rng.integers(0, n_free, size=n_hist)
         hist_times = np.sort(rng.uniform(0, 0.9, size=n_hist))
         hist = [NeighborEvent(int(h), float(t)) for h, t in zip(hist_nodes, hist_times)]
-        noise = {int(node): gumbel_noise(rng, k) for node in [u, *hist_nodes]}
+        noise = {int(node): gumbel(rng, k) for node in [u, *hist_nodes]}
         negs = rng.integers(0, n_free, size=p.hyper.n_negatives)
-        samples.append(LossSample(TemporalEdge(u, v, 0.9), hist, negs, noise))
-    return samples
+        samples.append(as_query(Sample(TemporalEdge(u, v, 0.9), hist, negs, noise)))
+    return Queries.stack(samples)
 
 
 def test_backward_scatter_is_a_batch_order_segment_sum(monkeypatch):
@@ -464,7 +477,7 @@ def test_backward_scatter_is_a_batch_order_segment_sum(monkeypatch):
     for bit."""
     rng = np.random.default_rng(23)
     p = random_params(rng, n_nodes=7, history_len=4)
-    batch = training_mod._assemble(p.hyper, mixed_samples(rng, p, [0, 4, 2, 0, 1, 3, 4, 2]))
+    batch = mixed_batch(rng, p, [0, 4, 2, 0, 1, 3, 4, 2])
     valid = batch.hist.mask.reshape(-1) > 0
     roles = (batch.u, batch.cand.reshape(-1), batch.hist.ids.reshape(-1)[valid])
     assert not valid.all()
@@ -521,7 +534,7 @@ def split_batch(seed, n_free=None):
     p = random_params(rng, n_nodes=12, history_len=4)
     lens = np.array([0] * 30 + [4, 1, 2, 3, 4] * 2)
     rng.shuffle(lens)
-    batch = training_mod._assemble(p.hyper, mixed_samples(rng, p, lens, n_free))
+    batch = mixed_batch(rng, p, lens, n_free)
     return p, batch
 
 
@@ -570,14 +583,41 @@ def test_make_sample_contents():
     idx = net.n_edges - 1
     edge = TemporalEdge(int(net.sources[idx]), int(net.targets[idx]), float(net.times[idx]))
     s = make_sample(net, sampler, edge, hyper, np.random.default_rng(2))
-    assert len(s.negatives) == 4
-    assert len(s.history) <= 3
-    assert all(ev.time < edge.time for ev in s.history)
-    assert s.gumbel is not None and edge.source in s.gumbel
-    for h, _ in s.history:
-        assert h in s.gumbel
+    window = history(net, edge.source, edge.time, 3)
+    assert s.u.tolist() == [edge.source]
+    assert s.cand.shape == (1, 5) and s.cand[0, 0] == edge.target
+    assert s.hist.ids[0].tolist() == [h for h, _ in window]
+    assert len(window) <= 3 and np.all(s.hist.mask == 1.0) and np.all(s.hist.dt > 0)
+    assert s.g_u.shape == (1, 2) and s.g_h.shape == (1, len(window), 2)
     blocked = set(net.neighbors(edge.source).tolist()) | {edge.source, edge.target}
-    assert all(int(w) not in blocked for w in s.negatives)
+    assert all(int(w) not in blocked for w in s.cand[0, 1:])
+
+
+def test_make_sample_shares_noise_per_node_after_the_negatives():
+    """On a window that repeats a node, the noise is the oracle's node-shared
+    draw of the uniforms that ``rng`` gives after the negatives, byte for
+    byte; an edge with an unknown source or a non-finite time raises
+    ValueError."""
+    net = tiny_net()
+    hyper = HyperParams(n_aspects=3, dim=4, history_len=5, n_negatives=4, seed=0)
+    for i in range(net.n_edges):
+        edge = TemporalEdge(int(net.sources[i]), int(net.targets[i]), float(net.times[i]))
+        nodes = [edge.source] + [h for h, _ in history(net, edge.source, edge.time, 5)]
+        if len(set(nodes[1:])) < len(nodes) - 1:
+            break
+    else:
+        pytest.fail("no window repeats a node")
+    s = make_sample(net, NegativeSampler(net), edge, hyper, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    negs = sample_negatives(NegativeSampler(net), net, edge.source, edge.target, 4, rng)
+    draws = gumbel(rng, (1, len(nodes), 3))
+    want = ref_node_shared_noise([nodes], [[True] * len(nodes)], draws.tolist())
+    assert s.cand[0, 1:].tolist() == negs.tolist()
+    got = np.concatenate([s.g_u[:, None], s.g_h], axis=1)
+    assert got.tobytes() == np.array(want).tobytes()
+    for bad in (TemporalEdge(net.node_count, 0, 0.5), TemporalEdge(0, 1, float("nan"))):
+        with pytest.raises(ValueError):
+            make_sample(net, NegativeSampler(net), bad, hyper, np.random.default_rng(3))
 
 
 def reference_lazy_adam(params, steps, lr):

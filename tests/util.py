@@ -1,10 +1,52 @@
 """Shared builders for random model/sample fixtures."""
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 import pytest
 
-from hawkmix import HyperParams, LossSample, ModelParams, NeighborEvent, TemporalEdge
-from hawkmix.intensity import gumbel_noise
+from hawkmix import (
+    HyperParams, ModelParams, NeighborEvent, Queries, TemporalEdge, batch_gradients, batch_loss,
+)
+from hawkmix.temporal_graph import Histories
+
+
+class Sample(NamedTuple):
+    """One loss sample as a raw record, the form ``oracle.ref_sample_loss``
+    reads: an observed edge, its (neighbor, time) history events, the
+    negative targets, and a node -> (K,) Gumbel draw dict for the source and
+    every history node, or None for no noise."""
+
+    edge: TemporalEdge
+    history: list
+    negatives: np.ndarray = np.empty(0, dtype=np.int64)
+    gumbel: Optional[dict] = None
+
+
+def as_query(sample) -> Queries:
+    """The one-row ``Queries`` of a raw ``Sample`` record: the target and then
+    the negatives as candidates, the history events as the window, and the
+    source's and each history slot's draw from the noise dict."""
+    (u, v, t), events = sample.edge, sample.history
+    n = len(events)
+    hist = Histories(
+        np.array([h for h, _ in events], dtype=np.int64).reshape(1, n),
+        np.array([t - th for _, th in events], dtype=np.float64).reshape(1, n),
+        np.ones((1, n)),
+    )
+    cand = np.array([[v, *sample.negatives]], dtype=np.int64)
+    if sample.gumbel is None:
+        return Queries(np.array([u]), cand, hist)
+    noise = sample.gumbel
+    g_h = np.zeros((1, n, len(noise[u])))
+    for j, (h, _) in enumerate(events):
+        g_h[0, j] = noise[h]
+    return Queries(np.array([u]), cand, hist, np.array([noise[u]], dtype=np.float64), g_h)
+
+
+def gumbel(rng, size):
+    """Standard Gumbel draws, -log(-log(uniform))."""
+    return -np.log(-np.log(rng.random(size)))
 
 
 def random_params(
@@ -42,7 +84,7 @@ def random_params(
 
 
 def random_sample(rng, params, n_hist=3, t=0.9, with_noise=True):
-    """A loss sample over random nodes of ``params``; u=0, v=1, negatives >= 2."""
+    """A ``Sample`` over random nodes of ``params``; u=0, v=1, negatives >= 2."""
     n = params.node_count
     k = params.hyper.n_aspects
     u, v = 0, 1
@@ -55,21 +97,20 @@ def random_sample(rng, params, n_hist=3, t=0.9, with_noise=True):
         noise = {}
         for node in [u] + [h for h, _ in hist]:
             if node not in noise:
-                noise[node] = gumbel_noise(rng, k)
-    return LossSample(TemporalEdge(u, v, t), hist, np.asarray(negs), noise)
+                noise[node] = gumbel(rng, k)
+    return Sample(TemporalEdge(u, v, t), hist, np.asarray(negs), noise)
 
 
-def fd_max_rel_error(params, sample, loss_fn, step=1e-5):
+def fd_max_rel_error(params, sample, step=1e-5):
     """Worst elementwise relative error of analytic vs central-difference grads.
 
-    Sweeps every parameter the sample touches (plus one untouched node, which
-    must have an exactly-zero analytic gradient) and perturbs through
-    ``loss_fn(params, sample)``. Relative error uses a 1e-4 floor so that
-    near-zero gradients are compared at the finite-difference noise scale.
+    Sweeps every parameter the one-row query ``sample`` touches (plus one
+    untouched node, which must have an exactly-zero analytic gradient) and
+    perturbs through ``batch_loss``. Relative error uses a 1e-4 floor so
+    that near-zero gradients are compared at the finite-difference noise
+    scale.
     """
-    from hawkmix import gradients
-
-    gs = gradients(params, sample)
+    gs = batch_gradients(params, [sample])[1]
     m = params.hyper.dim
     k = params.hyper.n_aspects
     worst = 0.0
@@ -78,9 +119,9 @@ def fd_max_rel_error(params, sample, loss_fn, step=1e-5):
         nonlocal worst
         orig = arr[idx]
         arr[idx] = orig + step
-        up = loss_fn(params, sample)
+        up = batch_loss(params, [sample])[0]
         arr[idx] = orig - step
-        down = loss_fn(params, sample)
+        down = batch_loss(params, [sample])[0]
         arr[idx] = orig
         fd = (up - down) / (2 * step)
         rel = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-4)
