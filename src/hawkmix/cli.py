@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross", type=float, default=None)
     _add_common(p)
 
-    p = sub.add_parser("intensity", help="per-aspect rate series along a node's events")
+    p = sub.add_parser("intensity", help="per-aspect relative target scores at a node's events")
     p.add_argument("--model", default=None)
     p.add_argument("--edges", default=None)
     p.add_argument("--directed", action="store_const", const=True, default=None)
@@ -346,6 +346,13 @@ def _cmd_recommend(cfg) -> int:
     if time is not None and not math.isfinite(time):
         raise SystemExit2(f"--time must be a finite number, not {time!r}")
     params, net, u = _model_net_node(cfg, node)
+    truth = None
+    if cfg.get("truth"):
+        with open(cfg["truth"]) as fh:
+            truth = {net.label_to_id[x] for x in map(str.strip, fh) if x in net.label_to_id}
+        if not truth:
+            raise ValueError(f"ground truth is empty: {cfg['truth']} names no node "
+                             "of the edge list")
     out = _echo_config(cfg)
     t = float(net.times.max()) + 1e-9 if time is None else net.normalized_time(time)
     ranked = recommend(params, net, u, t, k)
@@ -354,10 +361,7 @@ def _cmd_recommend(cfg) -> int:
         writer.writerow(["rank", "node", "score"])
         for rank, (v, score) in enumerate(ranked, start=1):
             writer.writerow([rank, net.labels[v], format(score, ".17g")])
-    if cfg.get("truth"):
-        with open(cfg["truth"]) as fh:
-            truth_labels = [line.strip() for line in fh if line.strip()]
-        truth = {net.label_to_id[x] for x in truth_labels if x in net.label_to_id}
+    if truth is not None:
         prec, rec = precision_recall_at_k(ranked, truth, k)
         metrics = {
             "task": "temporal_node_recommendation",
@@ -379,6 +383,7 @@ def _cmd_simulate(cfg) -> int:
         horizon=cfg["horizon"],
         cross_aspect_prob=cfg["cross"],
     )
+    HyperParams(seed=cfg["seed"])  # the seed range that train checks
     out = _echo_config(cfg)
     _, truth = generate(spec, np.random.default_rng(cfg["seed"]))
     with open(out / "edges.txt", "w") as fh:
@@ -402,17 +407,18 @@ def _cmd_intensity(cfg) -> int:
     # One event per call (a single slot rounds up to one query): no window
     # is padded to another's, and the attention's products over the batch,
     # which round a row differently with the batch's size, see that row
-    # alone, so each event's rate depends on that event only.
+    # alone, so each event's score depends on that event only. exp(lam_k)
+    # ranks targets at one event's time; it is not a rate across times.
     lam_k = np.empty((len(ts), params.hyper.n_aspects))
     for idx, hist in net.history_chunks(src, ts, params.hyper.history_len, slots=1):
         lam_k[idx] = forward(params, src[idx], hist, nbrs[idx, None]).lam_k[:, 0, :]
-    rates = np.exp(lam_k)                                            # (events, K)
+    scores = np.exp(lam_k)                                           # (events, K)
     with open(out / "intensity.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "aspect", "lambda"])
-        for t, row in zip(net.raw_time(ts).tolist(), rates.tolist()):
-            for k, rate in enumerate(row):
-                writer.writerow([format(t, ".17g"), k, format(rate, ".17g")])
+        for t, row in zip(net.raw_time(ts).tolist(), scores.tolist()):
+            for k, score in enumerate(row):
+                writer.writerow([format(t, ".17g"), k, format(score, ".17g")])
     return 0
 
 

@@ -1,11 +1,13 @@
-"""The connection-rate model: one batched forward pass.
+"""The target-scoring model: one batched forward pass.
 
-The raw rate of a source node u linking to a target v mixes per-aspect
-intensities: each aspect combines a base term (identity similarity scaled by
-aspect-embedding spread) with excitation from u's recent neighbors, weighted
-by graph attention, their own aspect activeness, and an exponential time
-decay. Aspect weights come from a temperature-scaled softmax over context
-similarities, optionally perturbed with fixed Gumbel noise during training.
+The raw score lam of a source node u toward a target v at one time mixes
+per-aspect intensities: each aspect combines a base term (identity
+similarity scaled by aspect-embedding spread) with excitation from u's
+recent neighbors, weighted by graph attention, their own aspect activeness,
+and an exponential time decay. Aspect weights come from a temperature-scaled
+softmax over context similarities, optionally perturbed with fixed Gumbel
+noise during training. exp(lam) ranks targets at one time: it is a relative
+target score, not a rate over time.
 
 ``forward`` evaluates the model for a batch of queries (source, padded
 history, candidate targets) and is the only implementation of it: training,
@@ -57,17 +59,18 @@ class Forward:
     A query's node slots are its source (slot 0) and its L history events
     (slots 1..L). The outputs are ``pi`` (B, L+1, K) aspect weights of every
     slot (of the source alone when C == 0) and ``lam`` (B, C) the raw mixed
-    intensities; apply exp() for a positive rate per unit time. ``ctx``
-    (B, K, m) holds the contexts, ``attn`` and ``kappa`` (B, L) the
-    attention weights and kernel values, ``mu`` (B, C) the identity
-    similarity of source and candidate. ``ic``, ``ac`` and ``ac_sq`` hold
-    the candidates' identity and aspect embeddings and per-aspect squared
-    norms: gathered copies for explicit candidates, and read-only views of
-    ``params.node_terms()`` and of the table's aspect block, broadcast over
-    the B rows, when ``forward`` is called with ``cand=None`` (C == node
-    count). Either way the result feeds the backward pass. The per-aspect
-    intensities ``lam_k`` (B, C, K) are not kept: the property computes them
-    on access, and builds a (B, L+1, C, K) array then.
+    intensities; exp(lam) is a relative target score at the query's time,
+    not a rate over time. ``ctx`` (B, K, m) holds the contexts, ``attn``
+    and ``kappa`` (B, L) the attention weights and kernel values, ``mu``
+    (B, C) the identity similarity of source and candidate. ``ic``, ``ac``
+    and ``ac_sq`` hold the candidates' identity and aspect embeddings and
+    per-aspect squared norms: gathered copies for explicit candidates, and
+    read-only views of ``params.node_terms()`` and of the table's aspect
+    block, broadcast over the B rows, when ``forward`` is called with
+    ``cand=None`` (C == node count). Either way the result feeds the
+    backward pass. The per-aspect intensities ``lam_k`` (B, C, K) are not
+    kept: the property computes them on access, and builds a (B, L+1, C, K)
+    array then.
     With no candidates (C == 0) the candidate terms, the attention and the
     history slots' identities and aspect weights are skipped: ``lam_k``,
     ``lam`` and ``mu`` are empty; ``attn``, ``z``, ``wu``, ``wh``, ``ic``,
@@ -393,5 +396,6 @@ def candidate_scores(params: ModelParams, query: Queries, targets) -> np.ndarray
 
 
 def mixed_intensity(params: ModelParams, query: Queries) -> float:
-    """Raw mixed rate of a one-row query toward its candidate; apply exp() for a rate."""
+    """Raw mixed score of a one-row query toward its candidate; exp() of it is
+    a relative target score at the query's time."""
     return float(candidate_scores(params, query, query.cand[0])[0])

@@ -5,12 +5,14 @@ per-node decay and temperature scalars are stored unconstrained and mapped
 through a softplus so they stay strictly positive under gradient updates.
 A node's parameters are one row of a node table, laid out as identity |
 aspect | rho | theta; the training gradients and the optimizer's moments use
-the same row layout.
+the same row layout, and ``node_fields`` is the one function that reads it.
 
 The models that ``train`` and ``load_params`` return are read-only: their
 node table, its field views and the attention arrays refuse writes. To edit
-one, wrap copies of its arrays: ``ModelParams.from_table(p.hyper,
-p.table.copy(), p.attn_w.copy(), p.attn_a.copy())``.
+one, wrap copies of its arrays: ``ModelParams(p.hyper, p.table.copy(),
+p.attn_w.copy(), p.attn_a.copy())``. To build a model from separate arrays,
+stack them into a table: ``np.column_stack([identity, aspect.reshape(n,
+-1), rho, theta])``.
 """
 
 from __future__ import annotations
@@ -116,28 +118,6 @@ def node_fields(table: np.ndarray, m: int):
     return table[:, :m], table[:, m:-2].reshape(n, k, m), table[:, -2], table[:, -1]
 
 
-class _NodeField:
-    """One of ``ModelParams``' per-node arrays: a view into its table."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, params, owner=None):
-        if params is None:
-            return self
-        return params._fields[self.name]
-
-    def __set__(self, params, value):
-        view = params._fields[self.name]
-        if not view.flags.writeable:
-            raise ValueError(
-                f"cannot assign {self.name}: the model is read-only; edit a copy of its table"
-            )
-        if np.shape(value) != view.shape:
-            raise ValueError(f"{self.name} must have shape {view.shape}, not {np.shape(value)}")
-        view[...] = value
-
-
 class ModelParams:
     """All trainable arrays for one model.
 
@@ -149,44 +129,25 @@ class ModelParams:
     attn_w   : (m, m) shared attention projection
     attn_a   : (2m,) attention scoring vector
 
-    ``identity``, ``aspect``, ``rho`` and ``theta`` are views into ``table``:
-    a write through one is a write to the table, and assigning one copies the
-    values into its columns. The constructor packs the four arrays into a new
-    table; ``from_table`` wraps an existing table without a copy.
+    The model wraps ``table`` itself, not a copy of it. ``identity``,
+    ``aspect``, ``rho`` and ``theta`` are its ``node_fields`` views: a write
+    through one is a write to the table, and none of them can be assigned.
 
     ``freeze`` makes a model read-only; ``train`` and ``load_params`` return
     frozen models. A model whose table is read-only is taken to be constant:
     ``node_terms`` then computes its per-node terms once and keeps them. To
-    edit a frozen model, wrap copies of its arrays with ``from_table``.
+    edit a frozen model, wrap copies of its arrays in a new one.
     """
 
-    identity = _NodeField()
-    aspect = _NodeField()
-    rho = _NodeField()
-    theta = _NodeField()
-
-    def __init__(self, hyper, identity, aspect, rho, theta, attn_w, attn_a):
-        self._bind(hyper, np.empty((len(identity), hyper.row_width)), attn_w, attn_a)
-        self.identity, self.aspect, self.rho, self.theta = identity, aspect, rho, theta
-
-    @classmethod
-    def from_table(cls, hyper: HyperParams, table, attn_w, attn_a) -> "ModelParams":
-        """Parameters over ``table`` itself, not a copy of it."""
+    def __init__(self, hyper: HyperParams, table, attn_w, attn_a):
         if table.shape[1:] != (hyper.row_width,) or table.dtype != np.float64:
             raise ValueError(
                 f"node table must be float64 of shape (n, {hyper.row_width}), "
                 f"not {table.dtype} {table.shape}"
             )
-        params = cls.__new__(cls)
-        params._bind(hyper, table, attn_w, attn_a)
-        return params
-
-    def _bind(self, hyper, table, attn_w, attn_a):
         self.hyper, self.attn_w, self.attn_a = hyper, attn_w, attn_a
         self._table = table
-        self._fields = dict(
-            zip(("identity", "aspect", "rho", "theta"), node_fields(table, hyper.dim))
-        )
+        self._fields = node_fields(table, hyper.dim)
         self._norms = None
 
     def freeze(self) -> "ModelParams":
@@ -199,7 +160,7 @@ class ModelParams:
         """
         for arr in (self._table, self.attn_w, self.attn_a):
             arr.flags.writeable = False
-        self._bind(self.hyper, self._table, self.attn_w, self.attn_a)
+        self._fields = node_fields(self._table, self.hyper.dim)
         return self
 
     def node_terms(self):
@@ -228,6 +189,12 @@ class ModelParams:
     @property
     def table(self) -> np.ndarray:
         return self._table
+
+    # the table's node_fields views: written through, never assigned
+    identity = property(lambda self: self._fields[0])
+    aspect = property(lambda self: self._fields[1])
+    rho = property(lambda self: self._fields[2])
+    theta = property(lambda self: self._fields[3])
 
     @property
     def node_count(self) -> int:
@@ -260,27 +227,28 @@ def init_params(hyper: HyperParams, node_count: int, rng: np.random.Generator) -
     m = hyper.dim
     half = 0.5 / m
     table = np.empty((node_count, hyper.row_width))
+    identity, aspect, rho, theta = node_fields(table, m)
     # uniform(-half, half) is -half + (2 * half) * random(), bit for bit: the
     # draws go to one reused buffer, and the shift writes them to the table
     buf = np.empty(_INIT_BLOCK * hyper.total_dim)
-    for cols in (slice(0, m), slice(m, -2)):
+    for field in (identity, aspect):
         for lo in range(0, node_count, _INIT_BLOCK):
-            block = table[lo : lo + _INIT_BLOCK, cols]
+            block = field[lo : lo + _INIT_BLOCK]
             draws = rng.random(out=buf[: block.size].reshape(block.shape))
             draws *= half - (-half)
             np.add(draws, -half, out=block)
-    table[:, -2:] = float(softplus_inv(1.0))
+    rho[:] = theta[:] = float(softplus_inv(1.0))
     attn_w = np.eye(m)
     noise = rng.uniform(-0.01, 0.01, size=(m, m))
     np.fill_diagonal(noise, 0.0)
     attn_w += noise
     attn_a = rng.uniform(-0.01, 0.01, size=2 * m)
-    return ModelParams.from_table(hyper, table, attn_w, attn_a)
+    return ModelParams(hyper, table, attn_w, attn_a)
 
 
 def all_embeddings(params: ModelParams) -> np.ndarray:
     """Concatenated embeddings for every node, shape (n, m*(K+1))."""
-    return params.table[:, :-2].copy()
+    return np.concatenate([params.identity, params.aspect.reshape(params.node_count, -1)], axis=1)
 
 
 _ARRAY_FIELDS = ("identity", "aspect", "rho", "theta", "attn_w", "attn_a")
@@ -322,31 +290,20 @@ def load_params(path) -> ModelParams:
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelFileError(f"{path}: malformed header: {exc!r}") from exc
     off += hlen
-    m, k = hyper.dim, hyper.n_aspects
-    shapes = {
-        "identity": (n, m),
-        "aspect": (n, k, m),
-        "rho": (n,),
-        "theta": (n,),
-        "attn_w": (m, m),
-        "attn_a": (2 * m,),
-    }
-    arrays = {}
-    for name in _ARRAY_FIELDS:
-        shape = shapes[name]
-        count = math.prod(shape)
-        if len(data) < off + 8 * count:
+    m = hyper.dim
+    try:
+        table = np.empty((n, hyper.row_width))
+    except (MemoryError, ValueError) as exc:  # a count that no file can hold
+        raise ModelFileError(f"{path}: node_count {n} is too large: {exc}") from exc
+    attn_w, attn_a = np.empty((m, m)), np.empty(2 * m)
+    for name, arr in zip(_ARRAY_FIELDS, (*node_fields(table, m), attn_w, attn_a)):
+        if len(data) < off + 8 * arr.size:
             raise ModelFileError(f"{path}: truncated while reading '{name}'")
-        arrays[name] = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
+        arr[...] = np.frombuffer(data, dtype="<f8", count=arr.size, offset=off).reshape(arr.shape)
+        off += 8 * arr.size
     if off != len(data):
         raise ModelFileError(f"{path}: {len(data) - off} unexpected trailing bytes")
-    table = np.empty((n, hyper.row_width))
-    for view, name in zip(node_fields(table, m), _ARRAY_FIELDS):
-        view[...] = arrays[name]
-    return ModelParams.from_table(
-        hyper, table, arrays["attn_w"].copy(), arrays["attn_a"].copy()
-    ).freeze()
+    return ModelParams(hyper, table, attn_w, attn_a).freeze()
 
 
 def export_embeddings(params: ModelParams, path, labels=None) -> None:

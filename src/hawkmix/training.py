@@ -73,36 +73,14 @@ class GradientSet:
     """Gradients over the unique touched nodes; an absent node's are zero.
 
     ``nodes`` is sorted and unique, and row i of ``rows`` is the gradient of
-    row ``nodes[i]`` of ``ModelParams.table``, in its layout: identity |
-    aspect | rho | theta. ``d_identity`` (U, m), ``d_aspect`` (U, K, m),
-    ``d_rho`` (U,) and ``d_theta`` (U,) are views into ``rows``. The
-    attention gradients are dense.
+    row ``nodes[i]`` of ``ModelParams.table``, in its layout (read it with
+    ``node_fields``). The attention gradients are dense.
     """
 
     nodes: np.ndarray
     rows: np.ndarray        # (U, m + K*m + 2)
     d_attn_w: np.ndarray    # (m, m)
     d_attn_a: np.ndarray    # (2m,)
-
-    def fields(self):
-        """(d_identity, d_aspect, d_rho, d_theta) views of ``rows``."""
-        return node_fields(self.rows, len(self.d_attn_w))
-
-    @property
-    def d_identity(self) -> np.ndarray:
-        return self.fields()[0]
-
-    @property
-    def d_aspect(self) -> np.ndarray:
-        return self.fields()[1]
-
-    @property
-    def d_rho(self) -> np.ndarray:
-        return self.fields()[2]
-
-    @property
-    def d_theta(self) -> np.ndarray:
-        return self.fields()[3]
 
     def touched(self) -> set:
         return set(self.nodes.tolist())

@@ -257,6 +257,41 @@ def test_recommend_k_or_time_that_is_not_a_number_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulate_seed_outside_64_bits_is_an_error(tmp_path, capsys, seed):
+    """``simulate`` checks the seed range that ``train`` checks, with its
+    message, before it writes anything."""
+    out = tmp_path / "sim"
+    assert run(["simulate", "--aspects", "2", "--nodes-per", "3", "--seed", str(seed),
+                "--out", str(out)]) == 1
+    assert f"error: seed must be in [0, 2**64), not {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def run_recommend_with_truth(root, edges, truth, out):
+    return run(["recommend", "--model", str(root / "train" / "model.bin"), "--edges", str(edges),
+                "--directed", "--node", "0", "--truth", str(truth), "--out", str(out)])
+
+
+def test_recommend_with_a_missing_truth_file_is_a_usage_error(simulated, tmp_path, capsys):
+    root, edges = simulated
+    out = tmp_path / "out"
+    assert run_recommend_with_truth(root, edges, tmp_path / "nosuch.txt", out) == 2
+    err = capsys.readouterr().err
+    assert "usage error: missing input:" in err and "nosuch.txt" in err
+    assert not out.exists()
+
+
+def test_recommend_with_a_truth_file_that_names_no_node_is_an_error(simulated, tmp_path, capsys):
+    root, edges = simulated
+    truth, out = tmp_path / "truth.txt", tmp_path / "out"
+    truth.write_text("nobody\n\n  \n")
+    assert run_recommend_with_truth(root, edges, truth, out) == 1
+    assert (f"error: ground truth is empty: {truth} names no node of the edge list"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @EVAL_SETUPS
 def test_zero_mask_count_is_an_error_before_training(simulated, tmp_path, capsys, extra):
     _, edges = simulated

@@ -235,7 +235,7 @@ def mixed_net():
 
 
 def with_batch_size(params, batch_size):
-    return ModelParams.from_table(
+    return ModelParams(
         replace(params.hyper, batch_size=batch_size), params.table, params.attn_w, params.attn_a
     )
 

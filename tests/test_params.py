@@ -72,16 +72,15 @@ def test_node_fields_are_views_of_the_table():
     n, m, k = 5, 3, 2
     arrays = {"identity": rng.normal(size=(n, m)), "aspect": rng.normal(size=(n, k, m)),
               "rho": rng.normal(size=n), "theta": rng.normal(size=n)}
-    p = ModelParams(hyper(m=m, k=k), **arrays, attn_w=np.eye(m), attn_a=np.zeros(2 * m))
-    table = p.table
-    assert table.shape == (n, m + k * m + 2)
-    # packed once, in the row layout identity | aspect | rho | theta
-    assert np.array_equal(table, np.column_stack([
+    table = np.column_stack([
         arrays["identity"], arrays["aspect"].reshape(n, -1), arrays["rho"], arrays["theta"],
-    ]))
-    arrays["rho"][0] = 99.0  # the table is a copy of the inputs
-    assert table[0, -2] != 99.0
-    for name in ("identity", "aspect", "rho", "theta"):
+    ])
+    p = ModelParams(hyper(m=m, k=k), table, np.eye(m), np.zeros(2 * m))
+    assert p.table is table  # wrapped, not copied
+    assert table.shape == (n, m + k * m + 2)
+    # the views read the row layout identity | aspect | rho | theta
+    for name, arr in arrays.items():
+        assert np.array_equal(getattr(p, name), arr), name
         assert np.shares_memory(getattr(p, name), table), name
     p.identity[1, 2] = 7.0
     p.aspect[2, 1, 0] = 8.0
@@ -89,11 +88,29 @@ def test_node_fields_are_views_of_the_table():
     p.theta[4] = 10.0
     assert table[1, 2] == 7.0 and table[2, m + m] == 8.0
     assert table[3, -2] == 9.0 and table[4, -1] == 10.0
-    # assigning a field copies into the same table
-    p.theta = np.arange(n, dtype=float)
-    assert p.table is table and np.array_equal(table[:, -1], np.arange(n))
-    with pytest.raises(ValueError, match="identity"):
-        p.identity = np.zeros((n, m + 1))
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros((5, 12)), np.zeros((5, 11), dtype=np.float32), np.zeros(11),
+], ids=["wrong-width", "float32", "1-d"])
+def test_model_rejects_a_table_of_the_wrong_shape_or_dtype(table):
+    """At m=3, K=2 a row is 3 + 2*3 + 2 = 11 float64 values wide."""
+    with pytest.raises(ValueError, match=r"node table must be float64 of shape \(n, 11\)"):
+        ModelParams(hyper(m=3, k=2), table, np.eye(3), np.zeros(6))
+
+
+def test_a_field_of_a_writable_model_cannot_be_assigned():
+    """The fields are views of the table, so they are written through, never
+    rebound; an assignment leaves the table as it was. (``assert_read_only``
+    checks the same on frozen models.)"""
+    p = init_params(hyper(m=3, k=2), 4, np.random.default_rng(0))
+    table = p.table.copy()
+    with pytest.raises(AttributeError, match="identity"):
+        p.identity = np.zeros((4, 3))
+    for name in ("aspect", "rho", "theta"):
+        with pytest.raises(AttributeError, match=name):
+            setattr(p, name, np.zeros_like(getattr(p, name)))
+    assert p.table.tobytes() == table.tobytes()
 
 
 def test_init_embedding_range_scales_with_dim():
@@ -216,6 +233,33 @@ def test_load_truncated_file_errors(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ModelFileError, match="truncated"):
+        load_params(path)
+    # one byte short of the end of each array names that array
+    (hlen,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC))
+    end = len(MODEL_MAGIC) + 4 + hlen
+    for name in ("identity", "aspect", "rho", "theta", "attn_w", "attn_a"):
+        end += 8 * getattr(p, name).size
+        path.write_bytes(blob[: end - 1])
+        with pytest.raises(ModelFileError, match=f"truncated while reading '{name}'$"):
+            load_params(path)
+    assert end == len(blob)
+
+
+@pytest.mark.parametrize("n", [10**13, 10**30])
+def test_load_node_count_too_large_to_allocate_errors(tmp_path, n):
+    """A header whose node count no table can hold is a ModelFileError, not a
+    MemoryError or numpy's dimension error; no memory is touched. (Where the
+    system lets 10**13 rows be reserved, the file is truncated instead.)"""
+    p = init_params(hyper(), 3, np.random.default_rng(0))
+    path = tmp_path / "model.bin"
+    save_params(p, path)
+    blob = path.read_bytes()
+    off = len(MODEL_MAGIC)
+    (hlen,) = struct.unpack_from("<I", blob, off)
+    header = json.loads(blob[off + 4 : off + 4 + hlen])
+    text = json.dumps({**header, "node_count": n}).encode()
+    path.write_bytes(MODEL_MAGIC + struct.pack("<I", len(text)) + text + blob[off + 4 + hlen :])
+    with pytest.raises(ModelFileError):
         load_params(path)
 
 
@@ -355,9 +399,9 @@ def test_a_writable_copy_of_a_frozen_model_can_be_edited():
     p = init_params(hyper(m=3, k=2), 4, np.random.default_rng(0)).freeze()
     q = writable_copy(p)
     q.identity[1] = 2.0
-    q.rho = np.zeros(4)
+    q.rho[:] = 0.0
     q.attn_w[0, 0] = 3.0
-    assert np.all(q.identity[1] == 2.0) and q.attn_w[0, 0] == 3.0
+    assert np.all(q.identity[1] == 2.0) and np.all(q.rho == 0.0) and q.attn_w[0, 0] == 3.0
     assert p.identity[1, 0] != 2.0 and p.attn_w[0, 0] != 3.0
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from hawkmix import (
     HyperParams,
+    ModelParams,
     NegativeSampler,
     NeighborEvent,
     PlantedSpec,
@@ -28,8 +29,8 @@ from hawkmix.params import node_fields
 
 from oracle import ref_node_shared_noise, ref_sample_loss
 from util import (
-    Sample, as_query, assert_read_only, fd_max_rel_error, gumbel, random_params, random_sample,
-    spy_forward,
+    Sample, as_query, assert_read_only, fd_max_rel_error, grad_fields, gumbel, random_params,
+    random_sample, spy_forward,
 )
 
 
@@ -188,17 +189,17 @@ def test_gradient_additivity_over_negatives():
     p = random_params(rng, n_negatives=2, use_gumbel=False)
     hist = [NeighborEvent(5, 0.2), NeighborEvent(6, 0.6)]
     s_aa = Sample(TemporalEdge(0, 1, 0.9), hist, np.array([4, 4]), None)
-    p1 = random_params(rng, n_negatives=1, use_gumbel=False)
-    for name in ("identity", "aspect", "rho", "theta", "attn_w", "attn_a"):
-        setattr(p1, name, getattr(p, name).copy())
+    p1 = ModelParams(replace(p.hyper, n_negatives=1), p.table.copy(), p.attn_w.copy(),
+                     p.attn_a.copy())
     s_a = Sample(TemporalEdge(0, 1, 0.9), hist, np.array([4]), None)
     g_aa = grads_alone(p, s_aa)
     g_a = grads_alone(p1, s_a)
     # the pos-edge part of d/dI_4 is zero (4 is not u, v, or history), so the
     # whole row is the negative-candidate contribution and must double exactly
     r_aa, r_a = list(g_aa.nodes).index(4), list(g_a.nodes).index(4)
-    assert np.allclose(g_aa.d_identity[r_aa], 2 * g_a.d_identity[r_a], atol=1e-12)
-    assert np.allclose(g_aa.d_aspect[r_aa], 2 * g_a.d_aspect[r_a], atol=1e-12)
+    (di_aa, da_aa, _, _), (di_a, da_a, _, _) = grad_fields(g_aa), grad_fields(g_a)
+    assert np.allclose(di_aa[r_aa], 2 * di_a[r_a], atol=1e-12)
+    assert np.allclose(da_aa[r_aa], 2 * da_a[r_a], atol=1e-12)
 
 
 def test_gradient_locality():
@@ -208,7 +209,7 @@ def test_gradient_locality():
     gs = grads_alone(p, s)
     involved = {0, 1} | {h for h, _ in s.history} | set(int(x) for x in s.negatives)
     assert gs.touched() == involved
-    assert len(gs.d_identity) == len(gs.d_aspect) == len(involved)
+    assert all(len(d) == len(involved) for d in grad_fields(gs))
     for w in range(10):
         if w not in involved:
             assert w not in gs.nodes
@@ -221,7 +222,7 @@ def test_gradient_replay_is_deterministic():
     a = grads_alone(p, s)
     b = grads_alone(p, s)
     assert np.array_equal(a.nodes, b.nodes)
-    assert np.array_equal(a.d_identity, b.d_identity)
+    assert np.array_equal(grad_fields(a)[0], grad_fields(b)[0])
     assert np.array_equal(a.d_attn_w, b.d_attn_w)
 
 
@@ -235,19 +236,20 @@ def test_batch_gradient_equals_mean_of_samples():
     assert mean_loss == pytest.approx(np.mean(losses), abs=1e-12)
     b = len(samples)
     rows = [dict(zip(g.nodes.tolist(), range(len(g.nodes)))) for g in (gbatch, *singles)]
+    ident, aspect, rho = ([grad_fields(g)[i] for g in (gbatch, *singles)] for i in range(3))
     for node, row in rows[0].items():
-        expect = sum(g.d_identity[r[node]] for g, r in zip(singles, rows[1:]) if node in r) / b
-        assert np.allclose(gbatch.d_identity[row], expect, atol=1e-12)
-        expect_a = sum(g.d_aspect[r[node]] for g, r in zip(singles, rows[1:]) if node in r) / b
-        assert np.allclose(gbatch.d_aspect[row], expect_a, atol=1e-12)
+        expect = sum(d[r[node]] for d, r in zip(ident[1:], rows[1:]) if node in r) / b
+        assert np.allclose(ident[0][row], expect, atol=1e-12)
+        expect_a = sum(d[r[node]] for d, r in zip(aspect[1:], rows[1:]) if node in r) / b
+        assert np.allclose(aspect[0][row], expect_a, atol=1e-12)
     expect_w = sum(g.d_attn_w for g in singles) / b
     assert np.allclose(gbatch.d_attn_w, expect_w, atol=1e-12)
     expect_rho = {}
-    for g in singles:
-        for node, val in zip(g.nodes.tolist(), g.d_rho):
+    for g, d_rho in zip(singles, rho[1:]):
+        for node, val in zip(g.nodes.tolist(), d_rho):
             expect_rho[node] = expect_rho.get(node, 0.0) + val / b
     for node, val in expect_rho.items():
-        assert gbatch.d_rho[rows[0][node]] == pytest.approx(val, abs=1e-12)
+        assert rho[0][rows[0][node]] == pytest.approx(val, abs=1e-12)
 
 
 def tiny_net(seed=0):
@@ -426,16 +428,16 @@ def test_nonfinite_gradient_stops_before_the_update(monkeypatch):
 
     def spy_backward(params, batch, fwd):
         g = backward(params, batch, fwd)
+        d_ident, d_aspect, d_rho, d_theta = grad_fields(g)
         ok = (
-            np.isfinite(g.d_identity).all(axis=1) & np.isfinite(g.d_aspect).all(axis=(1, 2))
-            & np.isfinite(g.d_rho) & np.isfinite(g.d_theta)
+            np.isfinite(d_ident).all(axis=1) & np.isfinite(d_aspect).all(axis=(1, 2))
+            & np.isfinite(d_rho) & np.isfinite(d_theta)
         )
         bad_rows.append(g.nodes[~ok].tolist())
         return g
 
     def spy_step(self, params, grads, update_attention):
-        for arr in (grads.d_identity, grads.d_aspect, grads.d_rho, grads.d_theta,
-                    grads.d_attn_w, grads.d_attn_a):
+        for arr in (*grad_fields(grads), grads.d_attn_w, grads.d_attn_a):
             assert np.isfinite(arr).all()
         return step(self, params, grads, update_attention)
 
@@ -631,9 +633,8 @@ def reference_lazy_adam(params, steps, lr):
     b1, b2, eps = training_mod.ADAM_BETA1, training_mod.ADAM_BETA2, training_mod.ADAM_EPS
     for t, (grads, update_attention) in enumerate(steps, start=1):
         bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
-        for name in names[:4]:
-            rows, g = grads.nodes, getattr(grads, "d_" + name)
-            mn, vn = m[name], v[name]
+        for name, g in zip(names[:4], grad_fields(grads)):
+            rows, mn, vn = grads.nodes, m[name], v[name]
             mn[rows] += (1.0 - b1) * (g - mn[rows])
             vn[rows] += (1.0 - b2) * (g**2 - vn[rows])
             arrays[name][rows] -= lr * (mn[rows] / bc1) / (np.sqrt(vn[rows] / bc2) + eps)

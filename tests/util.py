@@ -8,6 +8,7 @@ import pytest
 from hawkmix import (
     HyperParams, ModelParams, NeighborEvent, Queries, TemporalEdge, batch_gradients, batch_loss,
 )
+from hawkmix.params import node_fields
 from hawkmix.temporal_graph import Histories
 
 
@@ -72,15 +73,19 @@ def random_params(
         use_attention=use_attention,
         use_gumbel=use_gumbel,
     )
-    return ModelParams(
-        hyper=hyper,
-        identity=rng.normal(0, scale, (n_nodes, m)),
-        aspect=rng.normal(0, scale, (n_nodes, k, m)),
-        rho=rng.normal(0, 0.5, n_nodes),
-        theta=rng.normal(0, 0.5, n_nodes),
-        attn_w=np.eye(m) + rng.normal(0, 0.2, (m, m)),
-        attn_a=rng.normal(0, 0.4, 2 * m),
-    )
+    identity = rng.normal(0, scale, (n_nodes, m))
+    aspect = rng.normal(0, scale, (n_nodes, k, m))
+    rho = rng.normal(0, 0.5, n_nodes)
+    theta = rng.normal(0, 0.5, n_nodes)
+    table = np.column_stack([identity, aspect.reshape(n_nodes, -1), rho, theta])
+    attn_w = np.eye(m) + rng.normal(0, 0.2, (m, m))
+    return ModelParams(hyper, table, attn_w, rng.normal(0, 0.4, 2 * m))
+
+
+def grad_fields(grads):
+    """(d_identity (U, m), d_aspect (U, K, m), d_rho (U,), d_theta (U,)): the
+    ``node_fields`` views of a ``GradientSet``'s rows."""
+    return node_fields(grads.rows, len(grads.d_attn_w))
 
 
 def random_sample(rng, params, n_hist=3, t=0.9, with_noise=True):
@@ -111,6 +116,7 @@ def fd_max_rel_error(params, sample, step=1e-5):
     scale.
     """
     gs = batch_gradients(params, [sample])[1]
+    d_ident, d_aspect, d_rho, d_theta = grad_fields(gs)
     m = params.hyper.dim
     k = params.hyper.n_aspects
     worst = 0.0
@@ -134,12 +140,12 @@ def fd_max_rel_error(params, sample, step=1e-5):
             probe(params.identity, (node, i), 0.0)
     for row, node in enumerate(gs.nodes.tolist()):
         for i in range(m):
-            probe(params.identity, (node, i), gs.d_identity[row][i])
+            probe(params.identity, (node, i), d_ident[row][i])
         for kk in range(k):
             for i in range(m):
-                probe(params.aspect, (node, kk, i), gs.d_aspect[row][kk, i])
-        probe(params.rho, (node,), gs.d_rho[row])
-        probe(params.theta, (node,), gs.d_theta[row])
+                probe(params.aspect, (node, kk, i), d_aspect[row][kk, i])
+        probe(params.rho, (node,), d_rho[row])
+        probe(params.theta, (node,), d_theta[row])
     for i in range(m):
         for j in range(m):
             probe(params.attn_w, (i, j), gs.d_attn_w[i, j])
@@ -150,7 +156,7 @@ def fd_max_rel_error(params, sample, step=1e-5):
 
 def writable_copy(params):
     """A writable model over copies of the arrays of ``params``."""
-    return ModelParams.from_table(
+    return ModelParams(
         params.hyper, params.table.copy(), params.attn_w.copy(), params.attn_a.copy()
     )
 
@@ -162,8 +168,8 @@ def read_only_copy(params):
 
 
 def assert_read_only(params):
-    """Every write into the arrays of ``params`` raises ValueError, and so does
-    assigning a field."""
+    """Every write into the arrays of ``params`` raises ValueError, and
+    assigning a field raises AttributeError, as it does on a writable model."""
     arrays = {name: getattr(params, name)
               for name in ("table", "identity", "aspect", "rho", "theta", "attn_w", "attn_a")}
     for name, arr in arrays.items():
@@ -173,7 +179,7 @@ def assert_read_only(params):
         with pytest.raises(ValueError, match="read-only"):
             arr += 1.0
     for name in ("identity", "aspect", "rho", "theta"):
-        with pytest.raises(ValueError, match=f"cannot assign {name}: the model is read-only"):
+        with pytest.raises(AttributeError, match=name):
             setattr(params, name, np.zeros_like(arrays[name]))
 
 
