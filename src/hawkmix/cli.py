@@ -102,7 +102,8 @@ def _add_train_flags(p):
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch", type=int, default=None,
-                   help="batch size (default 200 under 10k nodes, else 1000)")
+                   help=f"batch size (default {_HYPER_DEFAULTS['batch_size']} under 10k "
+                        "nodes, else 1000)")
     p.add_argument("--no-attention", action="store_const", const=True, default=None,
                    dest="no_attention", help="ablation: switch off the graph attention")
     p.add_argument("--no-gumbel", action="store_const", const=True, default=None,
@@ -245,7 +246,7 @@ def _hyper_from(cfg, node_count: int) -> HyperParams:
     check_checkpointing(cfg.get("checkpoint_every"), cfg["out"])
     batch = cfg.get("batch")
     if batch is None:
-        batch = 200 if node_count < 10_000 else 1000
+        batch = _HYPER_DEFAULTS["batch_size"] if node_count < 10_000 else 1000
         cfg["batch"] = batch
     return HyperParams(
         **{name: cfg[flag] for flag, name in _HYPER_FLAGS.items()},

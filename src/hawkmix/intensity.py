@@ -134,12 +134,13 @@ def forward(
     u,
     hist: Histories,
     cand,
-    g_u: Optional[np.ndarray] = None,
-    g_h: Optional[np.ndarray] = None,
+    g: Optional[np.ndarray] = None,
 ) -> Forward:
     """The model for B queries: source ``u`` (B,), padded ``hist``, candidate
-    targets ``cand`` (B, C), and fixed Gumbel noise ``g_u`` (B, K) and ``g_h``
-    (B, L, K), or None for none (deterministic aspect weights).
+    targets ``cand`` (B, C), and fixed Gumbel noise ``g`` (B, L+1, K) of the
+    source (slot 0) and each history slot, or None for none (deterministic
+    aspect weights). With C == 0 only the source's noise, ``g[:, :1]``, is
+    read.
 
     ``cand=None`` means every node, in id order, for each of the B rows
     (C == node count): the candidate blocks are then the contiguous identity
@@ -282,9 +283,9 @@ def forward(
     f_n -= np.einsum("bkm,bkm->bk", ctx, ctx)[:, None]               # (B, L+1 or 1, K)
     if not c:
         nodes_n = nodes_n[:, :1]
-        g_h = None if g_h is None else g_h[:, :0]
+        g = None if g is None else g[:, :1]
     if hyper.use_gumbel:
-        fg_n = f_n if g_u is None else f_n + np.concatenate([g_u[:, None, :], g_h], axis=1)
+        fg_n = f_n if g is None else f_n + g
         theta_n = params.theta[nodes_n]
         tau_n = softplus(theta_n)
         logits = fg_n / tau_n[:, :, None]
@@ -329,13 +330,12 @@ def forward(
 class Queries:
     """B link queries, the arguments of ``forward``: sources ``u`` (B,),
     candidate targets ``cand`` (B, C), padded ``hist``, and fixed Gumbel noise
-    ``g_u`` (B, K) and ``g_h`` (B, L, K), or None for none."""
+    ``g`` (B, L+1, K), slot 0 the source's, or None for none."""
 
     u: np.ndarray
     cand: np.ndarray
     hist: Histories
-    g_u: Optional[np.ndarray] = None
-    g_h: Optional[np.ndarray] = None
+    g: Optional[np.ndarray] = None
 
     def with_target(self, v: int) -> "Queries":
         """This one-row query with ``v`` as its only candidate."""
@@ -347,16 +347,14 @@ class Queries:
         hist = self.hist
         length = int(hist.mask[rows].sum(axis=1).max(initial=0))
         cut = Histories(hist.ids[rows, :length], hist.dt[rows, :length], hist.mask[rows, :length])
-        g_u = None if self.g_u is None else self.g_u[rows]
-        g_h = None if self.g_h is None else self.g_h[rows, :length]
-        return Queries(self.u[rows], self.cand[rows], cut, g_u, g_h)
+        g = None if self.g is None else self.g[rows, : length + 1]
+        return Queries(self.u[rows], self.cand[rows], cut, g)
 
     @staticmethod
     def stack(rows) -> "Queries":
         """The one-row queries ``rows`` as one batch, in order. Windows are
         padded to the widest with zero ids, dt and mask, and a row without
-        noise gets zero noise; with no noise in any row, ``g_u`` and ``g_h``
-        are None."""
+        noise gets zero noise; with no noise in any row, ``g`` is None."""
         b = len(rows)
         widths = [row.hist.ids.shape[1] for row in rows]
         lmax = max(widths, default=0)
@@ -366,14 +364,13 @@ class Queries:
             ids[i, :n], dt[i, :n], mask[i, :n] = row.hist.ids[0], row.hist.dt[0], row.hist.mask[0]
         u = np.concatenate([row.u for row in rows])
         cand = np.concatenate([row.cand for row in rows])
-        noisy = [i for i, row in enumerate(rows) if row.g_u is not None]
+        noisy = [i for i, row in enumerate(rows) if row.g is not None]
         if not noisy:
             return Queries(u, cand, Histories(ids, dt, mask))
-        g_u = np.zeros((b, rows[noisy[0]].g_u.shape[1]))
-        g_h = np.zeros((b, lmax, g_u.shape[1]))
+        g = np.zeros((b, lmax + 1, rows[noisy[0]].g.shape[2]))
         for i in noisy:
-            g_u[i], g_h[i, : widths[i]] = rows[i].g_u[0], rows[i].g_h[0]
-        return Queries(u, cand, Histories(ids, dt, mask), g_u, g_h)
+            g[i, : widths[i] + 1] = rows[i].g[0]
+        return Queries(u, cand, Histories(ids, dt, mask), g)
 
 
 def build_context(params: ModelParams, u: int, v: int, t: float, history) -> Queries:
@@ -392,7 +389,7 @@ def build_context(params: ModelParams, u: int, v: int, t: float, history) -> Que
 def candidate_scores(params: ModelParams, query: Queries, targets) -> np.ndarray:
     """Raw mixed intensities of a one-row query's source toward every target."""
     cand = np.asarray(targets, dtype=np.int64)[None, :]
-    return forward(params, query.u, query.hist, cand, query.g_u, query.g_h).lam[0]
+    return forward(params, query.u, query.hist, cand, query.g).lam[0]
 
 
 def mixed_intensity(params: ModelParams, query: Queries) -> float:

@@ -145,6 +145,12 @@ class ModelParams:
                 f"node table must be float64 of shape (n, {hyper.row_width}), "
                 f"not {table.dtype} {table.shape}"
             )
+        m = hyper.dim
+        for name, arr, shape in (("attn_w", attn_w, (m, m)), ("attn_a", attn_a, (2 * m,))):
+            if arr.shape != shape or arr.dtype != np.float64:
+                raise ValueError(
+                    f"{name} must be float64 of shape {shape}, not {arr.dtype} {arr.shape}"
+                )
         self.hyper, self.attn_w, self.attn_a = hyper, attn_w, attn_a
         self._table = table
         self._fields = node_fields(table, hyper.dim)

@@ -19,9 +19,11 @@ no per-aspect (slot x candidate) array is built. The gradients are tested
 against finite differences, the loss against the loop-only oracle.
 The trainer draws its batches straight into the engine's arrays from the
 network's CSR events and counter-based random streams, ``DRAW_BATCHES``
-batches per draw, with Gumbel noise computed for the real node slots only;
-it and ``batch_gradients`` share one checked step, which raises
-``TrainingDiverged`` on a non-finite intensity, loss or gradient.
+batches per draw. A batch's Gumbel noise is one (B, L+1, K) array, slot 0
+the source's, read from the leading columns of each edge's stream and
++0.0 in padded slots. The trainer and ``batch_gradients`` share one
+checked step, which raises ``TrainingDiverged`` on a non-finite
+intensity, loss or gradient.
 ``make_sample`` draws one edge's row by the same rules from a given
 generator, and ``batch_loss`` and ``batch_gradients`` score a list of such
 one-row queries through ``Queries.stack``; only the benchmark and the tests
@@ -109,13 +111,12 @@ def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> Qu
     check_query(net, u, t, hyper.history_len)
     hist = net.histories([u], [t], hyper.history_len)
     negs = sample_negatives(sampler, net, u, v, hyper.n_negatives, rng)
-    g_u = g_h = None
+    g = None
     if hyper.use_gumbel:
         nodes = np.column_stack([[u], hist.ids])
-        uniforms = rng.random((nodes.shape[1], hyper.n_aspects))
+        uniforms = rng.random(nodes.shape + (hyper.n_aspects,))
         g = _real_slot_gumbel(nodes, np.ones(nodes.shape, dtype=bool), uniforms)
-        g_u, g_h = g[:, 0], g[:, 1:]
-    return Queries(np.array([u]), np.array([[v, *negs]], dtype=np.int64), hist, g_u, g_h)
+    return Queries(np.array([u]), np.array([[v, *negs]], dtype=np.int64), hist, g)
 
 
 def batch_loss(params: ModelParams, rows) -> np.ndarray:
@@ -171,7 +172,10 @@ class EdgeStreams:
     Column j of edge i's stream is a pure function of (seed, epoch, i, j):
     Philox keyed by the seed, at counter (j // 2, i, epoch, 0). So an edge's
     draws do not depend on the batch it is drawn in, nor on its neighbors.
-    The key holds 64 bits, so the seed must be in [0, 2**64).
+    The key holds 64 bits, so the seed must be in [0, 2**64). A training
+    batch reads each edge's stream through ``uniforms`` alone: its Gumbel
+    noise ``g`` (B, L+1, K) from the leading (L+1) * K columns, slot after
+    slot, and its negatives from column (history_len + 1) * K on.
     """
 
     def __init__(self, seed: int, epoch: int):
@@ -187,34 +191,20 @@ class EdgeStreams:
         both = np.stack([_unit(w0, w1), _unit(w2, w3)], axis=2).reshape(len(edges), -1)
         return both[:, start - 2 * b0 : start - 2 * b0 + size]
 
-    def heads(self, edges, counts) -> np.ndarray:
-        """Columns ``0:counts[i]`` of each edge i's stream, concatenated in
-        edge order: the same values as ``uniforms``, from only the Philox
-        blocks that hold them."""
-        counts = np.asarray(counts)
-        n_blocks = (counts + 1) // 2
-        ends = np.cumsum(n_blocks)
-        blocks = np.arange(n_blocks.sum()) - np.repeat(ends - n_blocks, n_blocks)
-        w0, w1, w2, w3 = philox4x32((blocks, np.repeat(edges, n_blocks), self.epoch, 0), self.key)
-        both = np.stack([_unit(w0, w1), _unit(w2, w3)], axis=1).reshape(-1)
-        keep = np.ones(len(both), dtype=bool)
-        keep[2 * ends[counts % 2 == 1] - 1] = False     # an odd count's last block's spare
-        return both[keep]
-
 
 class _BatchSampler:
     """Draws training batches of edge indices straight into engine arrays.
 
     A row's history is a gather from the network's CSR events, through the
-    network's window rule. Its Gumbel noise and negatives come from
-    the edge's stream in ``EdgeStreams``: the first (history_len + 1) * K
-    columns are the noise of the source and history slots, the rest feed
-    the negatives' rejection rounds. The noise is drawn for a row's source
-    and real history slots only (``EdgeStreams.heads``), so a padded slot
-    costs no Philox block and no logarithm and gets +0.0 noise. The first
-    round draws its candidates from their own column offset, twice the
-    negative count so that most rows fill in that round; later rounds draw
-    for the rows still short.
+    network's window rule. Its Gumbel noise and negatives come from the
+    edge's stream in ``EdgeStreams``: the first (history_len + 1) * K
+    columns hold the noise of the source and history slots, slot after
+    slot, and the rest feed the negatives' rejection rounds. A batch reads
+    the noise columns of its padded width, (L + 1) * K, and takes the
+    logarithms of the real slots' columns only, so a padded slot gets +0.0
+    noise. The negatives' rounds all draw through one closure: the first
+    takes twice the negative count, so that most rows fill in it, and a
+    later one draws for the rows still short.
     """
 
     def __init__(self, net, hyper: HyperParams):
@@ -228,40 +218,34 @@ class _BatchSampler:
         stream = EdgeStreams(hyper.seed, epoch)
         u, v = net.sources[idx], net.targets[idx]
         hist = net.histories(u, net.times[idx], hyper.history_len)
-        first = stream.uniforms(idx, self.n_noise, 2 * hyper.n_negatives)
 
-        # The first round reads the columns drawn above; a later round draws
+        # The first round draws twice the negative count; a later round draws
         # as many candidates as all earlier ones together (up to 1024), so a
         # row with a low acceptance rate needs few rounds.
         def draw(rows, start, size):
-            if start == 0:
-                return self.negatives.nodes(first[rows])
-            size = max(size, min(start, 1024))
+            size = max(size, min(start, 1024) if start else 2 * hyper.n_negatives)
             return self.negatives.nodes(stream.uniforms(idx[rows], self.n_noise + start, size))
 
         negs = fill_negatives(net, u, v, hyper.n_negatives, draw)
-        g_u = g_h = None
+        g = None
         if hyper.use_gumbel:
-            real = np.column_stack([np.ones(len(idx), dtype=bool), hist.mask > 0])
             k = hyper.n_aspects
-            g = _real_slot_gumbel(
-                np.column_stack([u, hist.ids]), real,
-                stream.heads(idx, real.sum(axis=1) * k).reshape(-1, k),
-            )
-            g_u, g_h = g[:, 0], g[:, 1:]
-        return Queries(u, np.column_stack([v, negs]), hist, g_u, g_h)
+            real = np.column_stack([np.ones(len(idx), dtype=bool), hist.mask > 0])   # (B, L+1)
+            uniforms = stream.uniforms(idx, 0, real.shape[1] * k).reshape(real.shape + (k,))
+            g = _real_slot_gumbel(np.column_stack([u, hist.ids]), real, uniforms)
+        return Queries(u, np.column_stack([v, negs]), hist, g)
 
 
 def _real_slot_gumbel(nodes, real, uniforms) -> np.ndarray:
     """(B, S, K) Gumbel noise, -log(-log(uniform)), of B rows of S node slots,
-    from the uniforms of the ``real`` slots alone, (R, K) in row-major slot
-    order. Noise is per node within a row: a slot whose node already
-    appeared earlier in the row reuses that first slot's draw. A padded slot
-    (not ``real``) gets +0.0, and no logarithm is taken for it."""
+    from the (B, S, K) ``uniforms`` of the ``real`` slots alone. Noise is
+    per node within a row: a slot whose node already appeared earlier in
+    the row reuses that first slot's draw. A padded slot (not ``real``)
+    gets +0.0, and no logarithm is taken for it."""
     nodes = np.where(real, nodes, -1)
     first = np.argmax(nodes[:, :, None] == nodes[:, None, :], axis=2)    # (B, S)
-    g = np.zeros(real.shape + uniforms.shape[1:])
-    g[real] = -np.log(-np.log(uniforms))
+    g = np.zeros(uniforms.shape)
+    g[real] = -np.log(-np.log(uniforms[real]))
     return np.take_along_axis(g, first[:, :, None], axis=1)
 
 
@@ -271,7 +255,7 @@ def _forward_loss(params: ModelParams, batch: Queries):
     ``_checked_forward`` raises on a non-finite intensity or loss, so a NaN
     intensity is not also warned about.
     """
-    fwd = forward(params, batch.u, batch.hist, batch.cand, batch.g_u, batch.g_h)
+    fwd = forward(params, batch.u, batch.hist, batch.cand, batch.g)
     lam = fwd.lam
     with np.errstate(invalid="ignore"):
         losses = np.logaddexp(0.0, -lam[:, 0]) + np.logaddexp(0.0, lam[:, 1:]).sum(axis=1)

@@ -117,6 +117,38 @@ def test_recommend_and_intensity(simulated):
     assert all(float(r[2]) > 0 for r in rows[1:])
 
 
+def test_train_without_batch_on_a_small_net_takes_the_models_default(simulated, tmp_path):
+    """Under 10k nodes the batch size defaults to HyperParams' own, and the
+    config echo and the saved model both carry it."""
+    _, edges = simulated
+    at = TINY.index("--batch")
+    out = tmp_path / "train"
+    assert run(["train", "--edges", str(edges), "--directed", *TINY[:at], *TINY[at + 2 :],
+                "--out", str(out)]) == 0
+    default = hawkmix.HyperParams().batch_size
+    assert json.loads((out / "config.json").read_text())["batch"] == default
+    assert load_params(out / "model.bin").hyper.batch_size == default
+
+
+def test_a_checkpoint_is_a_model_that_recommend_reads(simulated, tmp_path):
+    """``train --checkpoint-every 1`` over two epochs writes one non-empty
+    checkpoint per epoch, the last one the final model, and ``recommend``
+    serves from the first."""
+    _, edges = simulated
+    out = tmp_path / "train"
+    # the later --epochs overrides TINY's
+    assert run(["train", "--edges", str(edges), "--directed", *TINY, "--epochs", "2",
+                "--checkpoint-every", "1", "--out", str(out)]) == 0
+    first, last = (out / f"checkpoint_epoch000{e}.bin" for e in (1, 2))
+    assert first.stat().st_size > 0 and last.stat().st_size > 0
+    assert last.read_bytes() == (out / "model.bin").read_bytes()
+    rec = tmp_path / "recommend"
+    assert run(["recommend", "--model", str(first), "--edges", str(edges), "--directed",
+                "--node", "0", "--k", "3", "--out", str(rec)]) == 0
+    rows = read_csv(rec / "recommendations.csv")
+    assert rows[0] == ["rank", "node", "score"] and len(rows) == 4
+
+
 def test_intensity_rows_are_each_events_one_row_forward(simulated, tmp_path):
     """Each intensity.csv row holds exp of its event's per-aspect rate from a
     one-row forward, bitwise, for every node: no event's window is padded

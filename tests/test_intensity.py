@@ -18,7 +18,7 @@ from hawkmix.params import softplus_inv
 from hawkmix.temporal_graph import Histories
 
 from oracle import ref_all, softmax as ref_softmax
-from util import Sample, as_query, gumbel, random_params, read_only_copy
+from util import Sample, as_query, gumbel, node_noise, random_params, read_only_copy
 
 
 def hist(*pairs):
@@ -38,7 +38,7 @@ def batch_of(u, t, histories):
 def run(p, history, targets=(1,), u=0, t=0.9, noise=None):
     """The forward pass for one query toward ``targets``."""
     q = as_query(Sample(TemporalEdge(u, targets[0], t), history, targets[1:], noise))
-    return forward(p, [u], q.hist, q.cand, q.g_u, q.g_h)
+    return forward(p, [u], q.hist, q.cand, q.g)
 
 
 def sq_dist(x, y):
@@ -235,8 +235,8 @@ def test_aspect_distribution_gumbel_argmax_frequencies():
     u = np.zeros(draws, dtype=np.int64)
     empty = Histories(np.zeros((draws, 0), dtype=np.int64), np.zeros((draws, 0)),
                       np.zeros((draws, 0)))
-    g_u = gumbel(rng, 4 * draws).reshape(draws, 4)
-    fwd = forward(p, u, empty, np.empty((draws, 0)), g_u, np.zeros((draws, 0, 4)))
+    g = gumbel(rng, 4 * draws).reshape(draws, 1, 4)
+    fwd = forward(p, u, empty, np.empty((draws, 0)), g)
     counts = np.bincount(np.argmax(fwd.pi_u, axis=1), minlength=4)
     assert np.abs(counts / draws - expected).sum() <= 0.02
 
@@ -344,7 +344,7 @@ def test_no_attention_k1_reduces_to_plain_multivariate_form():
 def test_stack_pads_windows_and_noise_with_zeros():
     """``Queries.stack`` pads each row's window to the widest with zero ids,
     dt and mask, and gives a row without noise +0.0 noise; with no noise in
-    any row, ``g_u`` and ``g_h`` are None."""
+    any row, ``g`` is None."""
     rng = np.random.default_rng(40)
     p = random_params(rng)
     k = p.hyper.n_aspects
@@ -359,12 +359,10 @@ def test_stack_pads_windows_and_noise_with_zeros():
     assert q.hist.ids.tolist() == [[2, 5, 2], [0, 0, 0], [6, 0, 0]]
     assert q.hist.mask.tolist() == [[1, 1, 1], [0, 0, 0], [1, 0, 0]]
     assert q.hist.dt.tolist() == [[0.9 - 0.1, 0.9 - 0.4, 0.9 - 0.6], [0, 0, 0], [0.9 - 0.2, 0, 0]]
-    assert q.g_u[0].tobytes() == noise[3].tobytes()
-    assert q.g_h[0].tobytes() == np.stack([noise[2], noise[5], noise[2]]).tobytes()
-    assert q.g_u[1:].tobytes() == np.zeros((2, k)).tobytes()
-    assert q.g_h[1:].tobytes() == np.zeros((2, 3, k)).tobytes()
+    assert q.g[0].tobytes() == np.stack([noise[3], noise[2], noise[5], noise[2]]).tobytes()
+    assert q.g[1:].tobytes() == np.zeros((2, 4, k)).tobytes()
     quiet = Queries.stack(rows[1:])
-    assert quiet.g_u is None and quiet.g_h is None
+    assert quiet.g is None
     assert quiet.hist.ids.tolist() == [[0], [6]] and quiet.hist.mask.tolist() == [[0], [1]]
 
 
@@ -387,9 +385,9 @@ def test_a_stacked_batch_scores_each_row_as_it_scores_alone(use_gumbel):
     longest = [row for row in rows if row.hist.ids.shape[1] == 4]
     for batch, exact in ((rows, False), (longest, True)):
         q = Queries.stack(batch)
-        together = forward(p, q.u, q.hist, q.cand, q.g_u, q.g_h)
+        together = forward(p, q.u, q.hist, q.cand, q.g)
         for i, row in enumerate(batch):
-            alone = forward(p, row.u, row.hist, row.cand, row.g_u, row.g_h)
+            alone = forward(p, row.u, row.hist, row.cand, row.g)
             n = row.hist.ids.shape[1] + 1
             if exact:
                 assert together.lam[i].tobytes() == alone.lam[0].tobytes()
@@ -522,12 +520,12 @@ def test_forward_without_candidates_gives_the_same_aspect_weights(use_attention,
         u, [0.9, 0.8, 0.95],
         [(), hist((2, 0.1), (3, 0.5)), hist((4, 0.1), (2, 0.2), (5, 0.6), (2, 0.7))],
     ).hist
-    g_u = g_h = None
+    g = None
     if use_gumbel:
-        g_u = rng.gumbel(size=(3, k))
-        g_h = rng.gumbel(size=(3, 4, k)) * hists.mask[:, :, None]
-    full = forward(p, u, hists, rng.integers(0, p.node_count, size=(3, 3)), g_u, g_h)
-    empty = forward(p, u, hists, np.empty((3, 0), dtype=np.int64), g_u, g_h)
+        g = np.concatenate([rng.gumbel(size=(3, 1, k)), rng.gumbel(size=(3, 4, k))], axis=1)
+        g[:, 1:] *= hists.mask[:, :, None]
+    full = forward(p, u, hists, rng.integers(0, p.node_count, size=(3, 3)), g)
+    empty = forward(p, u, hists, np.empty((3, 0), dtype=np.int64), g)
     assert empty.pi.shape == (3, 1, k)
     assert np.array_equal(empty.pi, full.pi[:, :1])
     assert np.array_equal(empty.ctx, full.ctx)
@@ -564,13 +562,14 @@ def test_source_weights_of_a_history_less_row_do_not_depend_on_its_batch(
     assert q.hist.ids.shape == (batch, 4)
     q = Queries(q.u, cand, q.hist)
     if use_gumbel:
-        g_h = rng.gumbel(size=(batch, 4, k)) * q.hist.mask[:, :, None]
-        q = Queries(q.u, q.cand, q.hist, rng.gumbel(size=(batch, k)), g_h)
-    full = forward(p, q.u, q.hist, q.cand, q.g_u, q.g_h)
+        window = rng.gumbel(size=(batch, 4, k)) * q.hist.mask[:, :, None]
+        g = np.concatenate([rng.gumbel(size=(batch, 1, k)), window], axis=1)
+        q = Queries(q.u, q.cand, q.hist, g)
+    full = forward(p, q.u, q.hist, q.cand, q.g)
     for r in np.flatnonzero(lens == 0):
         one = q.take([r])
         assert one.hist.ids.shape == (1, 0)
-        alone = forward(p, one.u, one.hist, one.cand, one.g_u, one.g_h)
+        alone = forward(p, one.u, one.hist, one.cand, one.g)
         assert np.array_equal(alone.pi_u[0], full.pi_u[r])
 
 
@@ -588,8 +587,8 @@ def test_read_out_aspect_weights_match_the_oracle_at_large_embeddings():
         if p.hyper.use_gumbel:
             noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes}
         ctx = query(h, v=0, noise=noise)
-        fwd = forward(p, [0], ctx.hist, np.empty((1, 0), dtype=np.int64), ctx.g_u, ctx.g_h)
-        one = forward(p, [0], ctx.hist, ctx.cand, ctx.g_u, ctx.g_h)
+        fwd = forward(p, [0], ctx.hist, np.empty((1, 0), dtype=np.int64), ctx.g)
+        one = forward(p, [0], ctx.hist, ctx.cand, ctx.g)
         _, _, ref_pis, _, _ = ref_all(p, 0, 0, 0.9, h, noise)
         assert fwd.attn is None
         assert np.allclose(fwd.pi_u[0], ref_pis[0], atol=1e-12, rtol=0)
@@ -612,13 +611,12 @@ def test_forward_on_every_node_matches_explicit_candidates(use_attention, use_gu
     t = [0.9, 0.8, 0.95][:batch]
     events = [(), hist((2, 0.1), (3, 0.5)), hist((4, 0.1), (2, 0.2), (5, 0.6), (2, 0.7))]
     hists = batch_of(u, t, events[-batch:]).hist
-    g_u = g_h = noise = None
+    g = noise = None
     if use_gumbel:
         noise = rng.gumbel(size=(n, k))  # one draw per node, as the oracle takes it
-        g_u = noise[u]
-        g_h = noise[hists.ids] * hists.mask[:, :, None]
-    every = forward(p, u, hists, None, g_u, g_h)
-    explicit = forward(p, u, hists, np.tile(np.arange(n), (batch, 1)), g_u, g_h)
+        g = node_noise(noise, u, hists)
+    every = forward(p, u, hists, None, g)
+    explicit = forward(p, u, hists, np.tile(np.arange(n), (batch, 1)), g)
     for name in ("pi", "mu"):
         assert np.array_equal(getattr(every, name), getattr(explicit, name)), name
     assert every.lam.shape == (batch, n)
@@ -645,12 +643,11 @@ def test_every_node_intensities_match_the_oracle_at_large_embeddings(use_attenti
         u, t = [3, 0, 7], [0.9, 0.8, 0.95]
         events = [(), hist((0, 0.3), (5, 0.5)), hist((4, 0.1), (8, 0.2), (1, 0.6), (8, 0.7))]
         hists = batch_of(u, t, events).hist
-        g_u = g_h = noise = None
+        g = noise = None
         if use_gumbel:
             noise = rng.gumbel(size=(n, k))
-            g_u = noise[u]
-            g_h = noise[hists.ids] * hists.mask[:, :, None]
-        lam = forward(p, u, hists, None, g_u, g_h).lam
+            g = node_noise(noise, u, hists)
+        lam = forward(p, u, hists, None, g).lam
         for row in range(3):
             for v in range(n):
                 ref_lam = ref_all(p, u[row], v, t[row], events[row], noise)[4]
@@ -679,8 +676,8 @@ def test_intensities_on_every_node_are_never_positive(
     if use_gumbel:
         noise = {n: rng.gumbel(size=p.hyper.n_aspects) for n in [0] + nodes.tolist()}
     ctx = query(h, v=0, noise=noise)
-    fwd = forward(p, [0], ctx.hist, None, ctx.g_u, ctx.g_h)
-    explicit = forward(p, [0], ctx.hist, np.arange(p.node_count)[None], ctx.g_u, ctx.g_h)
+    fwd = forward(p, [0], ctx.hist, None, ctx.g)
+    explicit = forward(p, [0], ctx.hist, np.arange(p.node_count)[None], ctx.g)
     assert fwd.lam.shape == (1, p.node_count)
     assert np.all(explicit.lam_k <= 0.0)
     assert np.all(fwd.lam <= 0.0)

@@ -99,6 +99,22 @@ def test_model_rejects_a_table_of_the_wrong_shape_or_dtype(table):
         ModelParams(hyper(m=3, k=2), table, np.eye(3), np.zeros(6))
 
 
+@pytest.mark.parametrize("attn_w,attn_a,message", [
+    (np.eye(4), np.zeros(5, dtype=np.float32),
+     r"attn_w must be float64 of shape \(3, 3\), not float64 \(4, 4\)"),
+    (np.eye(3, dtype=np.float32), np.zeros(6),
+     r"attn_w must be float64 of shape \(3, 3\), not float32 \(3, 3\)"),
+    (np.eye(3), np.zeros(5), r"attn_a must be float64 of shape \(6,\), not float64 \(5,\)"),
+    (np.eye(3), np.zeros(6, dtype=np.float32),
+     r"attn_a must be float64 of shape \(6,\), not float32 \(6,\)"),
+], ids=["both-wrong", "w-float32", "a-short", "a-float32"])
+def test_model_rejects_attention_arrays_of_the_wrong_shape_or_dtype(attn_w, attn_a, message):
+    """At m=3 ``attn_w`` is (3, 3) and ``attn_a`` (6,), both float64; the
+    error names the array, the shape it needs and the one it got."""
+    with pytest.raises(ValueError, match=message):
+        ModelParams(hyper(m=3, k=2), np.zeros((4, 11)), attn_w, attn_a)
+
+
 def test_a_field_of_a_writable_model_cannot_be_assigned():
     """The fields are views of the table, so they are written through, never
     rebound; an assignment leaves the table as it was. (``assert_read_only``

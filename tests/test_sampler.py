@@ -37,12 +37,12 @@ def planted(directed, coarse=False):
 
 def rows(batch):
     """Each row's draws with the padding trimmed: (u, candidates, history ids,
-    history dt, source noise, history noise)."""
+    history dt, noise of the source and of each history slot)."""
     out = []
     for i, n in enumerate(batch.hist.mask.sum(axis=1).astype(int)):
         out.append((
             int(batch.u[i]), batch.cand[i].tolist(), batch.hist.ids[i, :n].tolist(),
-            batch.hist.dt[i, :n].tolist(), batch.g_u[i].tolist(), batch.g_h[i, :n].tolist(),
+            batch.hist.dt[i, :n].tolist(), batch.g[i, : n + 1].tolist(),
         ))
     return out
 
@@ -88,7 +88,7 @@ def test_draws_do_not_depend_on_the_batch(directed, coarse):
 def test_rows_hold_the_history_and_allowed_negatives(directed, coarse):
     net = planted(directed, coarse)
     batch = training_mod._BatchSampler(net, HYPER).batch(0, np.arange(net.n_edges))
-    for i, (u, cand, ids, dt, _, _) in enumerate(rows(batch)):
+    for i, (u, cand, ids, dt, _) in enumerate(rows(batch)):
         t = float(net.times[i])
         h = history(net, u, t, HYPER.history_len)
         assert ids == [e.neighbor for e in h]
@@ -107,13 +107,13 @@ def test_gumbel_noise_is_shared_per_node_and_zero_when_padded(directed, coarse):
     net = planted(directed, coarse)
     batch = training_mod._BatchSampler(net, HYPER).batch(0, np.arange(net.n_edges))
     repeats = 0
-    for i, (u, _, ids, _, g_u, g_h) in enumerate(rows(batch)):
-        nodes, noise = [u] + ids, [g_u] + g_h
+    for i, (u, _, ids, _, noise) in enumerate(rows(batch)):
+        nodes = [u] + ids
         for a in range(len(nodes)):
             for b in range(a):
                 assert (noise[a] == noise[b]) == (nodes[a] == nodes[b])
                 repeats += nodes[a] == nodes[b]
-        assert np.all(batch.g_h[i, len(ids) :] == 0)
+        assert np.all(batch.g[i, 1 + len(ids) :] == 0)
     assert repeats > 0  # the nets do repeat nodes within a row
 
 
@@ -172,7 +172,7 @@ def test_batch_reads_noise_then_negatives_from_the_stream_columns(directed, coar
         np.column_stack([np.ones(len(idx)), batch.hist.mask]).tolist(),
         draws.reshape(len(idx), slots, k).tolist(),
     ))
-    assert np.array_equal(batch.g_u, g[:, 0]) and np.array_equal(batch.g_h, g[:, 1:])
+    assert np.array_equal(batch.g, g)
     n_noise, nodes = (HYPER.history_len + 1) * k, NegativeSampler(net).nodes
     negs = fill_negatives(
         net, batch.u, batch.cand[:, 0], HYPER.n_negatives,
@@ -180,7 +180,7 @@ def test_batch_reads_noise_then_negatives_from_the_stream_columns(directed, coar
     )
     assert np.array_equal(batch.cand[:, 1:], negs)
     plain = training_mod._BatchSampler(net, replace(HYPER, use_gumbel=False)).batch(3, idx)
-    assert plain.g_u is None and np.array_equal(plain.cand, batch.cand)
+    assert plain.g is None and np.array_equal(plain.cand, batch.cand)
 
 
 @pytest.mark.parametrize("use_gumbel", [True, False])
@@ -216,7 +216,7 @@ def test_train_cuts_batches_from_blocks_equal_to_per_batch_draws(
     assert len(seen) == len(alone)
 
     def fields(q):
-        return (q.u, q.cand, q.hist.ids, q.hist.dt, q.hist.mask, q.g_u, q.g_h)
+        return (q.u, q.cand, q.hist.ids, q.hist.dt, q.hist.mask, q.g)
 
     for got, want in zip(seen, alone):
         for a, b in zip(fields(got), fields(want)):
@@ -224,15 +224,6 @@ def test_train_cuts_batches_from_blocks_equal_to_per_batch_draws(
                 assert a is None
             else:
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-
-
-def test_heads_are_each_edges_leading_stream_columns():
-    """Odd and zero counts, a repeated edge; and no edges at all."""
-    stream = EdgeStreams(seed=3, epoch=2)
-    edges, counts = np.array([5, 0, 9, 9, 2]), np.array([3, 0, 8, 1, 5])
-    want = np.concatenate([stream.uniforms([e], 0, c)[0] for e, c in zip(edges, counts)])
-    assert stream.heads(edges, counts).tobytes() == want.tobytes()
-    assert stream.heads(edges[:0], counts[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("directed", [True, False])
@@ -250,7 +241,6 @@ def test_noise_of_padded_slots_is_positive_zero(directed):
         np.column_stack([batch.u, batch.hist.ids]).tolist(), real.tolist(),
         draws.reshape(len(idx), slots, k).tolist(),
     ))
-    got = np.concatenate([batch.g_u[:, None], batch.g_h], axis=1)
     assert (~real).sum() > 0 and real[:, 1:].sum() > 0
-    assert got[real].tobytes() == want[real].tobytes()
-    assert got[~real].tobytes() == np.zeros(((~real).sum(), k)).tobytes()
+    assert batch.g[real].tobytes() == want[real].tobytes()
+    assert batch.g[~real].tobytes() == np.zeros(((~real).sum(), k)).tobytes()

@@ -379,14 +379,13 @@ def test_batch_rows_with_and_without_noise_match_single_samples():
         rows = [as_query(s) for s in samples]
         assert batch_loss(p, rows).tolist() == [loss_alone(p, s) for s in samples]
         batch = Queries.stack(rows)
-        assert batch.g_u[0].any() and not batch.g_u[1].any() and not batch.g_h[1].any()
+        assert batch.g[0, 0].any() and not batch.g[1].any()
     quiet = [as_query(full[1]), as_query(empty[1])]
     batch = Queries.stack(quiet)
-    assert batch.g_u is None and batch.g_h is None
+    assert batch.g is None
     k = p.hyper.n_aspects
-    zero = [replace(q, g_u=np.zeros((1, k)), g_h=np.zeros((1, q.hist.ids.shape[1], k)))
-            for q in quiet]
-    assert Queries.stack(zero).g_u is not None
+    zero = [replace(q, g=np.zeros((1, q.hist.ids.shape[1] + 1, k))) for q in quiet]
+    assert Queries.stack(zero).g is not None
     assert batch_loss(p, quiet).tobytes() == batch_loss(p, zero).tobytes()
 
 
@@ -590,7 +589,7 @@ def test_make_sample_contents():
     assert s.cand.shape == (1, 5) and s.cand[0, 0] == edge.target
     assert s.hist.ids[0].tolist() == [h for h, _ in window]
     assert len(window) <= 3 and np.all(s.hist.mask == 1.0) and np.all(s.hist.dt > 0)
-    assert s.g_u.shape == (1, 2) and s.g_h.shape == (1, len(window), 2)
+    assert s.g.shape == (1, 1 + len(window), 2)
     blocked = set(net.neighbors(edge.source).tolist()) | {edge.source, edge.target}
     assert all(int(w) not in blocked for w in s.cand[0, 1:])
 
@@ -615,8 +614,7 @@ def test_make_sample_shares_noise_per_node_after_the_negatives():
     draws = gumbel(rng, (1, len(nodes), 3))
     want = ref_node_shared_noise([nodes], [[True] * len(nodes)], draws.tolist())
     assert s.cand[0, 1:].tolist() == negs.tolist()
-    got = np.concatenate([s.g_u[:, None], s.g_h], axis=1)
-    assert got.tobytes() == np.array(want).tobytes()
+    assert s.g.tobytes() == np.array(want).tobytes()
     for bad in (TemporalEdge(net.node_count, 0, 0.5), TemporalEdge(0, 1, float("nan"))):
         with pytest.raises(ValueError):
             make_sample(net, NegativeSampler(net), bad, hyper, np.random.default_rng(3))

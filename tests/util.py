@@ -39,10 +39,16 @@ def as_query(sample) -> Queries:
     if sample.gumbel is None:
         return Queries(np.array([u]), cand, hist)
     noise = sample.gumbel
-    g_h = np.zeros((1, n, len(noise[u])))
-    for j, (h, _) in enumerate(events):
-        g_h[0, j] = noise[h]
-    return Queries(np.array([u]), cand, hist, np.array([noise[u]], dtype=np.float64), g_h)
+    g = np.array([[noise[u]] + [noise[h] for h, _ in events]], dtype=np.float64)
+    return Queries(np.array([u]), cand, hist, g)
+
+
+def node_noise(noise, u, hist) -> np.ndarray:
+    """(B, L+1, K) Gumbel noise from one (K,) draw per node, ``noise`` (n, K):
+    the source's draw in slot 0, each history node's after it, and 0.0 in
+    padded slots."""
+    real = np.column_stack([np.ones(len(hist.ids)), hist.mask])
+    return noise[np.column_stack([u, hist.ids])] * real[:, :, None]
 
 
 def gumbel(rng, size):
