@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .eval import (
+    EvalReport,
     check_model_fits,
     check_probe_pairs,
     precision_recall_at_k,
@@ -125,12 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="mask edges, train on the rest, probe link prediction")
     _add_train_flags(p)
     p.add_argument("--mask-count", type=int, default=None, dest="mask_count",
-                   help="static edges to hold out as positive probe pairs (default 5000)")
+                   help="static edges to hold out as positive probe pairs "
+                        f"(default {_DEFAULTS['mask_count']})")
     p.add_argument("--save-pairs", action="store_const", const=True, default=None,
                    dest="save_pairs", help="write the probe pairs to positives.txt and negatives.txt")
     p.add_argument("--which", default=None,
-                   help="embedding slice to probe: 'identity', 'concat' (default), "
-                        "an aspect index, or 'all'")
+                   help="embedding slice to probe: 'identity', 'concat', an aspect index, "
+                        f"or 'all' (default {_DEFAULTS['which']!r})")
     _add_common(p)
 
     p = sub.add_parser("recommend", help="rank candidate targets for a node by intensity")
@@ -303,18 +305,17 @@ def _cmd_eval(cfg) -> int:
         write_pairs(positives, out / "positives.txt")
         write_pairs(negatives, out / "negatives.txt")
     params = _train_to_dir(train_net, hyper, cfg, out)
-    record = {
-        "task": "link_prediction",
-        "metrics": {
+    text = EvalReport(
+        task="link_prediction",
+        metrics={
             sl if isinstance(sl, str) else f"aspect_{sl}":
                 probe_report(params, positives, negatives, cfg["seed"], which=sl).metrics
             for sl in slices[which]
         },
-        "config": {**asdict(hyper), "masked_edges": cfg["mask_count"],
-                   "n_pairs": len(positives) + len(negatives)},
-        "seed": cfg["seed"],
-    }
-    text = json.dumps(record, sort_keys=True, indent=2)
+        config={**asdict(hyper), "masked_edges": cfg["mask_count"],
+                "n_pairs": len(positives) + len(negatives)},
+        seed=cfg["seed"],
+    ).to_json()
     (out / "metrics.json").write_text(text + "\n")
     print(text)
     return 0

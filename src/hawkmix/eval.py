@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,13 +31,7 @@ class EvalReport:
     seed: int = 0
 
     def to_json(self) -> str:
-        payload = {
-            "task": self.task,
-            "metrics": self.metrics,
-            "config": self.config,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 @dataclass

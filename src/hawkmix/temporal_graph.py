@@ -276,7 +276,12 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, t_ran
 
 
 def network_from_edges(labels, sources, targets, times, directed, normalize=True):
-    """Build a network from parallel edge arrays; node ids must be dense ints."""
+    """Build a network from parallel edge arrays; node ids must be dense ints,
+    indices into ``labels``: the first in edge order that is not is a ValueError."""
+    ends = np.column_stack([sources, targets]).astype(np.int64).ravel()
+    outside = (ends < 0) | (ends >= len(labels))
+    if outside.any():
+        raise ValueError(f"node id {ends[outside.argmax()]} is outside [0, {len(labels)})")
     label_to_id = {lab: i for i, lab in enumerate(labels)}
     return _build_network(labels, label_to_id, sources, targets, times, directed,
                           t_range=None if normalize else (0.0, 1.0))

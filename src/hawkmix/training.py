@@ -24,10 +24,10 @@ the source's, read from the leading columns of each edge's stream and
 +0.0 in padded slots. The trainer and ``batch_gradients`` share one
 checked step, which raises ``TrainingDiverged`` on a non-finite
 intensity, loss or gradient.
-``make_sample`` draws one edge's row by the same rules from a given
-generator, and ``batch_loss`` and ``batch_gradients`` score a list of such
-one-row queries through ``Queries.stack``; only the benchmark and the tests
-call these three.
+``make_sample`` draws one edge's row by the trainer's row rule,
+``_draw_rows``, from a given generator, and ``batch_loss`` and
+``batch_gradients`` score a list of such one-row queries through
+``Queries.stack``; only the benchmark and the tests call these three.
 
 Per-node state keeps one row layout, identity | aspect | rho | theta, from
 the backward scatter to the optimizer: the scatter sums each touched node's
@@ -41,6 +41,7 @@ loss's and the softplus's derivatives go through ``params.sigmoid``.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -54,7 +55,6 @@ from .temporal_graph import (
     TemporalEdge,
     check_query,
     fill_negatives,
-    sample_negatives,
 )
 
 ADAM_BETA1 = 0.9
@@ -102,21 +102,18 @@ def make_sample(net, sampler, edge: TemporalEdge, hyper: HyperParams, rng) -> Qu
     """The one-row query of one edge: its source, the target and then its
     negatives as candidates, its recent window and its Gumbel noise.
 
-    The same draw rules as a training batch, for one row and with ``rng`` as
-    the source of randomness: the negatives first, then the noise of the
+    The training batch's row rule (``_draw_rows``) for one row, with ``rng``
+    as the source of randomness: the negatives first, then the noise of the
     source and of each window slot. Raises ValueError for an edge whose
     source or time is not a valid query (see ``check_query``).
     """
     u, v, t = edge
     check_query(net, u, t, hyper.history_len)
-    hist = net.histories([u], [t], hyper.history_len)
-    negs = sample_negatives(sampler, net, u, v, hyper.n_negatives, rng)
-    g = None
-    if hyper.use_gumbel:
-        nodes = np.column_stack([[u], hist.ids])
-        uniforms = rng.random(nodes.shape + (hyper.n_aspects,))
-        g = _real_slot_gumbel(nodes, np.ones(nodes.shape, dtype=bool), uniforms)
-    return Queries(np.array([u]), np.array([[v, *negs]], dtype=np.int64), hist, g)
+    return _draw_rows(
+        net, hyper, np.array([u]), np.array([v], dtype=np.int64), np.array([t]),
+        lambda rows, start, size: sampler.draw(size, rng)[None, :],
+        lambda width: rng.random((1, width)),
+    )
 
 
 def batch_loss(params: ModelParams, rows) -> np.ndarray:
@@ -193,19 +190,11 @@ class EdgeStreams:
 
 
 class _BatchSampler:
-    """Draws training batches of edge indices straight into engine arrays.
-
-    A row's history is a gather from the network's CSR events, through the
-    network's window rule. Its Gumbel noise and negatives come from the
+    """Draws training batches of edge indices by ``_draw_rows``, from each
     edge's stream in ``EdgeStreams``: the first (history_len + 1) * K
     columns hold the noise of the source and history slots, slot after
-    slot, and the rest feed the negatives' rejection rounds. A batch reads
-    the noise columns of its padded width, (L + 1) * K, and takes the
-    logarithms of the real slots' columns only, so a padded slot gets +0.0
-    noise. The negatives' rounds all draw through one closure: the first
-    takes twice the negative count, so that most rows fill in it, and a
-    later one draws for the rows still short.
-    """
+    slot, and the rest feed the negatives' rejection rounds, which all draw
+    through one closure."""
 
     def __init__(self, net, hyper: HyperParams):
         self.net, self.hyper = net, hyper
@@ -216,8 +205,6 @@ class _BatchSampler:
         net, hyper = self.net, self.hyper
         idx = np.asarray(idx, dtype=np.int64)
         stream = EdgeStreams(hyper.seed, epoch)
-        u, v = net.sources[idx], net.targets[idx]
-        hist = net.histories(u, net.times[idx], hyper.history_len)
 
         # The first round draws twice the negative count; a later round draws
         # as many candidates as all earlier ones together (up to 1024), so a
@@ -226,14 +213,25 @@ class _BatchSampler:
             size = max(size, min(start, 1024) if start else 2 * hyper.n_negatives)
             return self.negatives.nodes(stream.uniforms(idx[rows], self.n_noise + start, size))
 
-        negs = fill_negatives(net, u, v, hyper.n_negatives, draw)
-        g = None
-        if hyper.use_gumbel:
-            k = hyper.n_aspects
-            real = np.column_stack([np.ones(len(idx), dtype=bool), hist.mask > 0])   # (B, L+1)
-            uniforms = stream.uniforms(idx, 0, real.shape[1] * k).reshape(real.shape + (k,))
-            g = _real_slot_gumbel(np.column_stack([u, hist.ids]), real, uniforms)
-        return Queries(u, np.column_stack([v, negs]), hist, g)
+        return _draw_rows(net, hyper, net.sources[idx], net.targets[idx], net.times[idx],
+                          draw, lambda width: stream.uniforms(idx, 0, width))
+
+
+def _draw_rows(net, hyper: HyperParams, u, v, t, draw, uniforms) -> Queries:
+    """The training rows of edges (u, v, t), one ``Queries``: the source's
+    window (padded to the longest, L), the target and then the negatives of
+    ``fill_negatives`` through ``draw`` as candidates, and the Gumbel noise
+    of each row's first ``width`` = (L+1) * K ``uniforms(width)``, slot after
+    slot, drawn after the negatives (see ``_real_slot_gumbel``)."""
+    hist = net.histories(u, t, hyper.history_len)
+    negs = fill_negatives(net, u, v, hyper.n_negatives, draw)
+    g = None
+    if hyper.use_gumbel:
+        k = hyper.n_aspects
+        real = np.column_stack([np.ones(len(u), dtype=bool), hist.mask > 0])   # (B, L+1)
+        noise = uniforms(real.shape[1] * k).reshape(real.shape + (k,))
+        g = _real_slot_gumbel(np.column_stack([u, hist.ids]), real, noise)
+    return Queries(u, np.column_stack([v, negs]), hist, g)
 
 
 def _real_slot_gumbel(nodes, real, uniforms) -> np.ndarray:
@@ -275,17 +273,16 @@ def _checked_forward(params: ModelParams, batch: Queries, where: str):
     return fwd, losses
 
 
-def _backward(params: ModelParams, batch, fwd) -> GradientSet:
-    """Gradients of the summed batch loss, from the values ``fwd`` saved.
+def _backward(params: ModelParams, parts, fwds) -> GradientSet:
+    """Gradients of the summed batch loss, from the values ``fwds`` saved.
 
-    ``batch`` and ``fwd`` are a ``Queries`` and its ``Forward``, or lists of
-    the parts of one batch that ``_step`` ran through the engine apart and
-    their ``Forward``s. Each part's per-role rows (sources, candidates, real
-    history slots, in the layout of ``ModelParams.table``) are staged in one
-    buffer, part after part, and ``_scatter`` sums them onto the touched
-    nodes once, while the last part's temporaries are still alive: freed
-    before the scatter, they let glibc trim the heap and fault it back in on
-    every batch.
+    ``parts`` and ``fwds`` list the ``Queries`` that ``_step`` ran through
+    the engine for one batch and their ``Forward``s. Each part's per-role
+    rows (sources, candidates, real history slots, in the layout of
+    ``ModelParams.table``) are staged in one buffer, part after part, and
+    ``_scatter`` sums them onto the touched nodes once, while the last
+    part's temporaries are still alive: freed before the scatter, they let
+    glibc trim the heap and fault it back in on every batch.
     Gradients are sums over the batch; ``_step`` rescales them to a mean.
 
     With v = dL/dlam * f_nc (B, L+1, C), every sum over candidates of v times
@@ -297,7 +294,6 @@ def _backward(params: ModelParams, batch, fwd) -> GradientSet:
     """
     hyper = params.hyper
     m, k = hyper.dim, hyper.n_aspects
-    parts, fwds = ([batch], [fwd]) if isinstance(batch, Queries) else (batch, fwd)
     # padded history slots are left out, so they are neither touched nor
     # sent zeros
     reals = [part.hist.mask > 0 for part in parts]
@@ -448,45 +444,40 @@ def _scatter(ids, rows, node_count: int):
     return sorted_ids[head], sums
 
 
-def _row_groups(batch: Queries):
-    """None, or the batch's history-less rows and the rest, as two index
-    arrays in row order: split when the history-less rows times the padded
-    window length exceed the row count, that is when padding those rows to
-    the window costs more slots than the batch has rows."""
+def _row_groups(batch: Queries) -> list:
+    """The row selections of the parts a batch runs in: ``[slice(None)]``,
+    or its history-less rows and the rest as two index arrays in row order,
+    when padding those rows to the window would cost more slots than the
+    batch has rows."""
     b, lmax = batch.hist.ids.shape
-    if lmax == 0:
-        return None
-    empty = batch.hist.mask[:, 0] == 0
-    if np.count_nonzero(empty) * lmax <= b:
-        return None
-    return np.flatnonzero(empty), np.flatnonzero(~empty)
+    if lmax:
+        empty = batch.hist.mask[:, 0] == 0
+        if np.count_nonzero(empty) * lmax > b:
+            return [np.flatnonzero(empty), np.flatnonzero(~empty)]
+    return [slice(None)]
 
 
 def _step(params: ModelParams, batch: Queries, where: str):
     """(per-sample losses, mean GradientSet, its global norm) of one batch.
 
-    A batch with many history-less rows (see ``_row_groups``) runs through
-    the engine in two parts: those rows at L = 0, and the rest padded to
-    their own longest window. The losses come back in row order, and both
-    parts' gradients meet in one ``_backward``, so the batch still takes one
-    scatter, one norm check, one clip and one optimizer step.
+    Each part of ``_row_groups`` runs through the engine, cut out with
+    ``Queries.take``: the whole batch, or the history-less rows at L = 0 and
+    the rest at their own longest window. The losses come back in row order,
+    and all parts' gradients meet in one ``_backward``, so the batch takes
+    one scatter, one norm check, one clip and one optimizer step.
 
     Raises TrainingDiverged, prefixed by ``where`` and naming the nodes
     involved, on a non-finite forward (before the backward pass) or a
     non-finite gradient norm (before any parameter changes).
     """
-    groups = _row_groups(batch)
-    if groups is None:
-        fwd, losses = _checked_forward(params, batch, where)
-        grads = _backward(params, batch, fwd)
-    else:
-        parts = [batch.take(rows) for rows in groups]
-        losses = np.empty(len(batch.u))
-        fwds = []
-        for rows, part in zip(groups, parts):
-            fwd, losses[rows] = _checked_forward(params, part, where)
-            fwds.append(fwd)
-        grads = _backward(params, parts, fwds)
+    losses = np.empty(len(batch.u))
+    parts, fwds = [], []
+    for rows in _row_groups(batch):
+        part = batch.take(rows)
+        fwd, losses[rows] = _checked_forward(params, part, where)
+        parts.append(part)
+        fwds.append(fwd)
+    grads = _backward(params, parts, fwds)
     grads.scale(1.0 / len(losses))
     norm = grads.global_norm()
     if not np.isfinite(norm):
@@ -563,7 +554,10 @@ class _LazyAdam:
 
 def check_checkpointing(every, directory) -> None:
     """Raise ValueError unless a checkpoint every ``every`` epochs (None:
-    no checkpoints) is an interval >= 1 with a ``directory`` to write to."""
+    no checkpoints) is an integer interval >= 1 (not a bool) with a
+    ``directory`` to write to."""
+    if every is not None and (isinstance(every, bool) or not isinstance(every, numbers.Integral)):
+        raise ValueError(f"checkpoint_every must be an integer, not {every!r}")
     if every is not None and every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, not {every}")
     if every is not None and directory is None:

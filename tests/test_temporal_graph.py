@@ -117,6 +117,17 @@ def test_tie_break_preserves_input_order(tmp_path):
     assert net.events(a)[0].tolist()[:2] == [net.label_to_id["b"], net.label_to_id["c"]]
 
 
+@pytest.mark.parametrize("sources, targets, bad", [
+    ([0, 1], [1, 5], 5),                   # past the last label: 3 labels, ids 0..2
+    ([0, -1], [1, 2], -1),
+    ([3, 0], [-2, 1], 3),                  # the first in edge order: source before target
+])
+def test_network_from_edges_rejects_ids_outside_the_labels(sources, targets, bad):
+    for directed in (True, False):
+        with pytest.raises(ValueError, match=rf"node id {bad} is outside \[0, 3\)"):
+            network_from_edges([0, 1, 2], sources, targets, [0.0, 1.0], directed=directed)
+
+
 def simple_history_net():
     # node 0 interacts with 1, 2, 3 at raw times 0.1, 0.2, 0.3
     return network_from_edges(

@@ -317,6 +317,17 @@ def test_train_rejects_checkpoint_every_below_one(tmp_path, every):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("every", [2.5, True])
+def test_train_rejects_checkpoint_every_that_is_not_an_integer(tmp_path, every):
+    """A fractional interval would save only where an epoch count happens to
+    be a multiple of it, and a bool is not a count: both are errors before
+    training."""
+    hyper = HyperParams(n_aspects=2, dim=4, epochs=5, batch_size=8, seed=5)
+    with pytest.raises(ValueError, match=f"checkpoint_every must be an integer, not {every}"):
+        train(tiny_net(), hyper, checkpoint_every=every, checkpoint_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_rejects_checkpoint_every_without_a_directory():
     """A checkpoint interval with nowhere to write would save nothing: it is
     an error before the first epoch, as an interval below one is."""
@@ -356,7 +367,7 @@ def test_train_updates_touch_only_batch_nodes():
     before = params.identity.copy()
     batch = Queries.stack([sample])
     fwd, _ = training_mod._forward_loss(params, batch)
-    compact = training_mod._backward(params, batch, fwd)
+    compact = training_mod._backward(params, [batch], [fwd])
     adam = training_mod._LazyAdam(params, hyper.lr)
     adam.step(params, compact, update_attention=True)
     touched = set(int(x) for x in compact.nodes)
@@ -493,7 +504,7 @@ def test_backward_scatter_is_a_batch_order_segment_sum(monkeypatch):
 
     monkeypatch.setattr(training_mod, "_scatter", spy_scatter)
     fwd, _ = training_mod._forward_loss(p, batch)
-    grads = training_mod._backward(p, batch, fwd)
+    grads = training_mod._backward(p, [batch], [fwd])
     [(ids, rows)] = staged
     assert ids.tolist() == np.concatenate(roles).tolist()
     nodes = np.unique(ids)
@@ -549,7 +560,7 @@ def test_split_batch_matches_the_whole_padded_batch(monkeypatch):
     assert len(empty) == 30 and (batch.hist.mask[empty] == 0).all()
     assert (batch.hist.mask[rest, 0] == 1).all()
     fwd, whole_losses = training_mod._forward_loss(p, batch)
-    whole = training_mod._backward(p, batch, fwd)
+    whole = training_mod._backward(p, [batch], [fwd])
     whole.scale(1.0 / len(whole_losses))
 
     calls = spy_forward(monkeypatch, training_mod)
