@@ -4,10 +4,12 @@ from .eval import (
     EvalReport,
     auc_roc,
     infer_aspect_labels,
+    link_report,
     logistic_fit,
     logistic_predict,
     macro_f1,
     precision_recall_at_k,
+    probe_pairs,
     probe_report,
     recommend,
 )

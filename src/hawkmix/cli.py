@@ -1,9 +1,10 @@
 """Command-line entry point: train, eval, recommend, simulate, intensity.
 
-``eval`` is the one link-prediction pipeline: it masks static edges, checks
-the probe pairs, trains on the rest and probes the embedding slices that
-``--which`` names. Ablations train with ``--no-attention`` and/or
-``--no-gumbel``. Its ``metrics.json`` is ``{"task": "link_prediction",
+``eval`` runs the library's link-prediction path: ``eval.probe_pairs`` masks
+static edges and checks the probe pairs, the rest is trained on, and
+``eval.link_report`` probes the embedding slices that ``--which`` names.
+Ablations train with ``--no-attention`` and/or ``--no-gumbel``. Its
+``metrics.json`` is ``link_report``'s record: ``{"task": "link_prediction",
 "metrics": {<slice>: {"auc_roc", "macro_f1"}}, "config": {<HyperParams
 fields>, "masked_edges", "n_pairs"}, "seed"}``.
 
@@ -26,19 +27,12 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .eval import (
-    EvalReport,
-    check_model_fits,
-    check_probe_pairs,
-    precision_recall_at_k,
-    probe_report,
-    recommend,
-)
+from .eval import check_model_fits, link_report, precision_recall_at_k, probe_pairs, recommend
 from .intensity import forward
 from .params import (
     HyperParams,
@@ -48,12 +42,7 @@ from .params import (
     save_params,
 )
 from .synth import PlantedSpec, generate
-from .temporal_graph import (
-    EdgeListParseError,
-    load_edge_list,
-    mask_static_edges,
-    write_pairs,
-)
+from .temporal_graph import EdgeListParseError, load_edge_list, write_pairs
 from .training import check_checkpointing, train
 
 # CLI flag -> HyperParams field; the flags' defaults are the dataclass's.
@@ -297,25 +286,13 @@ def _cmd_eval(cfg) -> int:
     if which not in slices:
         raise SystemExit2(f"--which must be 'identity', 'concat', 'all' or an aspect index "
                           f"in [0, {k}), not {which!r}")
-    train_net, positives, negatives = mask_static_edges(
-        net, cfg["mask_count"], np.random.default_rng(cfg["seed"]))
-    check_probe_pairs(positives, negatives, cfg["seed"])
+    train_net, positives, negatives = probe_pairs(net, cfg["mask_count"], cfg["seed"])
     out = _echo_config(cfg)
     if cfg["save_pairs"]:
         write_pairs(positives, out / "positives.txt")
         write_pairs(negatives, out / "negatives.txt")
     params = _train_to_dir(train_net, hyper, cfg, out)
-    text = EvalReport(
-        task="link_prediction",
-        metrics={
-            sl if isinstance(sl, str) else f"aspect_{sl}":
-                probe_report(params, positives, negatives, cfg["seed"], which=sl).metrics
-            for sl in slices[which]
-        },
-        config={**asdict(hyper), "masked_edges": cfg["mask_count"],
-                "n_pairs": len(positives) + len(negatives)},
-        seed=cfg["seed"],
-    ).to_json()
+    text = link_report(params, positives, negatives, slices[which]).to_json()
     (out / "metrics.json").write_text(text + "\n")
     print(text)
     return 0
@@ -447,6 +424,10 @@ def run(argv) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"usage error: missing input: {exc}", file=sys.stderr)
+        return 2
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        # a directory where a file is read, or a file where --out is made
+        print(f"usage error: path of the wrong kind: {exc}", file=sys.stderr)
         return 2
     except (EdgeListParseError, ModelFileError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

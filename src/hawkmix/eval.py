@@ -1,13 +1,16 @@
 """Evaluation protocols: link-prediction probe, recommendation, aspect analysis.
 
-Link prediction follows the mask-edges / train / probe recipe: pair features
-are element-wise absolute differences of node embeddings, a from-scratch
-logistic regression is fit on half of the balanced pair set, and macro-F1
-plus rank-based AUC (Mann-Whitney, from average ranks computed here with a
-stable sort) are reported on the rest. Temporal recommendation ranks
-candidate targets by the deterministic mixed intensity at the query time, and
-aspect read-out averages each node's deterministic aspect weights over its
-events; both go through ``intensity.forward``.
+Link prediction follows the mask-edges / train / probe recipe:
+``probe_pairs`` masks the edges and checks the pairs before any training,
+and ``link_report`` probes the trained model's embedding slices into one
+record. Pair features are element-wise absolute differences of node
+embeddings, a from-scratch logistic regression is fit on half of the
+balanced pair set, and macro-F1 plus rank-based AUC (Mann-Whitney, from
+average ranks computed here with a stable sort) are reported on the rest.
+Temporal recommendation ranks candidate targets by the deterministic mixed
+intensity at the query time, and aspect read-out averages each node's
+deterministic aspect weights over its events; both go through
+``intensity.forward``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .intensity import forward
 from .params import ModelParams, all_embeddings, sigmoid
-from .temporal_graph import TemporalNetwork
+from .temporal_graph import TemporalNetwork, mask_static_edges
 
 
 @dataclass
@@ -210,9 +213,32 @@ def probe_report(
             "macro_f1": macro_f1(y[te], (probs >= 0.5).astype(int)),
             "auc_roc": auc_roc(y[te], probs),
         },
-        config={"dim": params.hyper.dim, "n_aspects": params.hyper.n_aspects,
-                "history_len": params.hyper.history_len, "slice": str(which),
-                "n_pairs": len(pairs)},
+        seed=seed,
+    )
+
+
+def probe_pairs(net: TemporalNetwork, count: int, seed: int):
+    """(training network, positives, negatives) of a link-prediction run:
+    ``mask_static_edges`` of ``count`` edges at ``default_rng(seed)``, checked
+    by ``check_probe_pairs``, so a run that cannot be probed fails before
+    any training."""
+    train_net, positives, negatives = mask_static_edges(net, count, np.random.default_rng(seed))
+    check_probe_pairs(positives, negatives, seed)
+    return train_net, positives, negatives
+
+
+def link_report(params: ModelParams, positives, negatives, slices) -> EvalReport:
+    """The link-prediction record of a trained model: ``probe_report`` of
+    each embedding slice at the model's seed, aspect ``i`` named
+    ``aspect_<i>``, with the model's HyperParams and the pair counts."""
+    seed = params.hyper.seed
+    return EvalReport(
+        task="link_prediction",
+        metrics={sl if isinstance(sl, str) else f"aspect_{sl}":
+                 probe_report(params, positives, negatives, seed, which=sl).metrics
+                 for sl in slices},
+        config={**asdict(params.hyper), "masked_edges": len(positives),
+                "n_pairs": len(positives) + len(negatives)},
         seed=seed,
     )
 

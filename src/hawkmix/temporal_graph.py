@@ -276,8 +276,12 @@ def _build_network(labels, label_to_id, sources, targets, times, directed, t_ran
 
 
 def network_from_edges(labels, sources, targets, times, directed, normalize=True):
-    """Build a network from parallel edge arrays; node ids must be dense ints,
-    indices into ``labels``: the first in edge order that is not is a ValueError."""
+    """Build a network from parallel edge arrays of one length; node ids must
+    be dense ints, indices into ``labels``: the first in edge order that is
+    not is a ValueError, and so are arrays of different lengths."""
+    if not len(sources) == len(targets) == len(times):
+        raise ValueError(f"sources, targets and times must be of one length; got "
+                         f"{len(sources)}, {len(targets)} and {len(times)}")
     ends = np.column_stack([sources, targets]).astype(np.int64).ravel()
     outside = (ends < 0) | (ends >= len(labels))
     if outside.any():

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import hawkmix
-from hawkmix import forward, load_edge_list, load_params, save_params
+from hawkmix import (
+    HyperParams,
+    forward,
+    link_report,
+    load_edge_list,
+    load_params,
+    probe_pairs,
+    save_params,
+    train,
+)
 from hawkmix.cli import run
 from hawkmix.params import MODEL_MAGIC
 
@@ -96,6 +105,23 @@ def test_eval_which_all_gives_the_default_runs_concat_entry_bitwise(simulated, t
     default = run_eval(edges, tmp_path / "default")["metrics"]
     every = run_eval(edges, tmp_path / "all", "--which", "all")["metrics"]
     assert json.dumps(every["concat"]) == json.dumps(default["concat"])
+
+
+def test_eval_is_the_library_path_byte_for_byte(simulated, tmp_path):
+    """``probe_pairs``, ``train`` and ``link_report`` called directly write
+    the metrics.json and the probe pairs of ``eval --which all --save-pairs``."""
+    _, edges = simulated
+    out = tmp_path / "eval"
+    run_eval(edges, out, "--which", "all", "--save-pairs")
+    net = load_edge_list(edges, directed=True)
+    train_net, positives, negatives = probe_pairs(net, 3, seed=1)
+    hyper = HyperParams(n_aspects=2, dim=4, history_len=3, n_negatives=2, epochs=1,
+                        batch_size=16, seed=1)
+    report = link_report(train(train_net, hyper), positives, negatives,
+                         ["identity", "concat", 0, 1])
+    assert report.to_json() + "\n" == (out / "metrics.json").read_text()
+    for name, pairs in (("positives.txt", positives), ("negatives.txt", negatives)):
+        assert "".join(f"{a} {b}\n" for a, b in pairs) == (out / name).read_text()
 
 
 def test_recommend_and_intensity(simulated):
@@ -312,6 +338,27 @@ def test_recommend_with_a_missing_truth_file_is_a_usage_error(simulated, tmp_pat
     err = capsys.readouterr().err
     assert "usage error: missing input:" in err and "nosuch.txt" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["edges-dir", "config-dir", "out-file", "out-below-file"])
+def test_path_of_the_wrong_kind_is_a_usage_error(simulated, tmp_path, capsys, case):
+    """A directory where a file is read, or an existing file where the
+    output directory is made, is named in one line and leaves no output
+    directory."""
+    _, edges = simulated
+    a_dir, a_file = tmp_path / "dir", tmp_path / "file"
+    a_dir.mkdir()
+    a_file.write_text("")
+    bad, out, flags = {
+        "edges-dir": (a_dir, tmp_path / "out", ["--edges", str(a_dir)]),
+        "config-dir": (a_dir, tmp_path / "out", ["--config", str(a_dir), "--edges", str(edges)]),
+        "out-file": (a_file, a_file, ["--edges", str(edges)]),
+        "out-below-file": (a_file / "out", a_file / "out", ["--edges", str(edges)]),
+    }[case]
+    assert run(["train", *flags, "--directed", *TINY, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and str(bad) in err
+    assert not out.is_dir() and not list(tmp_path.rglob("config.json"))
 
 
 def test_recommend_with_a_truth_file_that_names_no_node_is_an_error(simulated, tmp_path, capsys):

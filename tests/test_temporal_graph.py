@@ -128,6 +128,19 @@ def test_network_from_edges_rejects_ids_outside_the_labels(sources, targets, bad
             network_from_edges([0, 1, 2], sources, targets, [0.0, 1.0], directed=directed)
 
 
+@pytest.mark.parametrize("short, lengths", [
+    ("sources", "1, 2 and 2"), ("targets", "2, 1 and 2"), ("times", "2, 2 and 1"),
+])
+def test_network_from_edges_rejects_arrays_of_different_lengths(short, lengths):
+    """A short array would otherwise drop edges without a word (times) or
+    fail inside numpy (sources, targets)."""
+    arrays = {"sources": [0, 1], "targets": [1, 2], "times": [0.0, 1.0]}
+    arrays[short] = arrays[short][:1]
+    for directed in (True, False):
+        with pytest.raises(ValueError, match=f"must be of one length; got {lengths}$"):
+            network_from_edges([0, 1, 2], **arrays, directed=directed)
+
+
 def simple_history_net():
     # node 0 interacts with 1, 2, 3 at raw times 0.1, 0.2, 0.3
     return network_from_edges(
